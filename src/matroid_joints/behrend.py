@@ -195,16 +195,25 @@ def tuned_behrend_set(N: int) -> BehrendSet:
     return _verified_shell_set(shell, params)
 
 
-def _max_3ap_free_size(N: int) -> int:
-    best = 0
+def optimal_3ap_free(N: int) -> tuple[int, ...]:
+    """Lexicographically smallest maximum 3-AP-free subset of {1..N}.
+
+    Branch-and-bound; restricted to N <= 30.  The search keeps a copy of
+    each set longer than the best so far; its preorder visits sorted
+    tuples in lexicographic order, so the first maximum it finds is the
+    lexicographically smallest.
+    """
+    if N < 1 or N > 30:
+        raise MatroidError("optimal_3ap_free supports 1 <= N <= 30")
+    best: tuple[int, ...] = ()
     chosen: list[int] = []
 
     def extend(start: int) -> None:
         nonlocal best
-        if len(chosen) + (N - start + 1) <= best:
+        if len(chosen) + (N - start + 1) <= len(best):
             return
-        if len(chosen) > best:
-            best = len(chosen)
+        if len(chosen) > len(best):
+            best = tuple(chosen)
         for v in range(start, N + 1):
             if any(2 * b - a == v for i, a in enumerate(chosen) for b in chosen[i + 1:]):
                 continue
@@ -214,31 +223,3 @@ def _max_3ap_free_size(N: int) -> int:
 
     extend(1)
     return best
-
-
-def optimal_3ap_free(N: int) -> tuple[int, ...]:
-    """Lexicographically smallest maximum 3-AP-free subset of {1..N}.
-
-    Branch-and-bound; restricted to N <= 30.
-    """
-    if N < 1 or N > 30:
-        raise MatroidError("optimal_3ap_free supports 1 <= N <= 30")
-    target = _max_3ap_free_size(N)
-    chosen: list[int] = []
-
-    def search(start: int) -> bool:
-        if len(chosen) == target:
-            return True
-        if len(chosen) + (N - start + 1) < target:
-            return False
-        for v in range(start, N + 1):
-            if any(2 * b - a == v for i, a in enumerate(chosen) for b in chosen[i + 1:]):
-                continue
-            chosen.append(v)
-            if search(v + 1):
-                return True
-            chosen.pop()
-        return False
-
-    search(1)
-    return tuple(chosen)

@@ -69,9 +69,17 @@ def cmd_behrend(args) -> int:
     return 0
 
 
+def _check_axioms(tfm: TriangleFreeMatroid, args) -> core.AxiomReport:
+    """Axioms 1-3 of the matroid: exhaustive when asked or when the ground
+    set has at most 10 elements, sampled otherwise."""
+    m = tfm.to_matroid()
+    mode = "exhaustive" if (args.exhaustive or m.size <= 10) else "sampled"
+    return core.check_axioms(m, mode=mode, sample_budget=args.budget, rng_seed=args.seed)
+
+
 def cmd_construct(args) -> int:
     try:
-        build = build_construction(args.n, exhaustive_triangle_check=args.exhaustive or None)
+        build = build_construction(args.n)
     except ConstructionError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return VERIFY_ERROR
@@ -79,14 +87,12 @@ def cmd_construct(args) -> int:
     if build.degenerate:
         obj["warning"] = "degenerate configuration: no line survived pruning"
     if args.verify:
-        m = build.matroid.to_matroid()
-        mode = "exhaustive" if (args.exhaustive or m.size <= 10) else "sampled"
-        axioms = core.check_axioms(m, mode=mode, sample_budget=args.budget, rng_seed=args.seed)
+        axioms = _check_axioms(build.matroid, args)
         from .construct import verify_construction_properties
 
         props = verify_construction_properties(build.matroid, budget=args.budget)
         obj["checks"] = {
-            "triangle_free": True,  # gated at build time
+            "triangle_free": True,  # exact gate at build time
             "axioms_mode": axioms.mode,
             "axioms_ok": axioms.ok,
             "axioms_inconclusive": axioms.inconclusive,
@@ -151,10 +157,7 @@ def cmd_verify(args) -> int:
         sys.stderr.write("error: triple point count does not match dump\n")
         return VERIFY_ERROR
     if config.lines:
-        tfm = TriangleFreeMatroid(config)
-        m = tfm.to_matroid()
-        mode = "exhaustive" if (args.exhaustive or m.size <= 10) else "sampled"
-        axioms = core.check_axioms(m, mode=mode, sample_budget=args.budget, rng_seed=args.seed)
+        axioms = _check_axioms(TriangleFreeMatroid(config), args)
         obj["axioms_mode"] = axioms.mode
         obj["axioms_ok"] = axioms.ok
         if not axioms.ok:
@@ -162,6 +165,12 @@ def cmd_verify(args) -> int:
             return VERIFY_ERROR
     _emit(obj, args.out)
     return 0
+
+
+EXHAUSTIVE_HELP = (
+    "check the matroid axioms on every subset (default: only when there are at most "
+    "10 points, sampled above); the triangle check is always exhaustive"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build the triangle-free configuration and matroid")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--exhaustive", action="store_true")
+    p.add_argument("--exhaustive", action="store_true", help=EXHAUSTIVE_HELP)
     p.add_argument("--budget", type=int, default=10_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
@@ -199,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="load a construction dump and re-run checks")
     p.add_argument("--dump", required=True)
-    p.add_argument("--exhaustive", action="store_true")
+    p.add_argument("--exhaustive", action="store_true", help=EXHAUSTIVE_HELP)
     p.add_argument("--budget", type=int, default=10_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

@@ -12,10 +12,8 @@ at a configuration point.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
 
 from . import core
 from .behrend import BehrendSet, behrend_set
@@ -25,7 +23,6 @@ from .planar import (
     IntLine,
     Point,
     diagonal,
-    find_triangles,
     horizontal,
     is_triangle_free,
     prune_lines,
@@ -136,31 +133,12 @@ class ConstructionBuild:
         }
 
 
-def _sampled_triangle_check(config: Configuration, budget: int, seed: int = 0) -> bool:
-    rng = random.Random(seed)
-    n = len(config.points)
-    from .planar import _collinear_pairs
-
-    pairs = _collinear_pairs(config)
-    for _ in range(budget):
-        i, j, k = sorted(rng.sample(range(n), 3))
-        if (i, j) in pairs and (i, k) in pairs and (j, k) in pairs:
-            sub = Configuration(
-                [config.points[i], config.points[j], config.points[k]], config.lines
-            )
-            if not is_triangle_free(sub):
-                return False
-    return True
-
-
-def build_construction(
-    N: int, *, exhaustive_triangle_check: Optional[bool] = None, sample_budget: int = 100_000
-) -> ConstructionBuild:
+def build_construction(N: int) -> ConstructionBuild:
     """Run the full pipeline and gate on triangle-freeness.
 
-    The gate is exhaustive for N <= 200 (or when forced) and sampled
-    above; a triangle at this point indicates a bug in the 3-AP-free set
-    or the incidence code and raises ConstructionError.
+    The gate is the exact triangle search of ``planar.is_triangle_free``
+    at every N; a triangle at this point indicates a bug in the 3-AP-free
+    set or the incidence code and raises ConstructionError.
     """
     if N < 4:
         raise MatroidError("build_construction requires N >= 4")
@@ -168,12 +146,7 @@ def build_construction(
     pts = behrend_points(N, b)
     grid = grid_lines(N)
     config = prune_lines(Configuration(pts, grid.lines))
-    exhaustive = exhaustive_triangle_check if exhaustive_triangle_check is not None else N <= 200
-    if exhaustive:
-        ok = is_triangle_free(config)
-    else:
-        ok = _sampled_triangle_check(config, sample_budget)
-    if not ok:
+    if not is_triangle_free(config):
         raise ConstructionError(f"triangle found in pruned configuration for N={N}")
     matroid = TriangleFreeMatroid(config)
     return ConstructionBuild(
@@ -184,10 +157,6 @@ def build_construction(
         matroid=matroid,
         degenerate=(len(config.lines) == 0),
     )
-
-
-def tf_is_independent(matroid: TriangleFreeMatroid, subset) -> bool:
-    return matroid.is_independent(frozenset(subset))
 
 
 @dataclass

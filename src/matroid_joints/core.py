@@ -128,39 +128,32 @@ def coplanar(m: Matroid, lines: list[Flat]) -> bool:
     return rank(m, union) <= 3
 
 
-def lines_through(x: int, lines: list[Flat]) -> list[int]:
-    return [i for i, f in enumerate(lines) if x in f.members]
+def _joint_search(m: Matroid, x: int, lines: list[Flat], n: int) -> Optional[tuple[int, ...]]:
+    """Indices of the first n lines through x (in combinations order) whose
+    union has rank >= n + 1, or None."""
+    through = [i for i, f in enumerate(lines) if x in f.members]
+    for combo in combinations(through, n):
+        union: frozenset = frozenset().union(*(lines[i].members for i in combo))
+        if rank(m, union) >= n + 1:
+            return combo
+    return None
 
 
 def is_joint(m: Matroid, x: int, lines: list[Flat]) -> bool:
     """x is a joint iff it lies on three lines whose union has rank >= 4."""
     lines = _require_lines(m, lines)
     m._subset({x})
-    return _is_joint_unchecked(m, x, lines)
-
-
-def _is_joint_unchecked(m: Matroid, x: int, lines: list[Flat]) -> bool:
-    through = [f for f in lines if x in f.members]
-    for trio in combinations(through, 3):
-        union = trio[0].members | trio[1].members | trio[2].members
-        if rank(m, union) >= 4:
-            return True
-    return False
+    return _joint_search(m, x, lines, 3) is not None
 
 
 def joint_witness(m: Matroid, x: int, lines: list[Flat]) -> Optional[tuple[int, int, int]]:
     """Indices into ``lines`` of a witnessing non-coplanar triple, or None."""
-    through = [i for i, f in enumerate(lines) if x in f.members]
-    for trio in combinations(through, 3):
-        union = lines[trio[0]].members | lines[trio[1]].members | lines[trio[2]].members
-        if rank(m, union) >= 4:
-            return trio
-    return None
+    return _joint_search(m, x, lines, 3)
 
 
 def count_joints(m: Matroid, lines: list[Flat]) -> int:
     lines = _require_lines(m, lines)
-    return sum(1 for x in range(m.size) if _is_joint_unchecked(m, x, lines))
+    return sum(1 for x in range(m.size) if _joint_search(m, x, lines, 3) is not None)
 
 
 def is_n_joint(m: Matroid, x: int, lines: list[Flat], n: int) -> bool:
@@ -169,14 +162,7 @@ def is_n_joint(m: Matroid, x: int, lines: list[Flat], n: int) -> bool:
         raise MatroidError("n must be >= 2")
     lines = _require_lines(m, lines)
     m._subset({x})
-    through = [f for f in lines if x in f.members]
-    if len(through) < n:
-        return False
-    for combo in combinations(through, n):
-        union: frozenset = frozenset().union(*(f.members for f in combo))
-        if rank(m, union) >= n + 1:
-            return True
-    return False
+    return _joint_search(m, x, lines, n) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -106,10 +106,28 @@ class Configuration:
 
     @classmethod
     def from_json(cls, data: dict) -> "Configuration":
-        return cls(
-            [(p[0], p[1]) for p in data["points"]],
-            [line(d["A"], d["B"], d["C"]) for d in data["lines"]],
-        )
+        """Load a ``to_json`` dump without coercing anything.
+
+        A missing key, a point that is not a pair, or a coordinate or
+        coefficient that is not an integer raises MatroidError.
+        """
+        try:
+            points = [tuple(map(_dump_int, p)) for p in data["points"]]
+            lines = [line(*(_dump_int(d[k]) for k in "ABC")) for d in data["lines"]]
+        except KeyError as exc:
+            raise MatroidError(f"dump is missing key {exc}") from None
+        except TypeError as exc:
+            raise MatroidError(f"malformed dump: {exc}") from None
+        if any(len(p) != 2 for p in points):
+            raise MatroidError("dump point is not a coordinate pair")
+        return cls(points, lines)
+
+
+def _dump_int(value) -> int:
+    # bool is an int subclass, and JSON true/false are not coordinates
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MatroidError(f"dump value {value!r} is not an integer")
+    return value
 
 
 def _collinear_pairs(cfg: Configuration) -> dict[tuple[int, int], list[int]]:

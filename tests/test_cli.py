@@ -104,6 +104,38 @@ def test_verify_rejects_unpruned(capsys, tmp_path):
     assert "pruned" in err
 
 
+_TWO_POINTS = [[1, 1], [2, 1]]
+_LINE = {"A": 0, "B": 1, "C": 1}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"lines": [_LINE]},
+        {"points": _TWO_POINTS, "lines": [{"A": 0, "B": 1}]},
+        {"points": [[1.9, 2], [2, 2]], "lines": [{"A": 0, "B": 1, "C": 2}]},
+        {"points": _TWO_POINTS, "lines": [{"A": False, "B": True, "C": 1}]},
+        {"points": [[1, 1, 7], [2, 1]], "lines": [_LINE]},
+        {"points": 5, "lines": [_LINE]},
+    ],
+    ids=[
+        "no-points",
+        "line-without-C",
+        "float-coordinate",
+        "bool-coefficient",
+        "point-triple",
+        "points-not-a-list",
+    ],
+)
+def test_verify_rejects_malformed_dump(capsys, tmp_path, data):
+    dump = tmp_path / "malformed.json"
+    dump.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--dump", str(dump))
+    assert code == USAGE_ERROR
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_verify_missing_file(capsys, tmp_path):
     code, _, _ = run(capsys, "verify", "--dump", str(tmp_path / "absent.json"))
     assert code == USAGE_ERROR

@@ -3,7 +3,7 @@
 import pytest
 
 from matroid_joints import core
-from matroid_joints.behrend import BehrendParams, BehrendSet
+from matroid_joints.behrend import BehrendParams, BehrendSet, has_3ap, tuned_behrend_set
 from matroid_joints.construct import (
     ConstructionError,
     TriangleFreeMatroid,
@@ -185,18 +185,32 @@ def test_diagonal_triangles_come_from_3aps():
         assert sums[0] + sums[2] == 2 * sums[1]
 
 
-def test_triangle_gate_catches_bad_filter(monkeypatch):
+def _small_bad_sums():
+    return 5, (2, 3, 4)
+
+
+def _large_bad_sums():
+    # a 3-AP-free set of large sums plus the 3-AP (4, 5, 6): about 2,000
+    # points with only six triangles among them, all near the corner
+    large = tuple(m + 150 for m in tuned_behrend_set(200).members)
+    assert not has_3ap(large)
+    return 250, (4, 5, 6) + large
+
+
+@pytest.mark.parametrize("sums", [_small_bad_sums, _large_bad_sums], ids=["N5", "N250"])
+def test_triangle_gate_catches_bad_filter(monkeypatch, sums):
     # a coordinate-sum set with a 3-AP leaves triangles in the grid
     from matroid_joints import construct
 
+    n, members = sums()
     bad = BehrendSet(
-        members=(2, 3, 4),
-        params=BehrendParams(N=5, n=1, s=1, k=0, n_clamped=True, s_clamped=True),
+        members=members,
+        params=BehrendParams(N=n, n=1, s=1, k=0, n_clamped=True, s_clamped=True),
         via_fallback=True,
     )
     monkeypatch.setattr(construct, "behrend_set", lambda n: bad)
     with pytest.raises(ConstructionError):
-        construct.build_construction(5)
+        construct.build_construction(n)
 
 
 def test_triangle_in_ground_set_breaks_axioms():
