@@ -198,28 +198,36 @@ def tuned_behrend_set(N: int) -> BehrendSet:
 def optimal_3ap_free(N: int) -> tuple[int, ...]:
     """Lexicographically smallest maximum 3-AP-free subset of {1..N}.
 
-    Branch-and-bound; restricted to N <= 30.  The search keeps a copy of
-    each set longer than the best so far; its preorder visits sorted
-    tuples in lexicographic order, so the first maximum it finds is the
+    Branch-and-bound; restricted to N <= 30.  The optima r3[k] for
+    {1..k}, k < N, are solved first: 3-AP-freeness is invariant under
+    translation, so r3[k] bounds any k consecutive candidates, and
+    r3[N] <= r3[N-1] + 1.  The search keeps a copy of each set longer
+    than the best so far; its preorder visits sorted tuples in
+    lexicographic order, so the first maximum it finds is the
     lexicographically smallest.
     """
     if N < 1 or N > 30:
         raise MatroidError("optimal_3ap_free supports 1 <= N <= 30")
+    r3 = [0]
     best: tuple[int, ...] = ()
     chosen: list[int] = []
 
-    def extend(start: int) -> None:
+    def extend(n: int, start: int) -> None:
         nonlocal best
-        if len(chosen) + (N - start + 1) <= len(best):
+        if len(chosen) + r3[n - start + 1] <= len(best):
             return
         if len(chosen) > len(best):
             best = tuple(chosen)
-        for v in range(start, N + 1):
+        for v in range(start, n + 1):
             if any(2 * b - a == v for i, a in enumerate(chosen) for b in chosen[i + 1:]):
                 continue
             chosen.append(v)
-            extend(v + 1)
+            extend(n, v + 1)
             chosen.pop()
 
-    extend(1)
+    for n in range(1, N + 1):
+        r3.append(r3[-1] + 1)  # the bound on r3[n] while {1..n} is searched
+        best = ()
+        extend(n, 1)
+        r3[n] = len(best)
     return best

@@ -62,21 +62,30 @@ class Flat:
         return tuple(sorted(self.members))
 
 
-def rank(m: Matroid, subset: Iterable[int]) -> int:
-    """Greedy rank: scan in ground order, keep elements that stay independent."""
-    s = m._subset(subset)
-    current: set = set()
+def _basis(m: Matroid, s: frozenset) -> frozenset:
+    """Greedy basis of s: scan in ground order, keep elements that stay independent."""
+    current: frozenset = frozenset()
     for e in sorted(s):
-        if m.oracle(frozenset(current | {e})):
-            current.add(e)
-    return len(current)
+        if m.oracle(current | {e}):
+            current = current | {e}
+    return current
+
+
+def rank(m: Matroid, subset: Iterable[int]) -> int:
+    """Size of a greedy basis of ``subset``."""
+    return len(_basis(m, m._subset(subset)))
 
 
 def closure(m: Matroid, subset: Iterable[int]) -> frozenset:
-    """All elements whose addition leaves the rank unchanged."""
+    """All elements whose addition leaves the rank unchanged.
+
+    One greedy basis B of S, then one oracle call per element e outside
+    S: an independent B + e gives r(S + e) > r(S), and a dependent B + e
+    leaves B maximal in S + e, so by augmentation r(S + e) = |B| = r(S).
+    """
     s = m._subset(subset)
-    r = rank(m, s)
-    return s | frozenset(e for e in range(m.size) if e not in s and rank(m, s | {e}) == r)
+    b = _basis(m, s)
+    return s | frozenset(e for e in range(m.size) if e not in s and not m.oracle(b | {e}))
 
 
 def is_flat(m: Matroid, subset: Iterable[int]) -> bool:
@@ -148,6 +157,8 @@ def is_joint(m: Matroid, x: int, lines: list[Flat]) -> bool:
 
 def joint_witness(m: Matroid, x: int, lines: list[Flat]) -> Optional[tuple[int, int, int]]:
     """Indices into ``lines`` of a witnessing non-coplanar triple, or None."""
+    lines = _require_lines(m, lines)
+    m._subset({x})
     return _joint_search(m, x, lines, 3)
 
 

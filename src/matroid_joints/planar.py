@@ -88,10 +88,19 @@ class Configuration:
             raise MatroidError("duplicate points in configuration")
         if len(set(self.lines)) != len(self.lines):
             raise MatroidError("duplicate lines in configuration")
-        self.line_points: tuple[tuple[int, ...], ...] = tuple(
-            tuple(i for i, p in enumerate(self.points) if incident(l, p))
-            for l in self.lines
-        )
+        # a point lies on at most one line of each direction (A, B), so one
+        # lookup of A*x + B*y per direction finds its lines; points are
+        # visited in index order, so each line's points come out ascending
+        by_direction: dict[tuple[int, int], dict[int, int]] = {}
+        for li, l in enumerate(self.lines):
+            by_direction.setdefault((l.A, l.B), {})[l.C] = li
+        line_points: list[list[int]] = [[] for _ in self.lines]
+        for pi, (x, y) in enumerate(self.points):
+            for (a, b), line_of_c in by_direction.items():
+                li = line_of_c.get(a * x + b * y)
+                if li is not None:
+                    line_points[li].append(pi)
+        self.line_points: tuple[tuple[int, ...], ...] = tuple(tuple(pts) for pts in line_points)
         point_lines: list[list[int]] = [[] for _ in self.points]
         for li, pts in enumerate(self.line_points):
             for pi in pts:

@@ -1,6 +1,11 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from matroid_joints.construct import build_construction
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Filled by tests/test_acceptance.py; echoed after the run so the
 # per-criterion verdicts survive pytest's output capture.
@@ -34,3 +39,11 @@ def matroid200(build200):
     m = build200.matroid.to_matroid()
     lines = build200.matroid.matroid_lines()
     return m, lines
+
+
+@pytest.fixture(scope="session")
+def package_env():
+    """Environment for subprocesses that import the package from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env

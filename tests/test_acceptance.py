@@ -336,11 +336,12 @@ def test_criterion_8_harness(acceptance_log, builds):
     )
 
 
-def test_criterion_9_cli_determinism(acceptance_log, tmp_path):
+def test_criterion_9_cli_determinism(acceptance_log, tmp_path, package_env):
     dump = tmp_path / "n50.json"
     subprocess.run(
         [sys.executable, "-m", "matroid_joints.cli", "construct", "--n", "50", "--out", str(dump)],
         check=True,
+        env=package_env,
     )
     commands = [
         ["behrend", "--n", "4096", "--verify"],
@@ -356,6 +357,7 @@ def test_criterion_9_cli_determinism(acceptance_log, tmp_path):
             subprocess.run(
                 [sys.executable, "-m", "matroid_joints.cli"] + cmd,
                 capture_output=True,
+                env=package_env,
             )
             for _ in range(2)
         ]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from matroid_joints import core
 from matroid_joints.affine import affine_matroid, descriptor_flats, grid3d, point
+from matroid_joints.construct import TriangleFreeMatroid, behrend_points, grid_lines
 from matroid_joints.core import (
     Flat,
     Matroid,
@@ -23,9 +24,11 @@ from matroid_joints.core import (
     is_flat,
     is_joint,
     is_n_joint,
+    joint_witness,
     make_flat,
     rank,
 )
+from matroid_joints.planar import Configuration, prune_lines
 
 
 def free_matroid(n):
@@ -60,6 +63,13 @@ def brute_rank(m, subset):
             if m.oracle(frozenset(combo)):
                 return size
     return 0
+
+
+def reference_closure(m, subset):
+    # the rank definition: e is in cl(S) iff r(S + e) = r(S)
+    s = frozenset(subset)
+    r = brute_rank(m, s)
+    return s | {e for e in range(m.size) if brute_rank(m, s | {e}) == r}
 
 
 def test_rank_empty_is_zero(square):
@@ -105,6 +115,53 @@ def test_closure_contains_equal_rank_supersets(random_q3):
         y = x | frozenset(rng.sample(range(random_q3.size), 2))
         if rank(random_q3, y) == rank(random_q3, x):
             assert y <= closure(random_q3, x)
+
+
+def test_closure_spends_one_oracle_call_per_outside_element():
+    pts, _ = grid3d(2)
+    m = affine_matroid(pts)
+    calls = []
+    counting = Matroid(m.labels, lambda s: calls.append(s) or m.oracle(s))
+    assert closure(counting, {0, 1}) == frozenset({0, 1})
+    # a greedy basis of the 2-set, then one call for each of the 6 others
+    assert len(calls) == 8
+
+
+def test_closure_matches_rank_definition_on_salem_spencer():
+    # sums of distinct powers of 3 (base-3 digits 0 or 1) are 3-AP-free
+    # (Salem-Spencer), so the filtered N = 20 grid is triangle-free
+    sums = {sum(c) for k in range(5) for c in combinations((1, 3, 9, 27), k)}
+    cfg = prune_lines(Configuration(behrend_points(20, sums), grid_lines(20).lines))
+    tfm = TriangleFreeMatroid(cfg)
+    m = tfm.to_matroid()
+    assert m.size == 105
+    rng = random.Random(5)
+    # two points of each line, an angle (a point and one more point on each
+    # of two lines through it), and random sets up to a dependent 5-set
+    subsets = [sorted(pts)[:2] for pts in tfm.line_points]
+    subsets += [
+        {p, min(tfm.line_points[a] - {p}), min(tfm.line_points[b] - {p})}
+        for p, ls in enumerate(tfm.point_lines)
+        for a, b in combinations(ls, 2)
+    ]
+    subsets += [rng.sample(range(m.size), rng.randint(0, 5)) for _ in range(100)]
+    for x in subsets:
+        assert closure(m, x) == reference_closure(m, x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
+        min_size=3,
+        max_size=8,
+        unique=True,
+    )
+)
+def test_closure_matches_rank_definition_in_q3(coords):
+    m = affine_matroid([point(*c) for c in coords])
+    x = frozenset(range(0, len(coords), 2))
+    assert closure(m, x) == reference_closure(m, x)
 
 
 def test_is_flat(square):
@@ -184,6 +241,17 @@ def test_is_joint_needs_three_lines(square):
     l1 = make_flat(square, {0, 1})
     l2 = make_flat(square, {0, 2})
     assert not is_joint(square, 0, [l1, l2])
+
+
+def test_joint_witness_validates_like_is_joint():
+    pts, desc = grid3d(2)
+    m = affine_matroid(pts)
+    lines = descriptor_flats(m, desc)
+    assert joint_witness(m, 0, lines) is not None
+    with pytest.raises(MatroidError):
+        joint_witness(m, 99, lines)
+    with pytest.raises(MatroidError):
+        joint_witness(m, 0, [Flat(frozenset({0}), 1)])
 
 
 def test_count_joints_empty():
@@ -270,5 +338,6 @@ def test_closure_idempotent_on_random_planar_matroids(coords):
     m = affine_matroid([point(*c) for c in coords])
     x = frozenset(range(0, len(coords), 2))
     cl = closure(m, x)
+    assert cl == reference_closure(m, x)
     assert closure(m, cl) == cl
     assert rank(m, cl) == rank(m, x)

@@ -1,6 +1,8 @@
 """Planar configurations: incidence, intersection, triangles, pruning."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matroid_joints.core import MatroidError
 from matroid_joints.planar import (
@@ -146,3 +148,28 @@ def test_json_round_trip():
     back = Configuration.from_json(data)
     assert back.points == cfg.points
     assert back.lines == cfg.lines
+
+
+coords = st.integers(-6, 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(coords, coords), max_size=25, unique=True),
+    st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-12, 12)).filter(
+            lambda t: t[0] or t[1]
+        ),
+        max_size=20,
+    ),
+)
+def test_incidence_matches_incident_scan(points, coefficients):
+    # any direction (A, B), not only the grid's; ``incident`` is the reference
+    lines = list(dict.fromkeys(line(*t) for t in coefficients))
+    cfg = Configuration(points, lines)
+    assert cfg.line_points == tuple(
+        tuple(i for i, p in enumerate(points) if incident(l, p)) for l in lines
+    )
+    assert cfg.point_lines == tuple(
+        tuple(li for li, l in enumerate(lines) if incident(l, p)) for p in points
+    )
