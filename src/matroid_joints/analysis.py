@@ -45,6 +45,7 @@ def heavy_plane_prune(
     survivors = list(lines)
     trace: list[PruneStep] = []
     while True:
+        by_point = core._lines_by_point(m.size, survivors)
         planes: dict[tuple, frozenset] = {}
         for f1, f2 in combinations(survivors, 2):
             if not (f1.members & f2.members):
@@ -55,7 +56,8 @@ def heavy_plane_prune(
         best_contained: list[int] = []
         for key in sorted(planes):
             plane = planes[key]
-            contained = [i for i, f in enumerate(survivors) if f.members <= plane]
+            touching = {i for x in plane for i in by_point[x]}
+            contained = sorted(i for i in touching if survivors[i].members <= plane)
             if Fraction(len(contained)) < threshold:
                 continue
             if best is None or len(contained) > len(best_contained):
@@ -218,8 +220,8 @@ def joints_sweep(ns: Iterable[int], epsilon_report: Fraction) -> list[dict]:
             build = build_construction(n)
             m = build.matroid.to_matroid()
             lines = build.matroid.matroid_lines()
-            joints = core.count_joints(m, lines)
             report = analyze(m, lines, epsilon_report)
+            joints = report.joints_initial
             big_l = len(lines)
             row.update(
                 B_size=len(build.behrend),

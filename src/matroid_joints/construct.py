@@ -103,8 +103,30 @@ class TriangleFreeMatroid:
                 return False
         return True
 
+    def span(self, basis: frozenset) -> frozenset:
+        """cl(B) of an independent B, read off the incidence by the oracle's rules.
+
+        B + e is dependent iff |B| = 4, or e lies on a line through two
+        members of B (a collinear 3-set, or a line covering three of a
+        4-set), or e lies on a line through the third member that meets
+        that line at a configuration point (an angle covering the 4-set).
+        Two distinct lines share at most one point, so a pair lies on at
+        most one line.
+        """
+        if len(basis) >= 4:
+            return frozenset(range(len(self.point_lines)))
+        out = set(basis)
+        for p, q in combinations(basis, 2):
+            for la in set(self.point_lines[p]).intersection(self.point_lines[q]):
+                out |= self.line_points[la]
+                for r in basis - {p, q}:
+                    for lb in self.point_lines[r]:
+                        if (min(la, lb), max(la, lb)) in self.angle_index:
+                            out |= self.line_points[lb]
+        return frozenset(out)
+
     def to_matroid(self) -> Matroid:
-        return Matroid(labels=self.config.points, oracle=self.is_independent)
+        return Matroid(labels=self.config.points, oracle=self.is_independent, span=self.span)
 
     def matroid_lines(self) -> list[Flat]:
         """One rank-2 flat per configuration line: the closure of a point pair."""
@@ -179,9 +201,10 @@ def verify_construction_properties(tfm: TriangleFreeMatroid, budget: int = 1_000
     point set; (2) at each triple point a cross-line 4-set is independent,
     so the union of three lines through it has rank 4; (3) the whole
     ground set has rank at most 4.  Work is budget-gated; exhausting the
-    budget yields inconclusive, not a silent pass.
+    budget yields inconclusive, not a silent pass.  The matroid here has
+    no ``span``: (1) checks the closures against the oracle itself.
     """
-    m = tfm.to_matroid()
+    m = Matroid(tfm.config.points, tfm.is_independent)
     spent = 0
 
     r1 = CheckResult(PASS)

@@ -2,7 +2,9 @@
 
 A matroid is given by an ordered ground set (a tuple of labels) and a pure
 predicate on frozensets of element indices.  Everything else -- rank,
-closure, flats, lines, planes, joints -- is derived from the oracle.
+closure, flats, lines, planes, joints -- is derived from the oracle; a
+matroid that knows its flats structurally may also supply ``span``, which
+closure then uses in place of the per-element oracle scan.
 All operations are deterministic: subsets are canonicalized to sorted
 index tuples, greedy rank scans in ground order, and reports list
 counterexamples in (size, lex) order.
@@ -26,11 +28,14 @@ class Matroid:
 
     ``labels`` fixes the element order; all index-based operations refer
     to positions in this tuple.  ``oracle`` must be a pure total function
-    from frozensets of indices to bool.
+    from frozensets of indices to bool.  ``span``, when given, maps an
+    independent set B to cl(B) and must agree with the oracle: it holds B
+    and exactly the e for which B + e is dependent.
     """
 
     labels: tuple
     oracle: Callable[[frozenset], bool]
+    span: Optional[Callable[[frozenset], frozenset]] = None
 
     @property
     def size(self) -> int:
@@ -79,12 +84,16 @@ def rank(m: Matroid, subset: Iterable[int]) -> int:
 def closure(m: Matroid, subset: Iterable[int]) -> frozenset:
     """All elements whose addition leaves the rank unchanged.
 
-    One greedy basis B of S, then one oracle call per element e outside
-    S: an independent B + e gives r(S + e) > r(S), and a dependent B + e
-    leaves B maximal in S + e, so by augmentation r(S + e) = |B| = r(S).
+    One greedy basis B of S, then cl(S) = S + cl(B): an independent B + e
+    gives r(S + e) > r(S), and a dependent B + e leaves B maximal in S + e,
+    so by augmentation r(S + e) = |B| = r(S).  cl(B) comes from ``m.span``
+    when the matroid supplies it, else from one oracle call per element
+    outside S.
     """
     s = m._subset(subset)
     b = _basis(m, s)
+    if m.span is not None:
+        return s | m.span(b)
     return s | frozenset(e for e in range(m.size) if e not in s and not m.oracle(b | {e}))
 
 
@@ -137,10 +146,18 @@ def coplanar(m: Matroid, lines: list[Flat]) -> bool:
     return rank(m, union) <= 3
 
 
-def _joint_search(m: Matroid, x: int, lines: list[Flat], n: int) -> Optional[tuple[int, ...]]:
-    """Indices of the first n lines through x (in combinations order) whose
-    union has rank >= n + 1, or None."""
-    through = [i for i, f in enumerate(lines) if x in f.members]
+def _lines_by_point(size: int, lines: list[Flat]) -> list[list[int]]:
+    """For each element, the ascending indices of the lines through it."""
+    by_point: list[list[int]] = [[] for _ in range(size)]
+    for i, f in enumerate(lines):
+        for x in f.members:
+            by_point[x].append(i)
+    return by_point
+
+
+def _joint_search(m: Matroid, through: list[int], lines: list[Flat], n: int) -> Optional[tuple[int, ...]]:
+    """The first n of the lines ``through`` a point (ascending indices into
+    ``lines``, in combinations order) whose union has rank >= n + 1, or None."""
     for combo in combinations(through, n):
         union: frozenset = frozenset().union(*(lines[i].members for i in combo))
         if rank(m, union) >= n + 1:
@@ -152,19 +169,21 @@ def is_joint(m: Matroid, x: int, lines: list[Flat]) -> bool:
     """x is a joint iff it lies on three lines whose union has rank >= 4."""
     lines = _require_lines(m, lines)
     m._subset({x})
-    return _joint_search(m, x, lines, 3) is not None
+    return _joint_search(m, _lines_by_point(m.size, lines)[x], lines, 3) is not None
 
 
 def joint_witness(m: Matroid, x: int, lines: list[Flat]) -> Optional[tuple[int, int, int]]:
     """Indices into ``lines`` of a witnessing non-coplanar triple, or None."""
     lines = _require_lines(m, lines)
     m._subset({x})
-    return _joint_search(m, x, lines, 3)
+    return _joint_search(m, _lines_by_point(m.size, lines)[x], lines, 3)
 
 
 def count_joints(m: Matroid, lines: list[Flat]) -> int:
     lines = _require_lines(m, lines)
-    return sum(1 for x in range(m.size) if _joint_search(m, x, lines, 3) is not None)
+    return sum(
+        1 for through in _lines_by_point(m.size, lines) if _joint_search(m, through, lines, 3) is not None
+    )
 
 
 def is_n_joint(m: Matroid, x: int, lines: list[Flat], n: int) -> bool:
@@ -173,7 +192,7 @@ def is_n_joint(m: Matroid, x: int, lines: list[Flat], n: int) -> bool:
         raise MatroidError("n must be >= 2")
     lines = _require_lines(m, lines)
     m._subset({x})
-    return _joint_search(m, x, lines, n) is not None
+    return _joint_search(m, _lines_by_point(m.size, lines)[x], lines, n) is not None
 
 
 # ---------------------------------------------------------------------------

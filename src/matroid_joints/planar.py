@@ -82,7 +82,9 @@ class Configuration:
     """Immutable incidence structure over distinct points and lines."""
 
     def __init__(self, points: Iterable[Point], lines: Iterable[IntLine]):
-        self.points: tuple[Point, ...] = tuple((int(a), int(b)) for a, b in points)
+        """Raises MatroidError on a coordinate that is not an integer (bool
+        included): geometry stays exact, nothing is coerced."""
+        self.points: tuple[Point, ...] = tuple((_exact_int(a), _exact_int(b)) for a, b in points)
         self.lines: tuple[IntLine, ...] = tuple(lines)
         if len(set(self.points)) != len(self.points):
             raise MatroidError("duplicate points in configuration")
@@ -121,8 +123,8 @@ class Configuration:
         coefficient that is not an integer raises MatroidError.
         """
         try:
-            points = [tuple(map(_dump_int, p)) for p in data["points"]]
-            lines = [line(*(_dump_int(d[k]) for k in "ABC")) for d in data["lines"]]
+            points = [tuple(p) for p in data["points"]]
+            lines = [line(*(_exact_int(d[k]) for k in "ABC")) for d in data["lines"]]
         except KeyError as exc:
             raise MatroidError(f"dump is missing key {exc}") from None
         except TypeError as exc:
@@ -132,10 +134,10 @@ class Configuration:
         return cls(points, lines)
 
 
-def _dump_int(value) -> int:
+def _exact_int(value) -> int:
     # bool is an int subclass, and JSON true/false are not coordinates
     if isinstance(value, bool) or not isinstance(value, int):
-        raise MatroidError(f"dump value {value!r} is not an integer")
+        raise MatroidError(f"value {value!r} is not an integer")
     return value
 
 

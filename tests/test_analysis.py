@@ -145,6 +145,15 @@ def test_joints_sweep_rows():
             assert row["joints_over_L2"] is None
 
 
+def test_joints_sweep_counts_joints_once_per_row(monkeypatch):
+    calls = []
+    count = core.count_joints
+    monkeypatch.setattr(core, "count_joints", lambda m, lines: calls.append(m) or count(m, lines))
+    rows = joints_sweep([5], Fraction(1, 2))
+    assert rows[0].get("error") is None
+    assert len(calls) == 1
+
+
 def test_sweep_row_errors_do_not_abort():
     rows = joints_sweep([0, 16], Fraction(1, 2))
     assert "error" in rows[0]

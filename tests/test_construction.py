@@ -1,6 +1,10 @@
 """The grid-plus-Behrend pipeline and the triangle-free matroid."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matroid_joints import core
 from matroid_joints.behrend import BehrendParams, BehrendSet, has_3ap, tuned_behrend_set
@@ -19,6 +23,7 @@ from matroid_joints.planar import (
     find_triangles,
     horizontal,
     is_triangle_free,
+    prune_lines,
     triple_points,
     vertical,
 )
@@ -107,8 +112,13 @@ def test_build_n16_degenerate_flag():
     assert len(build.config.lines) == 0
 
 
+def oracle_only(tfm):
+    # no span: closures come from the oracle, independently of TriangleFreeMatroid.span
+    return core.Matroid(tfm.config.points, tfm.is_independent)
+
+
 def test_line_flats_equal_line_point_sets(build5):
-    m = build5.matroid.to_matroid()
+    m = oracle_only(build5.matroid)
     for li, pts in enumerate(build5.matroid.line_points):
         flat = core.make_flat(m, sorted(pts)[:2])
         assert flat.members == pts
@@ -117,10 +127,53 @@ def test_line_flats_equal_line_point_sets(build5):
 
 def test_closure_of_line_pair_is_line(build5):
     # closure of two points on a retained line recovers exactly that line's points
-    m = build5.matroid.to_matroid()
+    m = oracle_only(build5.matroid)
     li = next(i for i, pts in enumerate(build5.matroid.line_points) if len(pts) >= 2)
     pair = sorted(build5.matroid.line_points[li])[:2]
     assert core.closure(m, pair) == build5.matroid.line_points[li]
+
+
+@pytest.fixture(scope="module")
+def small_triangle_free():
+    """Every Behrend build N <= 80 with a line, and a shifted Salem-Spencer
+    set (sums of distinct powers of 3, plus 1: 3-AP-free) at N = 20."""
+    builds = [build_construction(n).matroid for n in range(4, 81)]
+    shifted = {1 + sum(c) for k in range(5) for c in combinations((1, 3, 9, 27), k)}
+    cfg = prune_lines(Configuration(behrend_points(20, shifted), grid_lines(20).lines))
+    assert is_triangle_free(cfg)
+    return [tfm for tfm in builds if tfm.line_points] + [TriangleFreeMatroid(cfg)]
+
+
+def assert_span_matches_oracle(tfm, subset):
+    assert core.closure(tfm.to_matroid(), subset) == core.closure(oracle_only(tfm), subset)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_span_matches_oracle_closure_on_random_subsets(small_triangle_free, data):
+    tfm = data.draw(st.sampled_from(small_triangle_free))
+    # up to two points of one line plus points near it (on the lines that
+    # meet it) or anywhere: the basis then reaches the line and angle steps
+    la = data.draw(st.integers(0, len(tfm.line_points) - 1))
+    near = tfm.line_points[la].union(*(tfm.line_points[lb] for pair in tfm.angle_index
+                                       if la in pair for lb in pair))
+    on_line = data.draw(st.lists(st.sampled_from(sorted(tfm.line_points[la])), max_size=2, unique=True))
+    anywhere = st.integers(0, len(tfm.point_lines) - 1)
+    others = data.draw(st.lists(st.one_of(st.sampled_from(sorted(near)), anywhere),
+                                max_size=6 - len(on_line), unique=True))
+    assert_span_matches_oracle(tfm, set(on_line) | set(others))
+
+
+def test_span_matches_oracle_closure_on_angles(small_triangle_free):
+    # every union of two meeting lines, and two points of one line with a
+    # point of the other (off the vertex), whose closure needs the angle step
+    for tfm in small_triangle_free:
+        for (la, lb), vertex in tfm.angle_index.items():
+            a, b = tfm.line_points[la] - {vertex}, tfm.line_points[lb] - {vertex}
+            assert_span_matches_oracle(tfm, a | b | {vertex})
+            for first, second in ((a, b), (b, a)):
+                if len(first) >= 2:
+                    assert_span_matches_oracle(tfm, set(sorted(first)[:2]) | {min(second)})
 
 
 def test_three_lines_through_point_not_coplanar(build5):

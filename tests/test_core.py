@@ -127,6 +127,16 @@ def test_closure_spends_one_oracle_call_per_outside_element():
     assert len(calls) == 8
 
 
+def test_closure_with_span_spends_only_the_basis_scan(build5):
+    tfm = build5.matroid
+    calls = []
+    counting = Matroid(tfm.config.points, lambda s: calls.append(s) or tfm.is_independent(s), span=tfm.span)
+    pair = sorted(tfm.line_points[0])[:2]
+    assert closure(counting, pair) == tfm.line_points[0]
+    # the greedy basis of the pair; the 6 other points cost no oracle call
+    assert len(calls) == 2
+
+
 def test_closure_matches_rank_definition_on_salem_spencer():
     # sums of distinct powers of 3 (base-3 digits 0 or 1) are 3-AP-free
     # (Salem-Spencer), so the filtered N = 20 grid is triangle-free

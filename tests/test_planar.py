@@ -126,6 +126,13 @@ def test_duplicate_rejection():
         Configuration([], [horizontal(1), line(0, 2, 2)])
 
 
+@pytest.mark.parametrize("bad", [(1.9, 2), ("3", 2), (True, 2)])
+def test_non_integer_coordinates_rejected(bad):
+    # neither truncated nor coerced: (1.9, 2) must not land on y = 2 as (1, 2)
+    with pytest.raises(MatroidError):
+        Configuration([(5, 2), bad], [horizontal(2)])
+
+
 def test_triangle_free_triple_line_property(build200):
     # three pairwise-meeting lines whose intersections all land in E would
     # form a triangle; in a triangle-free configuration at least one of the
