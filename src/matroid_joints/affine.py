@@ -1,16 +1,21 @@
 """Exact-rational affine independence and the classical 3D grid of joints.
 
-All rank decisions use exact arithmetic: rational coordinates are scaled
-to integers row by row and the rank is computed with fraction-free
-(Bareiss) elimination.  Floating point never touches an incidence
-decision.
+All rank decisions use exact arithmetic.  ``affine_matroid`` scales its
+points once, at build, onto one integer lattice (every coordinate times
+the lcm of all coordinate denominators); scaling is an affine bijection,
+so independence is unchanged, and each oracle call is a fraction-free
+(Bareiss) integer rank of difference rows.  The matroid also supplies
+``span``: the integer normals of an independent set's affine hull, from
+an exact null space, decide membership in its closure with one dot
+product per normal and point.  Floating point never touches an
+incidence decision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .core import Flat, Matroid, MatroidError, make_flat
@@ -57,33 +62,103 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     return r
 
 
+def integer_null_space(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
+    """An integer basis of {v : row . v = 0 for every row}.
+
+    Fraction-free Gauss-Jordan elimination (each combined row divided by
+    the gcd of its entries) leaves one pivot per independent row and
+    zeros above and below it; each free column f then gives the vector
+    with v[f] = lcm of the pivots and v[c] = -row[f] * v[f] / pivot at
+    each pivot column c, an exact division.
+    """
+    mat = [list(row) for row in rows]
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        top = mat[r]
+        for i, row in enumerate(mat):
+            if i != r and row[c]:
+                row = [a * top[c] - row[c] * b for a, b in zip(row, top)]
+                g = gcd(*row)
+                mat[i] = [a // g for a in row] if g > 1 else row
+        pivots.append(c)
+        if len(pivots) == len(mat):
+            break
+    scale = lcm(*(mat[k][c] for k, c in enumerate(pivots)))
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = scale
+        for k, c in enumerate(pivots):
+            v[c] = -mat[k][f] * scale // mat[k][c]
+        basis.append(v)
+    return basis
+
+
+def _require_one_dimension(points: Sequence[RationalPoint]) -> None:
+    if len({p.dim for p in points}) > 1:
+        raise MatroidError("points of mixed dimension")
+
+
+def _to_lattice(points: Sequence[RationalPoint]) -> list[tuple[int, ...]]:
+    """The points times the lcm of all their coordinate denominators."""
+    scale = lcm(*(c.denominator for p in points for c in p.coords))
+    return [tuple(c.numerator * (scale // c.denominator) for c in p.coords) for p in points]
+
+
+def _lattice_independent(pts: Sequence[Sequence[int]]) -> bool:
+    """True iff the integer points are affinely independent."""
+    if len(pts) <= 1:
+        return True
+    base = pts[0]
+    return integer_rank([[a - b for a, b in zip(p, base)] for p in pts[1:]]) == len(pts) - 1
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
 def affine_independent(points: Sequence[RationalPoint]) -> bool:
     """True iff the affine span of the points has dimension len(points) - 1."""
     pts = list(points)
-    if len(pts) <= 1:
-        return True
-    dim = pts[0].dim
-    if any(p.dim != dim for p in pts):
-        raise MatroidError("points of mixed dimension")
-    base = pts[0].coords
-    rows = []
-    for p in pts[1:]:
-        diff = [p.coords[i] - base[i] for i in range(dim)]
-        scale = lcm(*(f.denominator for f in diff)) if diff else 1
-        rows.append([int(f * scale) for f in diff])
-    return integer_rank(rows) == len(pts) - 1
+    _require_one_dimension(pts)
+    return _lattice_independent(_to_lattice(pts))
 
 
 def affine_matroid(points: Sequence[RationalPoint]) -> Matroid:
-    """The matroid of affinely independent subsets of a finite point set."""
+    """The matroid of affinely independent subsets of a finite point set.
+
+    ``span`` maps an independent B to the points of its affine hull: with
+    b0 in B, e is on the hull iff n . e = n . b0 for every integer normal
+    n (a null vector of B's difference rows).
+    """
     pts = tuple(points)
     if len(set(pts)) != len(pts):
         raise MatroidError("duplicate points")
+    _require_one_dimension(pts)
+    lattice = _to_lattice(pts)
 
     def oracle(subset: frozenset) -> bool:
-        return affine_independent([pts[i] for i in sorted(subset)])
+        return _lattice_independent([lattice[i] for i in sorted(subset)])
 
-    return Matroid(labels=pts, oracle=oracle)
+    def span(basis: frozenset) -> frozenset:
+        if not basis:
+            return frozenset()
+        first, *rest = (lattice[i] for i in sorted(basis))
+        diffs = [[a - b for a, b in zip(p, first)] for p in rest]
+        members = range(len(lattice))
+        for normal in integer_null_space(diffs, len(first)):
+            level = _dot(normal, first)
+            members = [i for i in members if _dot(normal, lattice[i]) == level]
+        return frozenset(members)
+
+    return Matroid(labels=pts, oracle=oracle, span=span)
 
 
 @dataclass(frozen=True)

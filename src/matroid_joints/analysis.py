@@ -33,9 +33,9 @@ def heavy_plane_prune(
 ) -> tuple[list[Flat], list[PruneStep]]:
     """Repeatedly remove all lines lying in a plane with >= 2/epsilon of them.
 
-    Candidate planes are closures of unions of intersecting line pairs;
-    the heaviest plane goes first, ties broken lexicographically on the
-    plane's member list.
+    Candidate planes are closures of unions of intersecting line pairs,
+    taken from the point -> line index; the heaviest plane goes first,
+    ties broken lexicographically on the plane's member list.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -47,10 +47,8 @@ def heavy_plane_prune(
     while True:
         by_point = core._lines_by_point(m.size, survivors)
         planes: dict[tuple, frozenset] = {}
-        for f1, f2 in combinations(survivors, 2):
-            if not (f1.members & f2.members):
-                continue
-            plane = core.closure(m, f1.members | f2.members)
+        for (i, j), shared in _common_points(by_point).items():
+            plane = _meeting_plane(m, survivors[i].members, survivors[j].members, shared[0])
             planes.setdefault(tuple(sorted(plane)), plane)
         best: Optional[tuple] = None
         best_contained: list[int] = []
@@ -68,6 +66,22 @@ def heavy_plane_prune(
         removed = set(best_contained)
         survivors = [f for i, f in enumerate(survivors) if i not in removed]
     return survivors, trace
+
+
+def _meeting_plane(m: Matroid, l1: frozenset, l2: frozenset, x: int) -> frozenset:
+    """cl(l1 | l2) for two lines meeting at x.
+
+    cl{x, a, b}, with a and b the smallest other members of the lines, is
+    that plane whenever it holds both lines (then cl(l1 | l2) lies in it
+    and it lies in cl(l1 | l2)); a three-point basis scan replaces one of
+    |l1 | l2| points.  In a simple matroid it always holds them, since each
+    line is the closure of any two of its points; otherwise the union is
+    closed.
+    """
+    plane = core.closure(m, {x, min(l1 - {x}, default=x), min(l2 - {x}, default=x)})
+    if l1 <= plane and l2 <= plane:
+        return plane
+    return core.closure(m, l1 | l2)
 
 
 def degree_partition(
@@ -101,17 +115,28 @@ class IntersectionGraph:
 
 
 def intersection_graph(m: Matroid, lines: list[Flat], e2: set[int]) -> IntersectionGraph:
-    """Edge per line pair meeting in a point of e2, labeled by the witness."""
+    """Edge per line pair meeting in a point of e2, labeled by the witness.
+
+    Pairs come from the point -> line index and are visited in ascending
+    (i, j) order; the first pair sharing more than one point raises.
+    """
     edges: dict[tuple[int, int], int] = {}
-    for i, j in combinations(range(len(lines)), 2):
-        common = lines[i].members & lines[j].members
-        if len(common) > 1:
-            raise MatroidError(f"lines {i} and {j} share {len(common)} points")
-        if common:
-            x = next(iter(common))
-            if x in e2:
-                edges[(i, j)] = x
+    for (i, j), shared in _common_points(core._lines_by_point(m.size, lines)).items():
+        if len(shared) > 1:
+            raise MatroidError(f"lines {i} and {j} share {len(shared)} points")
+        if shared[0] in e2:
+            edges[(i, j)] = shared[0]
     return IntersectionGraph(n=len(lines), edges=edges)
+
+
+def _common_points(by_point: list[list[int]]) -> dict[tuple[int, int], list[int]]:
+    """For each pair of lines with a point in common, in ascending (i, j)
+    order, their common points; the pairs come from the point -> line index."""
+    common: dict[tuple[int, int], list[int]] = {}
+    for x, through in enumerate(by_point):
+        for pair in combinations(through, 2):
+            common.setdefault(pair, []).append(x)
+    return dict(sorted(common.items()))
 
 
 @dataclass

@@ -155,10 +155,27 @@ def _lines_by_point(size: int, lines: list[Flat]) -> list[list[int]]:
     return by_point
 
 
-def _joint_search(m: Matroid, through: list[int], lines: list[Flat], n: int) -> Optional[tuple[int, ...]]:
-    """The first n of the lines ``through`` a point (ascending indices into
-    ``lines``, in combinations order) whose union has rank >= n + 1, or None."""
+def _line_pairs(lines: list[Flat]) -> list[tuple[int, ...]]:
+    """The two smallest members of each line (a rank-2 flat has at least two)."""
+    return [tuple(sorted(f.members)[:2]) for f in lines]
+
+
+def _joint_search(
+    m: Matroid, x: int, through: list[int], lines: list[Flat], pairs: list[tuple[int, ...]], n: int
+) -> Optional[tuple[int, ...]]:
+    """The first n of the lines ``through`` x (ascending indices into
+    ``lines``, in combinations order) whose union has rank >= n + 1, or None.
+
+    Each line is ranked by x plus one other member, taken from ``pairs``
+    (``_line_pairs(lines)``).  That set lies in the union, so its rank
+    reaching n + 1 decides; otherwise the union itself is ranked, which
+    keeps the answer exact where a line is not the closure of x and that
+    member (a matroid that is not simple).
+    """
     for combo in combinations(through, n):
+        small = frozenset(p[0] if p[0] != x else p[-1] for p in (pairs[i] for i in combo)) | {x}
+        if rank(m, small) >= n + 1:
+            return combo
         union: frozenset = frozenset().union(*(lines[i].members for i in combo))
         if rank(m, union) >= n + 1:
             return combo
@@ -167,22 +184,21 @@ def _joint_search(m: Matroid, through: list[int], lines: list[Flat], n: int) -> 
 
 def is_joint(m: Matroid, x: int, lines: list[Flat]) -> bool:
     """x is a joint iff it lies on three lines whose union has rank >= 4."""
-    lines = _require_lines(m, lines)
-    m._subset({x})
-    return _joint_search(m, _lines_by_point(m.size, lines)[x], lines, 3) is not None
+    return joint_witness(m, x, lines) is not None
 
 
 def joint_witness(m: Matroid, x: int, lines: list[Flat]) -> Optional[tuple[int, int, int]]:
     """Indices into ``lines`` of a witnessing non-coplanar triple, or None."""
-    lines = _require_lines(m, lines)
-    m._subset({x})
-    return _joint_search(m, _lines_by_point(m.size, lines)[x], lines, 3)
+    return _n_joint_witness(m, x, lines, 3)
 
 
 def count_joints(m: Matroid, lines: list[Flat]) -> int:
     lines = _require_lines(m, lines)
+    pairs = _line_pairs(lines)
     return sum(
-        1 for through in _lines_by_point(m.size, lines) if _joint_search(m, through, lines, 3) is not None
+        1
+        for x, through in enumerate(_lines_by_point(m.size, lines))
+        if _joint_search(m, x, through, lines, pairs, 3) is not None
     )
 
 
@@ -190,9 +206,14 @@ def is_n_joint(m: Matroid, x: int, lines: list[Flat], n: int) -> bool:
     """x lies on n lines of ``lines`` whose union has rank >= n + 1."""
     if n < 2:
         raise MatroidError("n must be >= 2")
+    return _n_joint_witness(m, x, lines, n) is not None
+
+
+def _n_joint_witness(m: Matroid, x: int, lines: list[Flat], n: int) -> Optional[tuple[int, ...]]:
     lines = _require_lines(m, lines)
     m._subset({x})
-    return _joint_search(m, _lines_by_point(m.size, lines)[x], lines, n) is not None
+    through = _lines_by_point(m.size, lines)[x]
+    return _joint_search(m, x, through, lines, _line_pairs(lines), n)
 
 
 # ---------------------------------------------------------------------------

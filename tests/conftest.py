@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from matroid_joints.affine import affine_matroid, grid3d
 from matroid_joints.construct import build_construction
+from matroid_joints.core import Matroid, make_flat
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -39,6 +41,24 @@ def matroid200(build200):
     m = build200.matroid.to_matroid()
     lines = build200.matroid.matroid_lines()
     return m, lines
+
+
+@pytest.fixture(scope="session")
+def doubled_grid():
+    """grid3d(2) plus element 8, parallel to point 0, and its 12 axis lines:
+    a matroid that is not simple, so a line need not be cl{x, a}."""
+    pts, desc = grid3d(2)
+    base = affine_matroid(pts)
+
+    def oracle(s):
+        if 8 in s:
+            if 0 in s:
+                return False
+            s = s - {8} | {0}
+        return base.oracle(s)
+
+    m = Matroid(pts + (pts[0],), oracle)
+    return m, [make_flat(m, d.members[:2]) for d in desc]
 
 
 @pytest.fixture(scope="session")

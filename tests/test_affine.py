@@ -1,18 +1,61 @@
 """Exact affine independence and the 3D grid of joints."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matroid_joints.affine import (
     affine_independent,
     affine_matroid,
     descriptor_flats,
     grid3d,
+    integer_null_space,
     integer_rank,
     point,
 )
-from matroid_joints.core import MatroidError, check_axioms, count_joints, rank
+from matroid_joints.core import MatroidError, check_axioms, closure, count_joints, rank
+
+
+def fraction_rank(rows):
+    # reference: Gauss-Jordan over Fraction, independent of integer_rank
+    rows = [list(r) for r in rows]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c] / rows[r][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def points_and_subsets(draw):
+    """Distinct rational points in Q^1..Q^4, some forced onto a line or a
+    plane through drawn points, and subsets of up to dim + 2 of them."""
+    dim = draw(st.integers(1, 4))
+    coords = draw(st.lists(st.tuples(*[RATIONALS] * dim), min_size=1, max_size=6, unique=True))
+    for _ in range(draw(st.integers(0, 4))):
+        base = draw(st.lists(st.sampled_from(coords), min_size=2, max_size=3))
+        ts = draw(st.lists(RATIONALS, min_size=len(base) - 1, max_size=len(base) - 1))
+        new = tuple(
+            base[0][c] + sum(t * (b[c] - base[0][c]) for t, b in zip(ts, base[1:])) for c in range(dim)
+        )
+        if new not in coords:
+            coords.append(new)
+    index = st.integers(0, len(coords) - 1)
+    subsets = draw(st.lists(st.frozensets(index, max_size=dim + 2), min_size=1, max_size=8))
+    return [point(*c) for c in coords], subsets
 
 
 def test_integer_rank():
@@ -20,6 +63,14 @@ def test_integer_rank():
     assert integer_rank([[1, 2], [2, 4]]) == 1
     assert integer_rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
     assert integer_rank([[2, 3], [5, 7], [1, 1]]) == 2
+
+
+def test_integer_null_space():
+    for rows, ncols in [([], 3), ([[2, 4, 6]], 3), ([[1, 2, 3], [2, 4, 7]], 3), ([[3, 5], [1, 1]], 2)]:
+        basis = integer_null_space(rows, ncols)
+        assert len(basis) == ncols - integer_rank(rows)
+        assert integer_rank(basis) == len(basis)
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows for v in basis)
 
 
 def test_single_point_independent():
@@ -46,6 +97,8 @@ def test_five_points_in_q3_dependent():
 def test_mixed_dimension_rejected():
     with pytest.raises(MatroidError):
         affine_independent([point(0, 0), point(1, 2, 3)])
+    with pytest.raises(MatroidError):
+        affine_matroid([point(0, 0), point(1, 2, 3)])
 
 
 def test_translation_and_permutation_invariance():
@@ -87,7 +140,7 @@ def test_grid3d_counts():
 
 
 def test_grid3d_joints_equal_k_cubed():
-    for k in (2, 3):
+    for k in (2, 3, 10):
         pts, desc = grid3d(k)
         m = affine_matroid(pts)
         lines = descriptor_flats(m, desc)
@@ -103,3 +156,36 @@ def test_descriptor_flats_cover_descriptor_points():
     for d, f in zip(desc, lines):
         assert frozenset(d.members) == f.members
         assert f.rank == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(points_and_subsets())
+def test_lattice_oracle_matches_affine_independent(case):
+    pts, subsets = case
+    m = affine_matroid(pts)
+    for s in subsets:
+        sub = [pts[i] for i in sorted(s)]
+        diffs = [[a - b for a, b in zip(p.coords, sub[0].coords)] for p in sub[1:]]
+        assert m.oracle(s) == affine_independent(sub) == (fraction_rank(diffs) == len(diffs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(points_and_subsets())
+def test_span_matches_oracle_closure(case):
+    pts, subsets = case
+    m = affine_matroid(pts)
+    reference = dataclasses.replace(m, span=None)
+    for s in subsets:
+        assert closure(m, s) == closure(reference, s)
+
+
+def test_descriptor_flats_spend_four_oracle_calls_per_line():
+    pts, desc = grid3d(3)
+    m = affine_matroid(pts)
+    calls = []
+    counting = dataclasses.replace(m, oracle=lambda s: calls.append(s) or m.oracle(s))
+    lines = descriptor_flats(counting, desc)
+    # a 2-point greedy basis for the closure and again for the rank; the
+    # span costs no oracle call
+    assert len(calls) == 4 * len(desc)
+    assert lines == descriptor_flats(dataclasses.replace(m, span=None), desc)

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from matroid_joints import analysis, core
-from matroid_joints.affine import affine_matroid, point
+from matroid_joints.affine import affine_matroid, descriptor_flats, grid3d, point
 from matroid_joints.analysis import (
     SWEEP_COLUMNS,
     analyze,
@@ -77,6 +77,35 @@ def test_intersection_graph_disjoint_lines():
     lines = [make_flat(m, {0, 1}), make_flat(m, {2, 3})]
     g = intersection_graph(m, lines, set(range(m.size)))
     assert g.edges == {}
+
+
+@pytest.mark.parametrize("case", ["grid3d", "doubled", "q3", "build200"])
+def test_meeting_plane_is_closure_of_union(case, matroid200, doubled_grid):
+    if case == "grid3d":
+        pts, desc = grid3d(3)
+        m = affine_matroid(pts)
+        lines = descriptor_flats(m, desc)
+    elif case == "doubled":
+        m, lines = doubled_grid
+    elif case == "q3":
+        m = affine_matroid([point(a, b, c) for a in range(3) for b in range(3) for c in range(2)])
+        lines = core.flats_of_rank(m, 2)
+    else:
+        m, lines = matroid200
+    pairs = 0
+    for l1, l2 in combinations([f.members for f in lines], 2):
+        for x in l1 & l2:
+            pairs += 1
+            assert analysis._meeting_plane(m, l1, l2, x) == core.closure(m, l1 | l2)
+    assert pairs
+
+
+def test_intersection_graph_rejects_lines_sharing_two_points():
+    m = core.Matroid(tuple(range(6)), lambda s: len(s) <= 2)
+    # (0, 2) and (1, 3) each share two points; (0, 2) comes first
+    lines = [core.Flat(frozenset(xs), 2) for xs in ((0, 1, 2), (3, 4), (0, 1), (3, 4, 5))]
+    with pytest.raises(MatroidError, match="lines 0 and 2 share 2 points"):
+        intersection_graph(m, lines, set())
 
 
 def test_intersection_graph_witnesses(matroid200):

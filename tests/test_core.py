@@ -264,6 +264,55 @@ def test_joint_witness_validates_like_is_joint():
         joint_witness(m, 0, [Flat(frozenset({0}), 1)])
 
 
+def union_witness(m, x, lines, n):
+    # the definition: the first n lines through x, in combinations order,
+    # whose union has rank >= n + 1
+    through = [i for i, f in enumerate(lines) if x in f.members]
+    for combo in combinations(through, n):
+        if rank(m, frozenset().union(*(lines[i].members for i in combo))) >= n + 1:
+            return combo
+    return None
+
+
+def random_grid_matroid(seed):
+    # points of {0,1,2}^3, so that many lines hold three points
+    rng = random.Random(seed)
+    cells = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+    m = affine_matroid([point(*p) for p in rng.sample(cells, rng.randint(6, 12))])
+    return m, flats_of_rank(m, 2)
+
+
+@pytest.mark.parametrize("case", ["q3-1", "q3-2", "q3-3", "plane", "build5", "build200", "doubled"])
+def test_joints_match_full_union_rank(case, build5, matroid200, doubled_grid):
+    if case.startswith("q3"):
+        m, lines = random_grid_matroid(int(case[3:]))
+    elif case == "plane":
+        # a 3 x 3 grid in a plane of Q^3: every point is on four coplanar lines
+        m = affine_matroid([point(a, b, 0) for a in range(3) for b in range(3)])
+        lines = flats_of_rank(m, 2)
+    elif case == "build5":
+        m, lines = build5.matroid.to_matroid(), build5.matroid.matroid_lines()
+    elif case == "build200":
+        m, lines = matroid200
+    else:
+        m, lines = doubled_grid
+    witnesses = [union_witness(m, x, lines, 3) for x in range(m.size)]
+    assert count_joints(m, lines) == sum(w is not None for w in witnesses)
+    for x in range(m.size):
+        assert joint_witness(m, x, lines) == witnesses[x]
+        assert is_joint(m, x, lines) == (witnesses[x] is not None)
+        for n in (2, 4):
+            assert is_n_joint(m, x, lines, n) == (union_witness(m, x, lines, n) is not None)
+
+
+def test_doubled_point_is_a_joint(doubled_grid):
+    # the lines through 8 have 0 as their smallest member, so x = 8 plus one
+    # other point per line is {0, 8} of rank 1; the union rank decides
+    m, lines = doubled_grid
+    assert joint_witness(m, 8, lines) is not None
+    assert count_joints(m, lines) == 9
+
+
 def test_count_joints_empty():
     m = free_matroid(4)
     assert count_joints(m, []) == 0
