@@ -69,11 +69,7 @@ class TriangleFreeMatroid:
         self.config = config
         self.point_lines = config.point_lines
         self.line_points = [frozenset(pts) for pts in config.line_points]
-        # unordered line pairs meeting at a configuration point, with the witness
-        self.angle_index: dict[tuple[int, int], int] = {}
-        for pi, ls in enumerate(config.point_lines):
-            for a, b in combinations(ls, 2):
-                self.angle_index[(a, b)] = pi
+        self.angle_index = config.angle_index
 
     def is_independent(self, subset: frozenset) -> bool:
         n = len(subset)

@@ -9,6 +9,7 @@ point, and pruning queries exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 from typing import Iterable, Optional
 
@@ -83,7 +84,8 @@ class Configuration:
 
     def __init__(self, points: Iterable[Point], lines: Iterable[IntLine]):
         """Raises MatroidError on a coordinate that is not an integer (bool
-        included): geometry stays exact, nothing is coerced."""
+        included; nothing is coerced), a line with A = B = 0, or two lines
+        that share two points (one line given twice)."""
         self.points: tuple[Point, ...] = tuple((_exact_int(a), _exact_int(b)) for a, b in points)
         self.lines: tuple[IntLine, ...] = tuple(lines)
         if len(set(self.points)) != len(self.points):
@@ -96,6 +98,8 @@ class Configuration:
         by_direction: dict[tuple[int, int], dict[int, int]] = {}
         for li, l in enumerate(self.lines):
             by_direction.setdefault((l.A, l.B), {})[l.C] = li
+        if (0, 0) in by_direction:
+            raise MatroidError("degenerate line: A = B = 0")
         line_points: list[list[int]] = [[] for _ in self.lines]
         for pi, (x, y) in enumerate(self.points):
             for (a, b), line_of_c in by_direction.items():
@@ -108,6 +112,12 @@ class Configuration:
             for pi in pts:
                 point_lines[pi].append(li)
         self.point_lines: tuple[tuple[int, ...], ...] = tuple(tuple(ls) for ls in point_lines)
+        # line pairs a < b meeting at a point -> that point; a repeat is one line twice
+        self.angle_index: dict[tuple[int, int], int] = {}
+        for pi, ls in enumerate(self.point_lines):
+            for pair in combinations(ls, 2):
+                if self.angle_index.setdefault(pair, pi) != pi:
+                    raise MatroidError("lines %d and %d share two points" % pair)
 
     def to_json(self) -> dict:
         return {
@@ -141,49 +151,42 @@ def _exact_int(value) -> int:
     return value
 
 
-def _collinear_pairs(cfg: Configuration) -> dict[tuple[int, int], list[int]]:
-    """Map from point-index pair (i < j) to the lines through both."""
-    pairs: dict[tuple[int, int], list[int]] = {}
-    for li, pts in enumerate(cfg.line_points):
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                pairs.setdefault((pts[a], pts[b]), []).append(li)
-    return pairs
-
-
 def find_triangles(cfg: Configuration, limit: Optional[int] = None) -> list[Triangle]:
     """Enumerate triangles in lexicographic order of their point triples.
 
     A triangle is three distinct points and three distinct lines with each
-    line incident to exactly two of the points.  ``limit`` caps the number
-    of records returned.
+    line incident to exactly two of the points.  ``limit`` (at least 1)
+    caps the number of records returned.
+
+    At each point x, a line l3 that meets two lines l1 < l2 through x (the
+    bitmasks ``meets``) but not at x closes a triangle, since two lines share
+    at most one point.  A triangle is kept at its smallest vertex only.
     """
-    pairs = _collinear_pairs(cfg)
-    neighbors: dict[int, set[int]] = {}
-    for (i, j) in pairs:
-        neighbors.setdefault(i, set()).add(j)
-        neighbors.setdefault(j, set()).add(i)
+    if limit is not None and limit < 1:
+        raise MatroidError(f"limit must be at least 1, got {limit}")
+    angle = cfg.angle_index
+    meets = [0] * len(cfg.lines)
+    for a, b in angle:
+        meets[a] |= 1 << b
+        meets[b] |= 1 << a
     out: list[Triangle] = []
-    for i in sorted(neighbors):
-        succ = sorted(n for n in neighbors[i] if n > i)
-        for a in range(len(succ)):
-            j = succ[a]
-            for b in range(a + 1, len(succ)):
-                k = succ[b]
-                if (j, k) not in pairs:
-                    continue
-                for lij in pairs[(i, j)]:
-                    if k in cfg.line_points[lij]:
-                        continue
-                    for lik in pairs[(i, k)]:
-                        if j in cfg.line_points[lik]:
-                            continue
-                        for ljk in pairs[(j, k)]:
-                            if i in cfg.line_points[ljk]:
-                                continue
-                            out.append(Triangle((i, j, k), (lij, lik, ljk)))
-                            if limit is not None and len(out) >= limit:
-                                return out
+    for x, ls in enumerate(cfg.point_lines):
+        through = sum(1 << l for l in ls)
+        found = []
+        for l1, l2 in combinations(ls, 2):
+            third = meets[l1] & meets[l2] & ~through
+            while third:
+                l3 = third.bit_length() - 1
+                third ^= 1 << l3
+                p = angle[min(l1, l3), max(l1, l3)]
+                q = angle[min(l2, l3), max(l2, l3)]
+                if x < p < q:
+                    found.append(Triangle((x, p, q), (l1, l2, l3)))
+                elif x < q < p:
+                    found.append(Triangle((x, q, p), (l2, l1, l3)))
+        out += sorted(found, key=lambda t: t.points)
+        if limit is not None and len(out) >= limit:
+            return out[:limit]
     return out
 
 

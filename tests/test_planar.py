@@ -1,12 +1,18 @@
 """Planar configurations: incidence, intersection, triangles, pruning."""
 
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matroid_joints.behrend import has_3ap
+from matroid_joints.construct import behrend_points, grid_lines
 from matroid_joints.core import MatroidError
 from matroid_joints.planar import (
     Configuration,
+    IntLine,
+    Triangle,
     diagonal,
     find_triangles,
     horizontal,
@@ -26,6 +32,9 @@ def test_line_canonicalization():
     assert line(2, -2, 4) == line(1, -1, 2)
     with pytest.raises(MatroidError):
         line(0, 0, 5)
+    # nor uncanonicalised: 0*x + 0*y = 0 would hold every point
+    with pytest.raises(MatroidError, match="degenerate"):
+        Configuration([(0, 0), (3, 4)], [horizontal(0), IntLine(0, 0, 0)])
 
 
 def test_incident_examples():
@@ -90,7 +99,10 @@ def test_find_triangles_limit():
     ]
     cfg = Configuration(pts, lines)
     assert len(find_triangles(cfg, limit=2)) == 2
-    assert len(find_triangles(cfg)) > 2
+    assert len(find_triangles(cfg)) == 10
+    for bad in (0, -3):
+        with pytest.raises(MatroidError, match="limit"):
+            find_triangles(cfg, limit=bad)
 
 
 def test_triple_points():
@@ -124,6 +136,9 @@ def test_duplicate_rejection():
         Configuration([(0, 0), (0, 0)], [])
     with pytest.raises(MatroidError):
         Configuration([], [horizontal(1), line(0, 2, 2)])
+    # x = 1 twice, uncanonicalised: the two lines share (1, 0) and (1, 1)
+    with pytest.raises(MatroidError, match="lines 0 and 1 share two points"):
+        Configuration([(1, 0), (1, 1)], [IntLine(1, 0, 1), IntLine(2, 0, 2)])
 
 
 @pytest.mark.parametrize("bad", [(1.9, 2), ("3", 2), (True, 2)])
@@ -180,3 +195,70 @@ def test_incidence_matches_incident_scan(points, coefficients):
     assert cfg.point_lines == tuple(
         tuple(li for li, l in enumerate(lines) if incident(l, p)) for p in points
     )
+    assert cfg.angle_index == {
+        (a, b): pi
+        for a, b in combinations(range(len(lines)), 2)
+        for pi, p in enumerate(points)
+        if incident(lines[a], p) and incident(lines[b], p)
+    }
+
+
+def brute_triangles(cfg):
+    """The definition, point triple by point triple: for each pair, the lines
+    through both points (by ``incident``) and not through the third."""
+    on = [{i for i, p in enumerate(cfg.points) if incident(l, p)} for l in cfg.lines]
+    through = {
+        pair: [li for li, pts in enumerate(on) if pts.issuperset(pair)]
+        for pair in combinations(range(len(cfg.points)), 2)
+    }
+    out = []
+    for i, j, k in combinations(range(len(cfg.points)), 3):
+        ij, ik, jk = (
+            [li for li in through[a, b] if c not in on[li]] for a, b, c in ((i, j, k), (i, k, j), (j, k, i))
+        )
+        out += [Triangle((i, j, k), sides) for sides in product(ij, ik, jk)]
+    return out
+
+
+def assert_search_matches_definition(cfg):
+    full = find_triangles(cfg)
+    assert full == brute_triangles(cfg)
+    for k in range(1, len(full) + 2):
+        assert find_triangles(cfg, limit=k) == full[:k]
+    assert is_triangle_free(cfg) == (not full)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(coords, coords), min_size=3, max_size=25, unique=True),
+    st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-12, 12)).filter(
+            lambda t: t[0] or t[1]
+        ),
+        max_size=20,
+    ),
+    st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)), min_size=3, max_size=15),
+)
+def test_triangle_search_matches_definition(points, coefficients, joins):
+    # random lines seldom hold two points, so add lines through drawn point
+    # pairs, which makes triangles common
+    for i, j in joins:
+        if i % len(points) != j % len(points):
+            (x1, y1), (x2, y2) = points[i % len(points)], points[j % len(points)]
+            coefficients.append((y2 - y1, x1 - x2, (y2 - y1) * x1 + (x1 - x2) * y1))
+    lines = list(dict.fromkeys(line(*t) for t in coefficients))
+    assert_search_matches_definition(Configuration(points, lines))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 8).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(2, 2 * n)))),
+       st.booleans())
+def test_triangle_search_matches_definition_on_filtered_grids(grid, prune):
+    # a grid of sums in S has a triangle iff S holds a 3-AP: (x, y),
+    # (x + d, y), (x + d, y + d) have sums s, s + d, s + 2d
+    n, sums = grid
+    cfg = Configuration(behrend_points(n, sums), grid_lines(n).lines)
+    if prune:
+        cfg = prune_lines(cfg)
+    assert_search_matches_definition(cfg)
+    assert is_triangle_free(cfg) == (not has_3ap(sums))
