@@ -20,7 +20,7 @@ from matroid_joints import (
 m = affine_matroid(
     [point(0, 0), point(1, 0), point(0, 1), point(2, 3), point(-1, 4), point(3, -2)]
 )
-report = check_axioms(m, mode="exhaustive")
+report = check_axioms(m)
 print(f"affine matroid on 6 points: axioms ok = {report.ok}")
 
 inc = check_incidence_properties(m)
@@ -31,7 +31,7 @@ print(f"  submodularity on 500 sampled pairs: violations = {len(sub.violations)}
 
 # not a matroid: "independent iff size != 2" violates hereditarity
 fake = Matroid(labels=tuple(range(4)), oracle=lambda s: len(s) != 2)
-report = check_axioms(fake, mode="exhaustive")
+report = check_axioms(fake)
 print()
 print(f"fake oracle (independent iff |X| != 2): axioms ok = {report.ok}")
 print(f"  axiom 2 counterexample: {report.axiom2.counterexample}")

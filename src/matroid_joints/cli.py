@@ -14,9 +14,9 @@ from fractions import Fraction
 
 from . import affine, analysis, core
 from .behrend import behrend_set, has_3ap, optimal_3ap_free
-from .construct import ConstructionError, TriangleFreeMatroid, build_construction
+from .construct import ConstructionError, TriangleFreeMatroid, build_construction, verify_construction_properties
 from .core import MatroidError
-from .planar import Configuration, is_triangle_free, prune_lines, triple_points
+from .planar import Configuration, is_triangle_free, triple_points
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 3
@@ -69,12 +69,18 @@ def cmd_behrend(args) -> int:
     return 0
 
 
-def _check_axioms(tfm: TriangleFreeMatroid, args) -> core.AxiomReport:
-    """Axioms 1-3 of the matroid: exhaustive when asked or when the ground
-    set has at most 10 elements, sampled otherwise."""
-    m = tfm.to_matroid()
-    mode = "exhaustive" if (args.exhaustive or m.size <= 10) else "sampled"
-    return core.check_axioms(m, mode=mode, sample_budget=args.budget, rng_seed=args.seed)
+def _matroid_checks(tfm: TriangleFreeMatroid, args) -> dict:
+    """Axioms 1-3 of the matroid (``core.check_axioms`` picks the exhaustive
+    or the sampled check from the point count) and the construction's
+    structural properties."""
+    axioms = core.check_axioms(tfm.to_matroid(), sample_budget=args.budget, rng_seed=args.seed)
+    props = verify_construction_properties(tfm, budget=args.budget)
+    return {
+        "axioms_mode": axioms.mode,
+        "axioms_ok": axioms.ok,
+        "axioms_inconclusive": axioms.inconclusive,
+        "properties_ok": props.ok,
+    }
 
 
 def cmd_construct(args) -> int:
@@ -87,18 +93,9 @@ def cmd_construct(args) -> int:
     if build.degenerate:
         obj["warning"] = "degenerate configuration: no line survived pruning"
     if args.verify:
-        axioms = _check_axioms(build.matroid, args)
-        from .construct import verify_construction_properties
-
-        props = verify_construction_properties(build.matroid, budget=args.budget)
-        obj["checks"] = {
-            "triangle_free": True,  # exact gate at build time
-            "axioms_mode": axioms.mode,
-            "axioms_ok": axioms.ok,
-            "axioms_inconclusive": axioms.inconclusive,
-            "properties_ok": props.ok,
-        }
-        if (not axioms.ok) or (not props.ok):
+        checks = _matroid_checks(build.matroid, args)
+        obj["checks"] = {"triangle_free": True, **checks}  # exact gate at build time
+        if not (checks["axioms_ok"] and checks["properties_ok"]):
             _emit(obj, args.out)
             return VERIFY_ERROR
     _emit(obj, args.out)
@@ -139,7 +136,7 @@ def cmd_verify(args) -> int:
     with open(args.dump) as fh:
         data = json.load(fh)
     config = Configuration.from_json(data)
-    if prune_lines(config).lines != config.lines:
+    if any(len(pts) < 2 for pts in config.line_points):
         sys.stderr.write("error: dump is not a pruned configuration\n")
         return VERIFY_ERROR
     if not is_triangle_free(config):
@@ -156,21 +153,12 @@ def cmd_verify(args) -> int:
     if data.get("triple_points") is not None and data["triple_points"] != n_triple:
         sys.stderr.write("error: triple point count does not match dump\n")
         return VERIFY_ERROR
-    if config.lines:
-        axioms = _check_axioms(TriangleFreeMatroid(config), args)
-        obj["axioms_mode"] = axioms.mode
-        obj["axioms_ok"] = axioms.ok
-        if not axioms.ok:
-            _emit(obj, args.out)
-            return VERIFY_ERROR
+    obj.update(_matroid_checks(TriangleFreeMatroid(config), args))
+    if not (obj["axioms_ok"] and obj["properties_ok"]):
+        _emit(obj, args.out)
+        return VERIFY_ERROR
     _emit(obj, args.out)
     return 0
-
-
-EXHAUSTIVE_HELP = (
-    "check the matroid axioms on every subset (default: only when there are at most "
-    "10 points, sampled above); the triangle check is always exhaustive"
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build the triangle-free configuration and matroid")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--exhaustive", action="store_true", help=EXHAUSTIVE_HELP)
     p.add_argument("--budget", type=int, default=10_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
@@ -208,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="load a construction dump and re-run checks")
     p.add_argument("--dump", required=True)
-    p.add_argument("--exhaustive", action="store_true", help=EXHAUSTIVE_HELP)
     p.add_argument("--budget", type=int, default=10_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

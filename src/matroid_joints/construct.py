@@ -55,9 +55,10 @@ def grid_lines(N: int) -> GridFamily:
 
 
 def behrend_points(N: int, b) -> list[Point]:
-    """Grid points (a, b) with 1 <= a, b <= N and a + b in the given set."""
-    members = set(b.members if isinstance(b, BehrendSet) else b)
-    return [(x, y) for x in range(1, N + 1) for y in range(1, N + 1) if x + y in members]
+    """Grid points (a, b) with 1 <= a, b <= N and a + b in the given set,
+    ordered by a, then b: for each a, b = s - a over the sums s ascending."""
+    sums = sorted(set(b.members if isinstance(b, BehrendSet) else b))
+    return [(x, s - x) for x in range(1, N + 1) for s in sums if 1 <= s - x <= N]
 
 
 class TriangleFreeMatroid:
@@ -194,7 +195,8 @@ def verify_construction_properties(tfm: TriangleFreeMatroid, budget: int = 1_000
     """Check the three structural properties of the induced matroid.
 
     (1) each configuration line induces a maximal rank-2 flat equal to its
-    point set; (2) at each triple point a cross-line 4-set is independent,
+    point set; (2) at each triple point the star over three lines through it
+    (x and the smallest other point of each) is independent,
     so the union of three lines through it has rank 4; (3) the whole
     ground set has rank at most 4.  Work is budget-gated; exhausting the
     budget yields inconclusive, not a silent pass.  The matroid here has
@@ -225,8 +227,7 @@ def verify_construction_properties(tfm: TriangleFreeMatroid, budget: int = 1_000
             r2 = CheckResult(INCONCLUSIVE, detail=f"budget exhausted after {triples_checked} points")
             break
         ls = tfm.point_lines[pi][:3]
-        others = [min(p for p in tfm.line_points[l] if p != pi) for l in ls]
-        quad = frozenset({pi, *others})
+        quad = core._star(pi, (tfm.line_points[l] for l in ls))
         union = frozenset().union(*(tfm.line_points[l] for l in ls))
         if not tfm.is_independent(quad) or core.rank(m, union) != 4:
             r2 = CheckResult(FAIL, counterexample=(pi,), detail="triple point is not a joint")

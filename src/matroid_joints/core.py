@@ -155,26 +155,26 @@ def _lines_by_point(size: int, lines: list[Flat]) -> list[list[int]]:
     return by_point
 
 
-def _line_pairs(lines: list[Flat]) -> list[tuple[int, ...]]:
-    """The two smallest members of each line (a rank-2 flat has at least two)."""
-    return [tuple(sorted(f.members)[:2]) for f in lines]
+def _star(x: int, lines: Iterable[frozenset]) -> frozenset:
+    """The star of x: x plus the smallest other member of each line through x."""
+    return frozenset({x, *(min(l - {x}, default=x) for l in lines)})
 
 
 def _joint_search(
-    m: Matroid, x: int, through: list[int], lines: list[Flat], pairs: list[tuple[int, ...]], n: int
+    m: Matroid, x: int, through: list[int], lines: list[Flat], n: int
 ) -> Optional[tuple[int, ...]]:
     """The first n of the lines ``through`` x (ascending indices into
     ``lines``, in combinations order) whose union has rank >= n + 1, or None.
 
-    Each line is ranked by x plus one other member, taken from ``pairs``
-    (``_line_pairs(lines)``).  That set lies in the union, so its rank
-    reaching n + 1 decides; otherwise the union itself is ranked, which
-    keeps the answer exact where a line is not the closure of x and that
-    member (a matroid that is not simple).
+    The star of x over the n lines lies in their union and has at most
+    n + 1 points, so one oracle call on it decides when it is independent
+    with n + 1 points; otherwise the union itself is ranked, which keeps
+    the answer exact where a line is not the closure of x and that point
+    (a matroid that is not simple).
     """
     for combo in combinations(through, n):
-        small = frozenset(p[0] if p[0] != x else p[-1] for p in (pairs[i] for i in combo)) | {x}
-        if rank(m, small) >= n + 1:
+        star = _star(x, (lines[i].members for i in combo))
+        if len(star) == n + 1 and m.oracle(star):
             return combo
         union: frozenset = frozenset().union(*(lines[i].members for i in combo))
         if rank(m, union) >= n + 1:
@@ -194,11 +194,10 @@ def joint_witness(m: Matroid, x: int, lines: list[Flat]) -> Optional[tuple[int, 
 
 def count_joints(m: Matroid, lines: list[Flat]) -> int:
     lines = _require_lines(m, lines)
-    pairs = _line_pairs(lines)
     return sum(
         1
         for x, through in enumerate(_lines_by_point(m.size, lines))
-        if _joint_search(m, x, through, lines, pairs, 3) is not None
+        if _joint_search(m, x, through, lines, 3) is not None
     )
 
 
@@ -212,8 +211,8 @@ def is_n_joint(m: Matroid, x: int, lines: list[Flat], n: int) -> bool:
 def _n_joint_witness(m: Matroid, x: int, lines: list[Flat], n: int) -> Optional[tuple[int, ...]]:
     lines = _require_lines(m, lines)
     m._subset({x})
-    through = _lines_by_point(m.size, lines)[x]
-    return _joint_search(m, x, through, lines, _line_pairs(lines), n)
+    through = [i for i, f in enumerate(lines) if x in f.members]
+    return _joint_search(m, x, through, lines, n)
 
 
 # ---------------------------------------------------------------------------
@@ -254,29 +253,22 @@ class AxiomReport:
         return INCONCLUSIVE in (self.axiom1.status, self.axiom2.status, self.axiom3.status)
 
 
-def _subset_key(s: frozenset) -> tuple:
-    return (len(s), tuple(sorted(s)))
+EXHAUSTIVE_MAX_SIZE = 10  # largest ground set whose axioms are checked on every subset
 
 
-def check_axioms(
-    m: Matroid,
-    mode: str = "exhaustive",
-    sample_budget: int = 10_000_000,
-    rng_seed: int = 0,
-) -> AxiomReport:
-    """Test Axioms 1-3 against the oracle.
+def check_axioms(m: Matroid, sample_budget: int = 10_000_000, rng_seed: int = 0) -> AxiomReport:
+    """Test Axioms 1-3 against the oracle; ``AxiomReport.mode`` names the check.
 
-    Exhaustive mode evaluates the oracle on every subset and checks every
-    axiom-3 pair; exceeding ``sample_budget`` (total oracle calls plus
-    pair checks) yields an explicit "inconclusive" status, never a silent
-    pass.  Sampled mode draws random subsets from ``rng_seed``.
-    Counterexamples are minimal in (size, lex) order.
+    A ground set of at most ``EXHAUSTIVE_MAX_SIZE`` elements is checked
+    exhaustively: the oracle on every subset and every axiom-3 pair, with
+    counterexamples minimal in (size, lex) order; exceeding
+    ``sample_budget`` (total oracle calls plus pair checks) yields an
+    explicit "inconclusive" status, never a silent pass.  A larger one is
+    checked on random subsets drawn from ``rng_seed``.
     """
-    if mode == "exhaustive":
+    if m.size <= EXHAUSTIVE_MAX_SIZE:
         return _check_axioms_exhaustive(m, sample_budget)
-    if mode == "sampled":
-        return _check_axioms_sampled(m, sample_budget, rng_seed)
-    raise MatroidError(f"unknown mode {mode!r}")
+    return _check_axioms_sampled(m, sample_budget, rng_seed)
 
 
 def _check_axioms_exhaustive(m: Matroid, budget: int) -> AxiomReport:
@@ -287,10 +279,8 @@ def _check_axioms_exhaustive(m: Matroid, budget: int) -> AxiomReport:
 
     independent: dict[frozenset, bool] = {}
     calls = 0
-    all_subsets = sorted(
-        (frozenset(c) for k in range(n + 1) for c in combinations(range(n), k)),
-        key=_subset_key,
-    )
+    # combinations yields each size in lex order: the (size, lex) order
+    all_subsets = [frozenset(c) for k in range(n + 1) for c in combinations(range(n), k)]
     for s in all_subsets:
         independent[s] = bool(m.oracle(s))
         calls += 1

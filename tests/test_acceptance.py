@@ -52,7 +52,7 @@ def test_criterion_1_axiom_suite(acceptance_log):
     for n in (4, 5, 6):
         t0 = time.monotonic()
         build = build_construction(n)
-        report = core.check_axioms(build.matroid.to_matroid(), mode="exhaustive")
+        report = core.check_axioms(build.matroid.to_matroid())
         elapsed = time.monotonic() - t0
         if not (report.ok and not report.inconclusive and elapsed < 60):
             ok = False
@@ -69,9 +69,7 @@ def test_criterion_1_axiom_suite(acceptance_log):
             return not any(c >= 3 for c in cover.values())
         return tfm.is_independent(subset)
 
-    mutated = core.check_axioms(
-        core.Matroid(labels=tfm.config.points, oracle=corrupted), mode="exhaustive"
-    )
+    mutated = core.check_axioms(core.Matroid(labels=tfm.config.points, oracle=corrupted))
     caught = (not mutated.ok) and any(
         r.counterexample is not None
         for r in (mutated.axiom1, mutated.axiom2, mutated.axiom3)

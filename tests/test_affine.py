@@ -112,7 +112,7 @@ def test_affine_matroid_axioms():
     m = affine_matroid(
         [point(0, 0), point(1, 0), point(0, 1), point(2, 3), point(-1, 4), point(3, -2)]
     )
-    assert check_axioms(m, mode="exhaustive").ok
+    assert check_axioms(m).ok
 
 
 def test_generic_q3_full_rank_four():

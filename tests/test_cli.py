@@ -74,6 +74,44 @@ def test_verify_round_trip(capsys, tmp_path):
     obj = json.loads(out)
     assert obj["triangle_free"] is True
     assert obj["N"] == 50
+    # N = 50 keeps 5 points and no line: the matroid checks still run
+    assert obj["lines"] == 0
+    assert obj["axioms_mode"] == "exhaustive"
+    assert obj["axioms_ok"] is True
+    assert obj["axioms_inconclusive"] is False
+    assert obj["properties_ok"] is True
+
+
+def test_verify_runs_the_construct_checks(capsys, tmp_path):
+    dump = tmp_path / "n200.json"
+    assert main(["construct", "--n", "200", "--verify", "--budget", "40000", "--out", str(dump)]) == 0
+    checks = json.loads(dump.read_text())["checks"]
+    code, out, _ = run(capsys, "verify", "--dump", str(dump), "--budget", "40000")
+    assert code == 0
+    obj = json.loads(out)
+    assert {k: obj[k] for k in checks} == checks
+    assert obj["axioms_mode"] == "sampled"
+
+
+def test_verify_fails_on_unfinished_properties(capsys, tmp_path):
+    # a budget below one line's closure leaves property (1) inconclusive
+    dump = tmp_path / "n200.json"
+    assert main(["construct", "--n", "200", "--out", str(dump)]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, "verify", "--dump", str(dump), "--budget", "100")
+    assert code == VERIFY_ERROR
+    obj = json.loads(out)
+    assert obj["properties_ok"] is False
+    assert obj["axioms_inconclusive"] is False
+
+
+def test_no_exhaustive_option(capsys, tmp_path):
+    # the axiom check follows the point count; there is no option to pick it
+    dump = tmp_path / "n5.json"
+    assert main(["construct", "--n", "5", "--out", str(dump)]) == 0
+    assert main(["construct", "--n", "5", "--verify", "--exhaustive"]) == USAGE_ERROR
+    assert main(["verify", "--dump", str(dump), "--exhaustive"]) == USAGE_ERROR
+    capsys.readouterr()
 
 
 def test_verify_rejects_triangle(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """The grid-plus-Behrend pipeline and the triangle-free matroid."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matroid_joints import core
-from matroid_joints.behrend import BehrendParams, BehrendSet, has_3ap, tuned_behrend_set
+from matroid_joints.behrend import BehrendParams, BehrendSet, behrend_set, has_3ap, tuned_behrend_set
 from matroid_joints.construct import (
     ConstructionError,
     TriangleFreeMatroid,
@@ -42,6 +43,17 @@ def test_grid_lines_counts():
 def test_behrend_points_example():
     assert behrend_points(16, {4}) == [(1, 3), (2, 2), (3, 1)]
     assert behrend_points(10, set()) == []
+
+
+def test_behrend_points_match_grid_scan():
+    # the definition: every cell of the N x N grid whose sum is in the set
+    rng = random.Random(3)
+    for n in range(1, 301):
+        random_sums = rng.sample(range(-3, 2 * n + 4), rng.randint(0, min(2 * n + 7, 40)))
+        for sums in (behrend_set(n), frozenset(random_sums)):
+            members = set(sums.members if isinstance(sums, BehrendSet) else sums)
+            grid = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1) if x + y in members]
+            assert behrend_points(n, sums) == grid
 
 
 def test_behrend_points_density():
@@ -93,7 +105,7 @@ def test_matroid_is_simple(build5):
 def test_axioms_exhaustive_small():
     for n in (4, 5, 6):
         build = build_construction(n)
-        report = core.check_axioms(build.matroid.to_matroid(), mode="exhaustive")
+        report = core.check_axioms(build.matroid.to_matroid())
         assert report.ok and not report.inconclusive
 
 
@@ -274,10 +286,10 @@ def test_triangle_in_ground_set_breaks_axioms():
     cfg = Configuration(pts, lines)
     assert not is_triangle_free(cfg)
     tfm = TriangleFreeMatroid(cfg)
-    report = core.check_axioms(tfm.to_matroid(), mode="exhaustive")
+    report = core.check_axioms(tfm.to_matroid())
     assert not report.ok
     assert report.axiom3.status == core.FAIL
-    assert report.axiom3.counterexample is not None
+    assert report.axiom3.counterexample == ((0, 1, 2), (0, 3, 5, 6))  # minimal in (size, lex) order
 
 
 def test_angle_corruption_detected(build5):
@@ -294,7 +306,7 @@ def test_angle_corruption_detected(build5):
         return tfm.is_independent(subset)
 
     m = core.Matroid(labels=tfm.config.points, oracle=corrupted)
-    report = core.check_axioms(m, mode="exhaustive")
+    report = core.check_axioms(m)
     assert not report.ok
 
 

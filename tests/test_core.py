@@ -1,5 +1,6 @@
 """Matroid engine: rank, closure, flats, joints, and the checkers."""
 
+import dataclasses
 import random
 from itertools import combinations
 
@@ -46,13 +47,17 @@ def square():
     return affine_matroid([point(0, 0), point(1, 0), point(0, 1), point(2, 3)])
 
 
-@pytest.fixture(scope="module")
-def random_q3():
+def random_points_q3(count):
     rng = random.Random(7)
     pts = set()
-    while len(pts) < 10:
+    while len(pts) < count:
         pts.add(tuple(rng.randint(-9, 9) for _ in range(3)))
     return affine_matroid([point(*p) for p in sorted(pts)])
+
+
+@pytest.fixture(scope="module")
+def random_q3():
+    return random_points_q3(10)
 
 
 def brute_rank(m, subset):
@@ -325,6 +330,23 @@ def test_count_joints_grid_k2():
     assert count_joints(m, lines) == 8
 
 
+@pytest.mark.parametrize("case, calls", [("build200", 98), ("grid3d-3", 27)])
+def test_count_joints_asks_one_oracle_call_per_joint(case, calls, matroid200):
+    # every triple point of these matroids is a joint, decided by one oracle
+    # call on its star of four points
+    if case == "build200":
+        m, lines = matroid200
+    else:
+        pts, desc = grid3d(3)
+        m = affine_matroid(pts)
+        lines = descriptor_flats(m, desc)
+    asked = []
+    counting = dataclasses.replace(m, oracle=lambda s: asked.append(s) or m.oracle(s))
+    joints = count_joints(counting, lines)
+    assert len(asked) == calls == joints
+    assert all(len(s) == 4 for s in asked)
+
+
 def test_is_n_joint():
     pts, desc = grid3d(2)
     m = affine_matroid(pts)
@@ -342,25 +364,40 @@ def test_n_joint_impossible_beyond_matroid_rank(build5):
 
 
 def test_axioms_pass_for_free_matroid():
-    report = check_axioms(free_matroid(5), mode="exhaustive")
+    report = check_axioms(free_matroid(5))
     assert report.ok and not report.inconclusive
 
 
 def test_axioms_fail_for_not_two_oracle():
-    report = check_axioms(not_two_matroid(4), mode="exhaustive")
+    report = check_axioms(not_two_matroid(4))
     assert report.axiom2.status == core.FAIL
     small, big = report.axiom2.counterexample
     assert len(small) == 2 and len(big) == 3
+    # the first independent set in (size, lex) order that has a dependent subset
+    assert report.axiom2.counterexample == ((1, 2), (0, 1, 2))
+
+
+def test_axiom_counterexample_is_minimal_in_size_then_lex():
+    # violations at size 2 ({0, 1} minus 1) and size 3 ({0, 1, 2} minus 0):
+    # the smaller set is reported
+    m = Matroid(labels=tuple(range(4)), oracle=lambda s: s not in ({0}, {1, 2}))
+    assert check_axioms(m).axiom2.counterexample == ((0,), (0, 1))
 
 
 def test_axioms_budget_inconclusive():
-    report = check_axioms(free_matroid(10), mode="exhaustive", sample_budget=16)
+    report = check_axioms(free_matroid(10), sample_budget=16)
     assert report.inconclusive
 
 
-def test_axioms_sampled_mode(random_q3):
-    report = check_axioms(random_q3, mode="sampled", sample_budget=3000, rng_seed=1)
+def test_axioms_sampled_mode():
+    report = check_axioms(random_points_q3(11), sample_budget=3000, rng_seed=1)
+    assert report.mode == "sampled"
     assert report.ok
+
+
+def test_axiom_check_method_follows_ground_set_size():
+    assert check_axioms(free_matroid(10), sample_budget=100).mode == "exhaustive"
+    assert check_axioms(free_matroid(11), sample_budget=100).mode == "sampled"
 
 
 def test_submodularity_x_equals_y(square):
