@@ -264,8 +264,11 @@ def check_axioms(m: Matroid, sample_budget: int = 10_000_000, rng_seed: int = 0)
     counterexamples minimal in (size, lex) order; exceeding
     ``sample_budget`` (total oracle calls plus pair checks) yields an
     explicit "inconclusive" status, never a silent pass.  A larger one is
-    checked on random subsets drawn from ``rng_seed``.
+    checked on random subsets drawn from ``rng_seed``; a budget that draws
+    none leaves axioms 2 and 3 inconclusive.  A budget below 1 is an error.
     """
+    if sample_budget < 1:
+        raise MatroidError(f"axiom check budget must be >= 1, got {sample_budget}")
     if m.size <= EXHAUSTIVE_MAX_SIZE:
         return _check_axioms_exhaustive(m, sample_budget)
     return _check_axioms_sampled(m, sample_budget, rng_seed)
@@ -347,6 +350,8 @@ def _check_axioms_sampled(m: Matroid, budget: int, seed: int) -> AxiomReport:
 
     ax2 = CheckResult(PASS, detail="sampled")
     ax3 = CheckResult(PASS, detail="sampled")
+    if calls >= budget:
+        ax2 = ax3 = CheckResult(INCONCLUSIVE, detail=f"budget {budget} draws no subset")
     while calls < budget:
         s = _random_subset(rng, n)
         calls += 1

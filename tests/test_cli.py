@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from matroid_joints import cli
 from matroid_joints.cli import USAGE_ERROR, VERIFY_ERROR, main
+from matroid_joints.construct import ConstructionError
 
 
 def run(capsys, *argv):
@@ -93,16 +95,43 @@ def test_verify_runs_the_construct_checks(capsys, tmp_path):
     assert obj["axioms_mode"] == "sampled"
 
 
-def test_verify_fails_on_unfinished_properties(capsys, tmp_path):
-    # a budget below one line's closure leaves property (1) inconclusive
+def test_verify_properties_take_no_budget(capsys, tmp_path):
+    # --budget bounds only the axiom check; the properties are exact at any budget
     dump = tmp_path / "n200.json"
     assert main(["construct", "--n", "200", "--out", str(dump)]) == 0
     capsys.readouterr()
     code, out, _ = run(capsys, "verify", "--dump", str(dump), "--budget", "100")
-    assert code == VERIFY_ERROR
+    assert code == 0
     obj = json.loads(out)
-    assert obj["properties_ok"] is False
+    assert obj["properties_ok"] is True
+    assert obj["axioms_ok"] is True
     assert obj["axioms_inconclusive"] is False
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_is_a_usage_error(capsys, tmp_path, budget):
+    dump = tmp_path / "n200.json"
+    assert main(["construct", "--n", "200", "--out", str(dump)]) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, "verify", "--dump", str(dump), "--budget", budget)
+    assert code == USAGE_ERROR
+    assert out == ""
+    assert err.startswith("error:")
+    code, out, err = run(capsys, "construct", "--n", "5", "--verify", "--budget", budget)
+    assert code == USAGE_ERROR
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_construct_gate_failure_exits_3(capsys, monkeypatch):
+    def broken(n):
+        raise ConstructionError(f"triangle found in pruned configuration for N={n}")
+
+    monkeypatch.setattr(cli, "build_construction", broken)
+    code, out, err = run(capsys, "construct", "--n", "50")
+    assert code == VERIFY_ERROR
+    assert out == ""
+    assert err == "error: triangle found in pruned configuration for N=50\n"
 
 
 def test_no_exhaustive_option(capsys, tmp_path):

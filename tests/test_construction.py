@@ -1,5 +1,6 @@
 """The grid-plus-Behrend pipeline and the triangle-free matroid."""
 
+import copy
 import random
 from itertools import combinations
 
@@ -228,14 +229,29 @@ def test_joints_equal_triple_points(build200):
 def test_verify_properties_n5(build5):
     report = verify_construction_properties(build5.matroid)
     assert report.ok
-    assert report.lines_checked == len(build5.config.lines)
 
 
-def test_verify_properties_budget():
-    build = build_construction(5)
-    report = verify_construction_properties(build.matroid, budget=1)
+def _mutant_oracles(tfm):
+    """One wrong oracle per property, each breaking that property alone."""
+    # the pair that spans line 0 plus a point off it: {p, q, e} made dependent
+    # puts e in the closure of line 0's pair
+    p, q = sorted(tfm.line_points[0])[:2]
+    e = min(set(range(len(tfm.config.points))) - tfm.line_points[0])
+    return {
+        "line_flats": lambda s: s != {p, q, e} and tfm.is_independent(s),
+        "joint_independence": lambda s: len(s) != 4 and tfm.is_independent(s),
+        "rank_bound": lambda s: len(s) == 5 or tfm.is_independent(s),
+    }
+
+
+@pytest.mark.parametrize("failing", ["line_flats", "joint_independence", "rank_bound"])
+def test_verify_properties_catch_each_mutant(build200, failing):
+    mutant = copy.copy(build200.matroid)
+    mutant.is_independent = _mutant_oracles(build200.matroid)[failing]
+    report = verify_construction_properties(mutant)
     assert not report.ok
-    assert report.line_flats.status == core.INCONCLUSIVE
+    statuses = {name: getattr(report, name).status for name in ("line_flats", "joint_independence", "rank_bound")}
+    assert statuses == {name: core.FAIL if name == failing else core.PASS for name in statuses}
 
 
 def test_diagonal_triangles_come_from_3aps():

@@ -389,6 +389,23 @@ def test_axioms_budget_inconclusive():
     assert report.inconclusive
 
 
+def test_axioms_budget_must_be_positive():
+    for budget in (0, -5):
+        with pytest.raises(MatroidError):
+            check_axioms(free_matroid(5), sample_budget=budget)
+        with pytest.raises(MatroidError):
+            check_axioms(random_points_q3(11), sample_budget=budget)
+
+
+def test_axioms_sampled_without_a_draw_is_inconclusive():
+    # budget 1 is spent on the empty set: no subset is drawn for axioms 2 and 3
+    report = check_axioms(random_points_q3(11), sample_budget=1)
+    assert report.mode == "sampled"
+    assert report.inconclusive and not report.ok
+    assert report.axiom1.ok
+    assert report.axiom2.status == report.axiom3.status == core.INCONCLUSIVE
+
+
 def test_axioms_sampled_mode():
     report = check_axioms(random_points_q3(11), sample_budget=3000, rng_seed=1)
     assert report.mode == "sampled"
