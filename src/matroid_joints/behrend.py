@@ -30,8 +30,6 @@ class BehrendParams:
     n: int
     s: int
     k: int
-    n_clamped: bool = False
-    s_clamped: bool = False
     carry_free_radix: bool = False
 
     @property
@@ -49,18 +47,17 @@ class BehrendSet:
         return len(self.members)
 
 
-def _dimension(N: int) -> tuple[int, bool]:
+def _dimension(N: int) -> int:
     # floor(sqrt(log2 N)), clamped to >= 1
-    n = isqrt(N.bit_length() - 1)
-    return (max(n, 1), n < 1)
+    return max(isqrt(N.bit_length() - 1), 1)
 
 
-def _digit_bound(N: int, n: int) -> tuple[int, bool]:
+def _digit_bound(N: int, n: int) -> int:
     # largest s with (2s)^n <= N, clamped to >= 1
     s = 1
     while (2 * (s + 1)) ** n <= N:
         s += 1
-    return (s, (2 * s) ** n > N)
+    return s
 
 
 SHELL_BUDGET = 2_000_000
@@ -80,15 +77,15 @@ def behrend_params(N: int) -> BehrendParams:
     """Construction parameters for N: dimension, digit bound, best shell."""
     if N < 4:
         raise MatroidError("behrend_params requires N >= 4; use optimal_3ap_free for tiny N")
-    n, n_clamped = _dimension(N)
-    s, s_clamped = _digit_bound(N, n)
+    n = _dimension(N)
+    s = _digit_bound(N, n)
     shells = sphere_shells(n, s)
     shells.pop(0, None)  # the all-zero vector would encode 0, outside 1..N
     if shells:
         k = max(shells, key=lambda k: (len(shells[k]), -k))
     else:
         k = 1
-    return BehrendParams(N=N, n=n, s=s, k=k, n_clamped=n_clamped, s_clamped=s_clamped)
+    return BehrendParams(N=N, n=n, s=s, k=k)
 
 
 def encode(digits: tuple[int, ...], radix: int) -> int:
@@ -125,8 +122,7 @@ def behrend_set(N: int) -> BehrendSet:
     if N < 1:
         raise MatroidError("behrend_set requires N >= 1")
     if N < 4:
-        s, s_clamped = _digit_bound(N, 1)
-        params = BehrendParams(N=N, n=1, s=s, k=0, n_clamped=True, s_clamped=s_clamped)
+        params = BehrendParams(N=N, n=1, s=_digit_bound(N, 1), k=0)
     else:
         params = behrend_params(N)
     if params.n <= 1:

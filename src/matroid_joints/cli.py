@@ -21,11 +21,6 @@ from .planar import Configuration, is_triangle_free, triple_points
 USAGE_ERROR = 2
 VERIFY_ERROR = 3
 
-BUDGET_HELP = (
-    "work bound of the matroid axiom check only, in its oracle calls and pair checks "
-    "(at least 1); the structural properties are exact and take no budget"
-)
-
 
 def _emit(obj, out_path=None) -> None:
     text = json.dumps(obj, indent=2) + "\n"
@@ -74,11 +69,11 @@ def cmd_behrend(args) -> int:
     return 0
 
 
-def _matroid_checks(tfm: TriangleFreeMatroid, args) -> dict:
+def _matroid_checks(tfm: TriangleFreeMatroid) -> dict:
     """Axioms 1-3 of the matroid (``core.check_axioms`` picks the exhaustive
-    or the sampled check from the point count; ``--budget`` bounds it) and
-    the construction's structural properties (exact, no budget)."""
-    axioms = core.check_axioms(tfm.to_matroid(), sample_budget=args.budget, rng_seed=args.seed)
+    or the sampled check from the point count) and the construction's exact
+    structural properties."""
+    axioms = core.check_axioms(tfm.to_matroid())
     props = verify_construction_properties(tfm)
     return {
         "axioms_mode": axioms.mode,
@@ -95,7 +90,7 @@ def cmd_construct(args) -> int:
         obj["warning"] = "degenerate configuration: no line survived pruning"
     ok = True
     if args.verify:
-        checks = _matroid_checks(build.matroid, args)
+        checks = _matroid_checks(build.matroid)
         obj["checks"] = {"triangle_free": True, **checks}  # exact gate at build time
         ok = checks["axioms_ok"] and checks["properties_ok"]
     _emit(obj, args.out)
@@ -153,7 +148,7 @@ def cmd_verify(args) -> int:
     if data.get("triple_points") is not None and data["triple_points"] != n_triple:
         sys.stderr.write("error: triple point count does not match dump\n")
         return VERIFY_ERROR
-    obj.update(_matroid_checks(TriangleFreeMatroid(config), args))
+    obj.update(_matroid_checks(TriangleFreeMatroid(config)))
     _emit(obj, args.out)
     return 0 if obj["axioms_ok"] and obj["properties_ok"] else VERIFY_ERROR
 
@@ -172,8 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build the triangle-free configuration and matroid")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--budget", type=int, default=10_000_000, help=BUDGET_HELP)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_construct)
 
@@ -192,8 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="load a construction dump and re-run checks")
     p.add_argument("--dump", required=True)
-    p.add_argument("--budget", type=int, default=10_000_000, help=BUDGET_HELP)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 

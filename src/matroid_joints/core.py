@@ -241,8 +241,6 @@ class AxiomReport:
     axiom1: CheckResult
     axiom2: CheckResult
     axiom3: CheckResult
-    oracle_calls: int = 0
-    checks_done: int = 0
 
     @property
     def ok(self) -> bool:
@@ -254,52 +252,43 @@ class AxiomReport:
 
 
 EXHAUSTIVE_MAX_SIZE = 10  # largest ground set whose axioms are checked on every subset
+SAMPLED_ROUNDS = 200  # random greedy bases drawn by the sampled axiom check
 
 
-def check_axioms(m: Matroid, sample_budget: int = 10_000_000, rng_seed: int = 0) -> AxiomReport:
+def check_axioms(m: Matroid, rng_seed: int = 0) -> AxiomReport:
     """Test Axioms 1-3 against the oracle; ``AxiomReport.mode`` names the check.
 
     A ground set of at most ``EXHAUSTIVE_MAX_SIZE`` elements is checked
     exhaustively: the oracle on every subset and every axiom-3 pair, with
-    counterexamples minimal in (size, lex) order; exceeding
-    ``sample_budget`` (total oracle calls plus pair checks) yields an
-    explicit "inconclusive" status, never a silent pass.  A larger one is
-    checked on random subsets drawn from ``rng_seed``; a budget that draws
-    none leaves axioms 2 and 3 inconclusive.  A budget below 1 is an error.
+    counterexamples minimal in (size, lex) order.  A larger one is checked
+    on ``SAMPLED_ROUNDS`` greedy bases of random orders drawn from
+    ``rng_seed``, about ``SAMPLED_ROUNDS * m.size`` oracle calls: axiom 2
+    on a random proper subset of each basis, axiom 3 on a random prefix of
+    it against the previous basis and against a random set whenever that is
+    independent.  When no check reaches an independent set of two or more
+    elements, axioms 2 and 3 are reported inconclusive.
     """
-    if sample_budget < 1:
-        raise MatroidError(f"axiom check budget must be >= 1, got {sample_budget}")
     if m.size <= EXHAUSTIVE_MAX_SIZE:
-        return _check_axioms_exhaustive(m, sample_budget)
-    return _check_axioms_sampled(m, sample_budget, rng_seed)
+        return _check_axioms_exhaustive(m)
+    return _check_axioms_sampled(m, rng_seed)
 
 
-def _check_axioms_exhaustive(m: Matroid, budget: int) -> AxiomReport:
+def _check_axiom1(m: Matroid) -> CheckResult:
+    if m.oracle(frozenset()):
+        return CheckResult(PASS)
+    return CheckResult(FAIL, counterexample=((),), detail="empty set is dependent")
+
+
+def _check_axioms_exhaustive(m: Matroid) -> AxiomReport:
     n = m.size
-    if 2 ** n > budget:
-        res = CheckResult(INCONCLUSIVE, detail=f"2^{n} subsets exceed budget {budget}")
-        return AxiomReport("exhaustive", res, res, res)
-
-    independent: dict[frozenset, bool] = {}
-    calls = 0
     # combinations yields each size in lex order: the (size, lex) order
     all_subsets = [frozenset(c) for k in range(n + 1) for c in combinations(range(n), k)]
-    for s in all_subsets:
-        independent[s] = bool(m.oracle(s))
-        calls += 1
-
-    ax1 = CheckResult(PASS) if independent[frozenset()] else CheckResult(
-        FAIL, counterexample=((),), detail="empty set is dependent"
-    )
-
+    independent = {s: bool(m.oracle(s)) for s in all_subsets}
     ind_sets = [s for s in all_subsets if independent[s]]
 
     ax2 = CheckResult(PASS)
     for s in ind_sets:
-        bad = next(
-            (e for e in sorted(s) if not independent[s - {e}]),
-            None,
-        )
+        bad = next((e for e in sorted(s) if not independent[s - {e}]), None)
         if bad is not None:
             ax2 = CheckResult(
                 FAIL,
@@ -309,80 +298,67 @@ def _check_axioms_exhaustive(m: Matroid, budget: int) -> AxiomReport:
             break
 
     ax3 = CheckResult(PASS)
-    checks = calls
-    done = True
-    for x1 in ind_sets:
-        for x2 in ind_sets:
-            if len(x1) >= len(x2):
-                continue
-            checks += 1
-            if checks > budget:
-                ax3 = CheckResult(INCONCLUSIVE, detail=f"budget {budget} exhausted")
-                done = False
-                break
-            if not any(independent[x1 | {e}] for e in x2 - x1):
-                ax3 = CheckResult(
-                    FAIL,
-                    counterexample=(tuple(sorted(x1)), tuple(sorted(x2))),
-                    detail="no augmenting element",
-                )
-                done = False
-                break
-        if not done:
-            break
-
-    return AxiomReport("exhaustive", ax1, ax2, ax3, oracle_calls=calls, checks_done=checks)
-
-
-def _random_subset(rng: random.Random, n: int) -> frozenset:
-    return frozenset(e for e in range(n) if rng.random() < 0.5)
-
-
-def _check_axioms_sampled(m: Matroid, budget: int, seed: int) -> AxiomReport:
-    rng = random.Random(seed)
-    n = m.size
-    calls = 0
-
-    ax1 = CheckResult(PASS) if m.oracle(frozenset()) else CheckResult(
-        FAIL, counterexample=((),), detail="empty set is dependent"
+    ax3_failure = next(
+        (
+            (x1, x2)
+            for x1 in ind_sets
+            for x2 in ind_sets
+            if len(x1) < len(x2) and not any(independent[x1 | {e}] for e in x2 - x1)
+        ),
+        None,
     )
-    calls += 1
+    if ax3_failure is not None:
+        x1, x2 = ax3_failure
+        ax3 = CheckResult(
+            FAIL, counterexample=(tuple(sorted(x1)), tuple(sorted(x2))), detail="no augmenting element"
+        )
 
+    return AxiomReport("exhaustive", _check_axiom1(m), ax2, ax3)
+
+
+def _random_greedy(m: Matroid, rng: random.Random) -> tuple[list[int], list[int]]:
+    """A random order of the ground set and its greedy basis, in the order
+    the walk kept it: every prefix of the basis is independent."""
+    order = list(range(m.size))
+    rng.shuffle(order)
+    basis: list[int] = []
+    current: frozenset = frozenset()
+    for e in order:
+        if m.oracle(current | {e}):
+            current = current | {e}
+            basis.append(e)
+    return order, basis
+
+
+def _check_axioms_sampled(m: Matroid, seed: int) -> AxiomReport:
+    rng = random.Random(seed)
     ax2 = CheckResult(PASS, detail="sampled")
     ax3 = CheckResult(PASS, detail="sampled")
-    if calls >= budget:
-        ax2 = ax3 = CheckResult(INCONCLUSIVE, detail=f"budget {budget} draws no subset")
-    while calls < budget:
-        s = _random_subset(rng, n)
-        calls += 1
-        if not m.oracle(s):
-            continue
-        if s and ax2.ok:
-            sub = frozenset(rng.sample(sorted(s), rng.randint(0, len(s) - 1)))
-            calls += 1
-            if not m.oracle(sub):
-                ax2 = CheckResult(
-                    FAIL, counterexample=(tuple(sorted(sub)), tuple(sorted(s)))
-                )
-                break
-        t = _random_subset(rng, n)
-        calls += 1
-        if not m.oracle(t):
-            continue
-        x1, x2 = (s, t) if len(s) < len(t) else (t, s)
-        if len(x1) == len(x2):
-            continue
-        ok = False
-        for e in sorted(x2 - x1):
-            calls += 1
-            if m.oracle(x1 | {e}):
-                ok = True
-                break
-        if not ok:
-            ax3 = CheckResult(FAIL, counterexample=(tuple(sorted(x1)), tuple(sorted(x2))))
-            break
-
-    return AxiomReport("sampled", ax1, ax2, ax3, oracle_calls=calls, checks_done=calls)
+    touched = 0  # checks that reached an independent set of two or more elements
+    previous: frozenset = frozenset()
+    for _ in range(SAMPLED_ROUNDS):
+        basis = _random_greedy(m, rng)[1]
+        b = frozenset(basis)
+        touched += len(b) >= 2
+        sub = frozenset(rng.sample(basis, rng.randrange(len(basis)))) if basis else b
+        if ax2.ok and not m.oracle(sub):
+            ax2 = CheckResult(FAIL, counterexample=(tuple(sorted(sub)), tuple(sorted(b))))
+        # a longer independent set: the previous basis, or a random set up to
+        # two elements longer than this basis (an oracle whose independent
+        # sets grow by jumps has some that no greedy walk reaches)
+        prefix = frozenset(basis[: rng.randint(0, len(basis))])
+        drawn = frozenset(rng.sample(range(m.size), min(m.size, rng.randint(0, len(basis) + 2))))
+        for longer in (previous, drawn) if m.oracle(drawn) else (previous,):
+            if len(longer) <= len(prefix):
+                continue
+            touched += len(longer) >= 2
+            if ax3.ok and not any(m.oracle(prefix | {e}) for e in sorted(longer - prefix)):
+                ax3 = CheckResult(FAIL, counterexample=(tuple(sorted(prefix)), tuple(sorted(longer))))
+        previous = b
+    if not touched:
+        unseen = CheckResult(INCONCLUSIVE, detail="no sampled independent set of two or more elements")
+        ax2, ax3 = (r if not r.ok else unseen for r in (ax2, ax3))
+    return AxiomReport("sampled", _check_axiom1(m), ax2, ax3)
 
 
 @dataclass
@@ -396,12 +372,19 @@ class SubmodularityReport:
 
 
 def check_submodularity(m: Matroid, pairs: int, rng_seed: int = 0) -> SubmodularityReport:
-    """Sample subset pairs and test rank(X|Y) + rank(X&Y) <= rank(X) + rank(Y)."""
+    """Test rank(X|Y) + rank(X&Y) <= rank(X) + rank(Y) on sampled pairs.
+
+    X and Y are random halves of one pool: a greedy basis of a random order
+    plus the two elements that follow it in that order, so that the four
+    ranks differ and the inequality has something to test.
+    """
     rng = random.Random(rng_seed)
     report = SubmodularityReport(pairs_checked=pairs)
     for _ in range(pairs):
-        x = _random_subset(rng, m.size)
-        y = _random_subset(rng, m.size)
+        order, basis = _random_greedy(m, rng)
+        after = order.index(basis[-1]) + 1 if basis else 0
+        pool = basis + order[after : after + 2]
+        x, y = (frozenset(rng.sample(pool, len(pool) // 2)) for _ in range(2))
         if rank(m, x | y) + rank(m, x & y) > rank(m, x) + rank(m, y):
             report.violations.append((tuple(sorted(x)), tuple(sorted(y))))
     return report

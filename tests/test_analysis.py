@@ -100,6 +100,20 @@ def test_meeting_plane_is_closure_of_union(case, matroid200, doubled_grid):
     assert pairs
 
 
+def test_construction_planes_hold_two_lines(matroid200):
+    # in a triangle-free configuration the plane of two meeting lines is
+    # their union, so it holds those two lines alone; 2 / epsilon > 2 for
+    # every epsilon < 1, so heavy_plane_prune removes nothing
+    m, lines = matroid200
+    pairs = 0
+    for l1, l2 in combinations([f.members for f in lines], 2):
+        for x in l1 & l2:
+            pairs += 1
+            assert analysis._meeting_plane(m, l1, l2, x) == l1 | l2
+    assert pairs == 350
+    assert heavy_plane_prune(m, lines, Fraction(99, 100)) == (lines, [])
+
+
 def test_intersection_graph_rejects_lines_sharing_two_points():
     m = core.Matroid(tuple(range(6)), lambda s: len(s) <= 2)
     # (0, 2) and (1, 3) each share two points; (0, 2) comes first

@@ -86,41 +86,28 @@ def test_verify_round_trip(capsys, tmp_path):
 
 def test_verify_runs_the_construct_checks(capsys, tmp_path):
     dump = tmp_path / "n200.json"
-    assert main(["construct", "--n", "200", "--verify", "--budget", "40000", "--out", str(dump)]) == 0
+    assert main(["construct", "--n", "200", "--verify", "--out", str(dump)]) == 0
     checks = json.loads(dump.read_text())["checks"]
-    code, out, _ = run(capsys, "verify", "--dump", str(dump), "--budget", "40000")
+    code, out, _ = run(capsys, "verify", "--dump", str(dump))
     assert code == 0
     obj = json.loads(out)
     assert {k: obj[k] for k in checks} == checks
     assert obj["axioms_mode"] == "sampled"
-
-
-def test_verify_properties_take_no_budget(capsys, tmp_path):
-    # --budget bounds only the axiom check; the properties are exact at any budget
-    dump = tmp_path / "n200.json"
-    assert main(["construct", "--n", "200", "--out", str(dump)]) == 0
-    capsys.readouterr()
-    code, out, _ = run(capsys, "verify", "--dump", str(dump), "--budget", "100")
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["properties_ok"] is True
     assert obj["axioms_ok"] is True
     assert obj["axioms_inconclusive"] is False
+    assert obj["properties_ok"] is True
 
 
-@pytest.mark.parametrize("budget", ["0", "-5"])
-def test_budget_below_one_is_a_usage_error(capsys, tmp_path, budget):
-    dump = tmp_path / "n200.json"
-    assert main(["construct", "--n", "200", "--out", str(dump)]) == 0
+@pytest.mark.parametrize("option", ["--budget", "--seed"])
+def test_axiom_check_options_are_gone(capsys, tmp_path, option):
+    dump = tmp_path / "n50.json"
+    assert main(["construct", "--n", "50", "--out", str(dump)]) == 0
     capsys.readouterr()
-    code, out, err = run(capsys, "verify", "--dump", str(dump), "--budget", budget)
-    assert code == USAGE_ERROR
-    assert out == ""
-    assert err.startswith("error:")
-    code, out, err = run(capsys, "construct", "--n", "5", "--verify", "--budget", budget)
-    assert code == USAGE_ERROR
-    assert out == ""
-    assert err.startswith("error:")
+    for argv in (["verify", "--dump", str(dump)], ["construct", "--n", "5", "--verify"]):
+        code, out, err = run(capsys, *argv, option, "100000")
+        assert code == USAGE_ERROR
+        assert out == ""
+        assert "unrecognized arguments" in err
 
 
 def test_construct_gate_failure_exits_3(capsys, monkeypatch):

@@ -286,7 +286,7 @@ def test_triangle_gate_catches_bad_filter(monkeypatch, sums):
     n, members = sums()
     bad = BehrendSet(
         members=members,
-        params=BehrendParams(N=n, n=1, s=1, k=0, n_clamped=True, s_clamped=True),
+        params=BehrendParams(N=n, n=1, s=1, k=0),
         via_fallback=True,
     )
     monkeypatch.setattr(construct, "behrend_set", lambda n: bad)

@@ -384,22 +384,10 @@ def test_axiom_counterexample_is_minimal_in_size_then_lex():
     assert check_axioms(m).axiom2.counterexample == ((0,), (0, 1))
 
 
-def test_axioms_budget_inconclusive():
-    report = check_axioms(free_matroid(10), sample_budget=16)
-    assert report.inconclusive
-
-
-def test_axioms_budget_must_be_positive():
-    for budget in (0, -5):
-        with pytest.raises(MatroidError):
-            check_axioms(free_matroid(5), sample_budget=budget)
-        with pytest.raises(MatroidError):
-            check_axioms(random_points_q3(11), sample_budget=budget)
-
-
-def test_axioms_sampled_without_a_draw_is_inconclusive():
-    # budget 1 is spent on the empty set: no subset is drawn for axioms 2 and 3
-    report = check_axioms(random_points_q3(11), sample_budget=1)
+def test_axioms_sampled_without_an_independent_pair_is_inconclusive():
+    # U(1, 30): every independent set has at most one element, so no sampled
+    # check can exercise axioms 2 and 3
+    report = check_axioms(Matroid(labels=tuple(range(30)), oracle=lambda s: len(s) <= 1))
     assert report.mode == "sampled"
     assert report.inconclusive and not report.ok
     assert report.axiom1.ok
@@ -407,14 +395,58 @@ def test_axioms_sampled_without_a_draw_is_inconclusive():
 
 
 def test_axioms_sampled_mode():
-    report = check_axioms(random_points_q3(11), sample_budget=3000, rng_seed=1)
+    report = check_axioms(random_points_q3(11), rng_seed=1)
     assert report.mode == "sampled"
     assert report.ok
 
 
 def test_axiom_check_method_follows_ground_set_size():
-    assert check_axioms(free_matroid(10), sample_budget=100).mode == "exhaustive"
-    assert check_axioms(free_matroid(11), sample_budget=100).mode == "sampled"
+    uniform = lambda s: len(s) <= 2  # U(2, n)
+    assert check_axioms(Matroid(tuple(range(10)), uniform)).mode == "exhaustive"
+    assert check_axioms(Matroid(tuple(range(11)), uniform)).mode == "sampled"
+
+
+def test_sampled_axioms_reach_independent_sets_of_the_construction(matroid200):
+    # the greedy bases have four points each: the checks run on sets that
+    # the construction's oracle calls independent
+    m, _ = matroid200
+    seen = []
+    counting = dataclasses.replace(m, oracle=lambda s: m.oracle(s) and (seen.append(s) or True))
+    report = check_axioms(counting)
+    assert report.mode == "sampled"
+    assert report.ok and not report.inconclusive
+    assert sum(len(s) >= 2 for s in seen) >= 100
+
+
+def test_sampled_axioms_catch_dependent_three_sets(matroid200):
+    # every 3-set dependent, 4-sets by the construction's rule: an
+    # independent 4-set cannot augment any independent pair
+    m, _ = matroid200
+    mutant = dataclasses.replace(m, oracle=lambda s: len(s) != 3 and m.oracle(s))
+    report = check_axioms(mutant)
+    assert report.mode == "sampled"
+    assert report.axiom3.status == core.FAIL
+    small, big = report.axiom3.counterexample
+    assert len(small) == 2 and len(big) == 4
+
+
+@pytest.mark.parametrize(
+    "oracle, axiom",
+    [
+        # a greedy walk stops at one element; a random 3-set cannot augment it
+        (lambda s: len(s) != 2, "axiom3"),
+        # a greedy basis holds 0; its random subsets without 0 are dependent
+        (lambda s: 0 in s or len(s) <= 1, "axiom2"),
+        # a greedy basis has three elements when the walk's first two lie in
+        # 0..9, else two, which cannot augment from a three-element one
+        (lambda s: len(s) <= 2 or (len(s) == 3 and max(s) < 10), "axiom3"),
+    ],
+    ids=["not-two", "needs-zero", "two-ranks"],
+)
+def test_sampled_axioms_catch_broken_oracles(oracle, axiom):
+    report = check_axioms(Matroid(labels=tuple(range(40)), oracle=oracle))
+    assert report.mode == "sampled"
+    assert getattr(report, axiom).status == core.FAIL
 
 
 def test_submodularity_x_equals_y(square):
@@ -433,6 +465,19 @@ def test_submodularity_equal_rank_supersets(random_q3):
 
 def test_submodularity_no_violations(random_q3):
     assert check_submodularity(random_q3, pairs=300, rng_seed=0).ok
+
+
+@pytest.mark.parametrize("case", ["build200", "q3"])
+def test_submodularity_pairs_differ_in_rank(case, matroid200, monkeypatch):
+    # X and Y come from a basis plus two dependent elements, so most pairs
+    # see different ranks among X | Y, X & Y, X and Y
+    m = matroid200[0] if case == "build200" else random_points_q3(12)
+    ranks = []
+    monkeypatch.setattr(core, "rank", lambda m, s: ranks.append(rank(m, s)) or ranks[-1])
+    assert check_submodularity(m, pairs=300, rng_seed=0).ok
+    quads = [ranks[i : i + 4] for i in range(0, len(ranks), 4)]
+    assert len(quads) == 300
+    assert sum(len(set(q)) > 1 for q in quads) >= 250
 
 
 def test_incidence_properties_pass(random_q3):
