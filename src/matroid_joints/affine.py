@@ -6,9 +6,10 @@ the lcm of all coordinate denominators); scaling is an affine bijection,
 so independence is unchanged, and each oracle call is a fraction-free
 (Bareiss) integer rank of difference rows.  The matroid also supplies
 ``span``: the integer normals of an independent set's affine hull, from
-an exact null space, decide membership in its closure with one dot
-product per normal and point.  Floating point never touches an
-incidence decision.
+an exact null space, decide membership in its closure column by column,
+each normal's non-zero components summed over the lattice's coordinate
+columns, and each normal after the first scans only the points the
+earlier ones kept.  Floating point never touches an incidence decision.
 """
 
 from __future__ import annotations
@@ -136,13 +137,17 @@ def affine_matroid(points: Sequence[RationalPoint]) -> Matroid:
 
     ``span`` maps an independent B to the points of its affine hull: with
     b0 in B, e is on the hull iff n . e = n . b0 for every integer normal
-    n (a null vector of B's difference rows).
+    n (a null vector of B's difference rows).  The values n . e of the
+    points still in play are summed from whole coordinate columns, one
+    term per non-zero component of n, and the points off n's level drop
+    out before the next normal.
     """
     pts = tuple(points)
     if len(set(pts)) != len(pts):
         raise MatroidError("duplicate points")
     _require_one_dimension(pts)
     lattice = _to_lattice(pts)
+    columns = list(zip(*lattice))
 
     def oracle(subset: frozenset) -> bool:
         return _lattice_independent([lattice[i] for i in sorted(subset)])
@@ -153,9 +158,16 @@ def affine_matroid(points: Sequence[RationalPoint]) -> Matroid:
         first, *rest = (lattice[i] for i in sorted(basis))
         diffs = [[a - b for a, b in zip(p, first)] for p in rest]
         members = range(len(lattice))
+        cols = columns
         for normal in integer_null_space(diffs, len(first)):
             level = _dot(normal, first)
-            members = [i for i in members if _dot(normal, lattice[i]) == level]
+            (c0, col0), *terms = [(c, col) for c, col in zip(normal, cols) if c]
+            values = [c0 * x for x in col0]
+            for c, col in terms:
+                values = [v + c * x for v, x in zip(values, col)]
+            keep = [j for j, v in enumerate(values) if v == level]
+            members = [members[j] for j in keep]
+            cols = [[col[j] for j in keep] for col in cols]
         return frozenset(members)
 
     return Matroid(labels=pts, oracle=oracle, span=span)
@@ -178,11 +190,12 @@ def grid3d(k: int) -> tuple[tuple[RationalPoint, ...], list[LineDescriptor]]:
     if k < 2:
         raise MatroidError("grid3d requires k >= 2")
     coords = range(1, k + 1)
-    pts = tuple(point(x, y, z) for x in coords for y in coords for z in coords)
-    index = {p.coords: i for i, p in enumerate(pts)}
+    triples = [(x, y, z) for x in coords for y in coords for z in coords]
+    pts = tuple(point(*t) for t in triples)
+    index = {t: i for i, t in enumerate(triples)}
 
     def at(x: int, y: int, z: int) -> int:
-        return index[(Fraction(x), Fraction(y), Fraction(z))]
+        return index[x, y, z]
 
     lines = []
     for a in coords:

@@ -99,6 +99,8 @@ def cmd_construct(args) -> int:
 
 def cmd_sweep(args) -> int:
     ns = [int(t) for t in args.ns.split(",") if t]
+    if not ns:
+        raise MatroidError(f"--ns {args.ns!r} names no N")
     eps = _parse_epsilon(args.epsilon)
     rows = analysis.joints_sweep(ns, eps)
     if args.out:

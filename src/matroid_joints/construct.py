@@ -69,6 +69,7 @@ class TriangleFreeMatroid:
             raise MatroidError("every line must contain at least two points (prune first)")
         self.config = config
         self.point_lines = config.point_lines
+        self.point_line_sets = [frozenset(ls) for ls in config.point_lines]
         self.line_points = [frozenset(pts) for pts in config.line_points]
         self.angle_index = config.angle_index
 
@@ -79,17 +80,18 @@ class TriangleFreeMatroid:
         if n >= 5:
             return False
         pts = sorted(subset)
-        for p in pts:
-            if not (0 <= p < len(self.point_lines)):
-                raise MatroidError(f"unknown point index {p}")
-        # count how many of the points each incident line covers
+        if pts[0] < 0 or pts[-1] >= len(self.point_lines):
+            bad = next(p for p in pts if not 0 <= p < len(self.point_lines))
+            raise MatroidError(f"unknown point index {bad}")
+        if n == 3:
+            # dependent iff one line holds all three points
+            a, b, c = (self.point_line_sets[p] for p in pts)
+            return a.isdisjoint(b & c)
+        # n == 4: dependent if a line covers 3+, or an angle covers all four
         cover: dict[int, int] = {}
         for p in pts:
             for l in self.point_lines[p]:
                 cover[l] = cover.get(l, 0) + 1
-        if n == 3:
-            return not any(c == 3 for c in cover.values())
-        # n == 4: dependent if a line covers 3+, or an angle covers all four
         if any(c >= 3 for c in cover.values()):
             return False
         twos = sorted(l for l, c in cover.items() if c == 2)

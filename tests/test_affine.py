@@ -1,7 +1,9 @@
 """Exact affine independence and the 3D grid of joints."""
 
 import dataclasses
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -176,6 +178,34 @@ def test_span_matches_oracle_closure(case):
     m = affine_matroid(pts)
     reference = dataclasses.replace(m, span=None)
     for s in subsets:
+        assert closure(m, s) == closure(reference, s)
+
+
+def normal_supports(pts, subset):
+    """Numbers of non-zero components of the integer normals of the subset's hull."""
+    first, *rest = (pts[i].coords for i in sorted(subset))
+    diffs = [[int(a - b) for a, b in zip(p, first)] for p in rest]
+    return {sum(1 for c in n if c) for n in integer_null_space(diffs, len(first))}
+
+
+def test_span_matches_oracle_closure_off_the_axes():
+    # every line through two points of the 4 x 4 x 4 grid and a seeded
+    # sample of planes through three: diagonal lines and planes have
+    # normals with two or three non-zero components
+    pts, _ = grid3d(4)
+    m = affine_matroid(pts)
+    reference = dataclasses.replace(m, span=None)
+    rng = random.Random(4)
+    triples = set()
+    while len(triples) < 200:
+        t = frozenset(rng.sample(range(len(pts)), 3))
+        if m.oracle(t):
+            triples.add(t)
+    triples = sorted(triples, key=sorted)
+    pairs = [frozenset(p) for p in combinations(range(len(pts)), 2)]
+    assert set().union(*(normal_supports(pts, p) for p in pairs)) == {1, 2}
+    assert set().union(*(normal_supports(pts, t) for t in triples)) == {1, 2, 3}
+    for s in pairs + triples:
         assert closure(m, s) == closure(reference, s)
 
 

@@ -229,6 +229,14 @@ def test_sweep_bad_epsilon(capsys):
     assert code == USAGE_ERROR
 
 
+@pytest.mark.parametrize("ns", [",", "", ",,"])
+def test_sweep_without_n_is_a_usage_error(capsys, ns):
+    code, out, err = run(capsys, "sweep", "--ns", ns)
+    assert code == USAGE_ERROR
+    assert out == ""
+    assert err.startswith("error:") and "--ns" in err
+
+
 def test_grid3d(capsys):
     code, out, _ = run(capsys, "grid3d", "--k", "2", "--verify")
     assert code == 0

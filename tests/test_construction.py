@@ -74,9 +74,42 @@ def test_tf_independence_rules(build5):
     assert not tfm.is_independent(three)
     # five points are always dependent
     assert not tfm.is_independent(frozenset(range(5)))
-    # unknown index is a domain error
-    with pytest.raises(MatroidError):
-        tfm.is_independent(frozenset({0, 1, 2, 99}))
+    # unknown index is a domain error, on the 3-set path too
+    for subset in ({0, 1, 2, 99}, {0, 1, 99}, {-1, 0, 1}):
+        with pytest.raises(MatroidError, match="unknown point index"):
+            tfm.is_independent(frozenset(subset))
+
+
+def cover_count_rule(tfm, triple):
+    # reference: a 3-set is dependent iff some line covers all three points
+    cover = {}
+    for p in triple:
+        for l in tfm.point_lines[p]:
+            cover[l] = cover.get(l, 0) + 1
+    return not any(c == 3 for c in cover.values())
+
+
+@pytest.mark.parametrize("n", [5, 10, 12])
+def test_three_sets_match_cover_count_rule_exhaustively(n):
+    tfm = build_construction(n).matroid
+    triples = list(combinations(range(len(tfm.point_lines)), 3))
+    verdicts = [tfm.is_independent(frozenset(t)) for t in triples]
+    assert verdicts == [cover_count_rule(tfm, t) for t in triples]
+    assert not all(verdicts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_three_sets_match_cover_count_rule_on_build200(build200, data):
+    tfm = build200.matroid
+    # up to three points of one line, the rest anywhere: collinear,
+    # two-on-a-line and scattered triples all come up
+    line = sorted(tfm.line_points[data.draw(st.integers(0, len(tfm.line_points) - 1))])
+    on_line = data.draw(st.lists(st.sampled_from(line), max_size=3, unique=True))
+    anywhere = st.integers(0, len(tfm.point_lines) - 1).filter(lambda p: p not in on_line)
+    rest = data.draw(st.lists(anywhere, min_size=3 - len(on_line), max_size=3 - len(on_line), unique=True))
+    triple = frozenset(on_line + rest)
+    assert tfm.is_independent(triple) == cover_count_rule(tfm, triple)
 
 
 def test_angle_dependence(build5):
