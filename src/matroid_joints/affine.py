@@ -150,6 +150,9 @@ def affine_matroid(points: Sequence[RationalPoint]) -> Matroid:
     columns = list(zip(*lattice))
 
     def oracle(subset: frozenset) -> bool:
+        if subset and (min(subset) < 0 or max(subset) >= len(lattice)):
+            bad = next(i for i in sorted(subset) if not 0 <= i < len(lattice))
+            raise MatroidError(f"unknown point index {bad}")
         return _lattice_independent([lattice[i] for i in sorted(subset)])
 
     def span(basis: frozenset) -> frozenset:

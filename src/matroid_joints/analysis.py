@@ -78,7 +78,7 @@ def _meeting_plane(m: Matroid, l1: frozenset, l2: frozenset, x: int) -> frozense
     line is the closure of any two of its points; otherwise the union is
     closed.
     """
-    plane = core.closure(m, core._star(x, (l1, l2)))
+    plane = core.closure(m, core._star(x, map(core._two_smallest, (l1, l2))))
     if l1 <= plane and l2 <= plane:
         return plane
     return core.closure(m, l1 | l2)

@@ -7,7 +7,12 @@ to those with at least two surviving points.  On the resulting
 triangle-free configuration, independence is decided by a collinearity
 rule for 3-sets and a collinearity-or-angle rule for 4-sets; every 5-set
 is dependent.  An angle is the union of two configuration lines meeting
-at a configuration point.
+at a configuration point.  The oracle reads both rules off each point's
+set of lines: a 3-set is dependent iff the three sets share a line; a
+4-set {a, b, c, d} is dependent iff a line holds three of the points, or
+the lines of the two pairs of one pairing (ab|cd, ac|bd, ad|bc) meet at a
+configuration point -- once no line holds three points, an angle that
+covers all four points covers two disjoint pairs, one per line.
 """
 
 from __future__ import annotations
@@ -74,32 +79,32 @@ class TriangleFreeMatroid:
         self.angle_index = config.angle_index
 
     def is_independent(self, subset: frozenset) -> bool:
+        if subset and (min(subset) < 0 or max(subset) >= len(self.point_lines)):
+            bad = next(p for p in sorted(subset) if not 0 <= p < len(self.point_lines))
+            raise MatroidError(f"unknown point index {bad}")
         n = len(subset)
         if n <= 2:
             return True
         if n >= 5:
             return False
-        pts = sorted(subset)
-        if pts[0] < 0 or pts[-1] >= len(self.point_lines):
-            bad = next(p for p in pts if not 0 <= p < len(self.point_lines))
-            raise MatroidError(f"unknown point index {bad}")
         if n == 3:
             # dependent iff one line holds all three points
-            a, b, c = (self.point_line_sets[p] for p in pts)
+            a, b, c = (self.point_line_sets[p] for p in subset)
             return a.isdisjoint(b & c)
-        # n == 4: dependent if a line covers 3+, or an angle covers all four
-        cover: dict[int, int] = {}
-        for p in pts:
-            for l in self.point_lines[p]:
-                cover[l] = cover.get(l, 0) + 1
-        if any(c >= 3 for c in cover.values()):
+        # n == 4: dependent iff a line holds three of the points, or an
+        # angle covers all four; with no line on three points, each line of
+        # the angle holds two of them, so the angle is the lines of the two
+        # pairs of one pairing, meeting at a configuration point
+        a, b, c, d = (self.point_line_sets[p] for p in subset)
+        ab, cd = a & b, c & d
+        if not (ab.isdisjoint(c) and ab.isdisjoint(d) and cd.isdisjoint(a) and cd.isdisjoint(b)):
             return False
-        twos = sorted(l for l, c in cover.items() if c == 2)
-        for la, lb in combinations(twos, 2):
-            if (la, lb) not in self.angle_index:
-                continue
-            if all(p in self.line_points[la] or p in self.line_points[lb] for p in pts):
-                return False
+        angle = self.angle_index
+        for one, other in ((ab, cd), (a & c, b & d), (a & d, b & c)):
+            for la in one:
+                for lb in other:
+                    if ((la, lb) if la < lb else (lb, la)) in angle:
+                        return False
         return True
 
     def span(self, basis: frozenset) -> frozenset:

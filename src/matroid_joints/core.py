@@ -81,20 +81,24 @@ def rank(m: Matroid, subset: Iterable[int]) -> int:
     return len(_basis(m, m._subset(subset)))
 
 
+def _closure_of(m: Matroid, s: frozenset, b: frozenset) -> frozenset:
+    """cl(S) from a greedy basis B of S: S + cl(B), with cl(B) from
+    ``m.span`` when the matroid supplies it, else from one oracle call per
+    element outside S."""
+    if m.span is not None:
+        return s | m.span(b)
+    return s | frozenset(e for e in range(m.size) if e not in s and not m.oracle(b | {e}))
+
+
 def closure(m: Matroid, subset: Iterable[int]) -> frozenset:
     """All elements whose addition leaves the rank unchanged.
 
     One greedy basis B of S, then cl(S) = S + cl(B): an independent B + e
     gives r(S + e) > r(S), and a dependent B + e leaves B maximal in S + e,
-    so by augmentation r(S + e) = |B| = r(S).  cl(B) comes from ``m.span``
-    when the matroid supplies it, else from one oracle call per element
-    outside S.
+    so by augmentation r(S + e) = |B| = r(S).
     """
     s = m._subset(subset)
-    b = _basis(m, s)
-    if m.span is not None:
-        return s | m.span(b)
-    return s | frozenset(e for e in range(m.size) if e not in s and not m.oracle(b | {e}))
+    return _closure_of(m, s, _basis(m, s))
 
 
 def is_flat(m: Matroid, subset: Iterable[int]) -> bool:
@@ -103,9 +107,11 @@ def is_flat(m: Matroid, subset: Iterable[int]) -> bool:
 
 
 def make_flat(m: Matroid, subset: Iterable[int]) -> Flat:
-    """The flat spanned by ``subset``: its closure with the common rank."""
+    """The flat spanned by ``subset``: its closure with the common rank,
+    both from one greedy basis."""
     s = m._subset(subset)
-    return Flat(closure(m, s), rank(m, s))
+    b = _basis(m, s)
+    return Flat(_closure_of(m, s, b), len(b))
 
 
 def flats_of_rank(m: Matroid, k: int, *, allow_large: bool = False) -> list[Flat]:
@@ -133,7 +139,7 @@ def flats_of_rank(m: Matroid, k: int, *, allow_large: bool = False) -> list[Flat
 def _require_lines(m: Matroid, lines: Iterable[Flat]) -> list[Flat]:
     out = list(lines)
     for f in out:
-        if not isinstance(f, Flat) or f.rank != 2:
+        if not isinstance(f, Flat) or f.rank != 2 or not f.members:
             raise MatroidError(f"expected a rank-2 flat, got {f!r}")
         m._subset(f.members)
     return out
@@ -155,25 +161,38 @@ def _lines_by_point(size: int, lines: list[Flat]) -> list[list[int]]:
     return by_point
 
 
-def _star(x: int, lines: Iterable[frozenset]) -> frozenset:
-    """The star of x: x plus the smallest other member of each line through x."""
-    return frozenset({x, *(min(l - {x}, default=x) for l in lines)})
+def _two_smallest(members: frozenset) -> tuple[int, int]:
+    """The two smallest members of a line, the one member twice if it has one."""
+    low = sorted(members)
+    return low[0], low[1] if len(low) > 1 else low[0]
+
+
+def _star(x: int, ends: Iterable[tuple[int, int]]) -> frozenset:
+    """The star of x: x plus the smallest other member of each line through
+    x, read from the lines' two smallest members (``_two_smallest``)."""
+    return frozenset({x, *(b if a == x else a for a, b in ends)})
 
 
 def _joint_search(
-    m: Matroid, x: int, through: list[int], lines: list[Flat], n: int
+    m: Matroid,
+    x: int,
+    through: list[int],
+    lines: list[Flat],
+    ends: list[tuple[int, int]] | dict[int, tuple[int, int]],
+    n: int,
 ) -> Optional[tuple[int, ...]]:
     """The first n of the lines ``through`` x (ascending indices into
     ``lines``, in combinations order) whose union has rank >= n + 1, or None.
 
-    The star of x over the n lines lies in their union and has at most
-    n + 1 points, so one oracle call on it decides when it is independent
-    with n + 1 points; otherwise the union itself is ranked, which keeps
-    the answer exact where a line is not the closure of x and that point
-    (a matroid that is not simple).
+    ``ends[i]`` holds the two smallest members of ``lines[i]``, for each i
+    in ``through``.  The star of x over the n lines lies in their union and
+    has at most n + 1 points, so one oracle call on it decides when it is
+    independent with n + 1 points; otherwise the union itself is ranked,
+    which keeps the answer exact where a line is not the closure of x and
+    that point (a matroid that is not simple).
     """
     for combo in combinations(through, n):
-        star = _star(x, (lines[i].members for i in combo))
+        star = _star(x, (ends[i] for i in combo))
         if len(star) == n + 1 and m.oracle(star):
             return combo
         union: frozenset = frozenset().union(*(lines[i].members for i in combo))
@@ -193,11 +212,16 @@ def joint_witness(m: Matroid, x: int, lines: list[Flat]) -> Optional[tuple[int, 
 
 
 def count_joints(m: Matroid, lines: list[Flat]) -> int:
+    """The number of joints of ``lines``: each line's two smallest members
+    are taken once, and each point with three or more lines through it is
+    decided by ``_joint_search`` from them, one oracle call on its star
+    when the star is independent."""
     lines = _require_lines(m, lines)
+    ends = [_two_smallest(f.members) for f in lines]
     return sum(
         1
         for x, through in enumerate(_lines_by_point(m.size, lines))
-        if _joint_search(m, x, through, lines, 3) is not None
+        if len(through) >= 3 and _joint_search(m, x, through, lines, ends, 3) is not None
     )
 
 
@@ -212,7 +236,8 @@ def _n_joint_witness(m: Matroid, x: int, lines: list[Flat], n: int) -> Optional[
     lines = _require_lines(m, lines)
     m._subset({x})
     through = [i for i, f in enumerate(lines) if x in f.members]
-    return _joint_search(m, x, through, lines, n)
+    ends = {i: _two_smallest(lines[i].members) for i in through}
+    return _joint_search(m, x, through, lines, ends, n)
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +451,18 @@ def check_incidence_properties(m: Matroid, rng_seed: int = 0, samples: int = 100
     line_sets = [f.members for f in lines]
     plane_sets = [f.members for f in planes]
 
-    def sample_or_all(items: list, count: int) -> list:
-        if len(items) <= count:
-            return items
-        return [items[i] for i in sorted(rng.sample(range(len(items)), count))]
+    def sample_or_all(total: int) -> Iterable[int]:
+        """All of range(total), or a seeded sample of ``samples`` of it, ascending."""
+        if total <= samples:
+            return range(total)
+        return sorted(rng.sample(range(total), samples))
+
+    def pick(items: list) -> list:
+        return [items[k] for k in sample_or_all(len(items))]
 
     # (1) any two points lie in exactly one line
     r1 = CheckResult(PASS)
-    for a, b in sample_or_all(list(combinations(range(m.size), 2)), samples):
+    for a, b in pick(list(combinations(range(m.size), 2))):
         n_lines = sum(1 for s in line_sets if a in s and b in s)
         if n_lines != 1:
             r1 = CheckResult(FAIL, counterexample=(a, b), detail=f"{n_lines} lines")
@@ -441,8 +470,7 @@ def check_incidence_properties(m: Matroid, rng_seed: int = 0, samples: int = 100
 
     # (2) three non-collinear points lie in exactly one plane
     r2 = CheckResult(PASS)
-    triples = sample_or_all(list(combinations(range(m.size), 3)), samples)
-    for t in triples:
+    for t in pick(list(combinations(range(m.size), 3))):
         if any(set(t) <= s for s in line_sets):
             continue
         n_planes = sum(1 for s in plane_sets if set(t) <= s)
@@ -452,10 +480,9 @@ def check_incidence_properties(m: Matroid, rng_seed: int = 0, samples: int = 100
 
     # (3) a line meeting a plane in two points is contained in it
     r3 = CheckResult(PASS)
-    lp_pairs = sample_or_all(
-        [(i, j) for i in range(len(lines)) for j in range(len(planes))], samples
-    )
-    for i, j in lp_pairs:
+    # pair k of the lines x planes product, line-major, is divmod(k, planes)
+    for k in sample_or_all(len(lines) * len(planes)):
+        i, j = divmod(k, len(planes))
         if len(line_sets[i] & plane_sets[j]) >= 2 and not line_sets[i] <= plane_sets[j]:
             r3 = CheckResult(FAIL, counterexample=(tuple(sorted(line_sets[i])), tuple(sorted(plane_sets[j]))))
             break
@@ -467,7 +494,7 @@ def check_incidence_properties(m: Matroid, rng_seed: int = 0, samples: int = 100
         for i, j in combinations(range(len(lines)), 2)
         if line_sets[i] & line_sets[j]
     ]
-    for i, j in sample_or_all(meeting, samples):
+    for i, j in pick(meeting):
         union = line_sets[i] | line_sets[j]
         n_planes = sum(1 for s in plane_sets if union <= s)
         if n_planes != 1:

@@ -36,17 +36,19 @@ def line(a: int, b: int, c: int) -> IntLine:
     return IntLine(a, b, c)
 
 
+# The grid-line helpers are canonical by form (a coefficient of 1 leads, so
+# the gcd is 1 and the sign is right) and skip ``line``'s normalization.
 def horizontal(b: int) -> IntLine:
-    return line(0, 1, b)
+    return IntLine(0, 1, b)
 
 
 def vertical(a: int) -> IntLine:
-    return line(1, 0, a)
+    return IntLine(1, 0, a)
 
 
 def diagonal(c: int) -> IntLine:
     # x - y = c
-    return line(1, -1, c)
+    return IntLine(1, -1, c)
 
 
 def incident(l: IntLine, p: Point) -> bool:
@@ -106,6 +108,11 @@ class Configuration:
                 li = line_of_c.get(a * x + b * y)
                 if li is not None:
                     line_points[li].append(pi)
+        self._index(line_points)
+
+    def _index(self, line_points: Iterable[Iterable[int]]) -> None:
+        """Set ``line_points`` and the indexes read from it: ``point_lines``
+        and ``angle_index``.  Each line's points are ascending indices."""
         self.line_points: tuple[tuple[int, ...], ...] = tuple(tuple(pts) for pts in line_points)
         point_lines: list[list[int]] = [[] for _ in self.points]
         for li, pts in enumerate(self.line_points):
@@ -200,6 +207,15 @@ def triple_points(cfg: Configuration) -> list[int]:
 
 
 def prune_lines(cfg: Configuration) -> Configuration:
-    """Keep only lines incident to at least two configuration points."""
-    kept = [cfg.lines[li] for li, pts in enumerate(cfg.line_points) if len(pts) >= 2]
-    return Configuration(cfg.points, kept)
+    """Keep only lines incident to at least two configuration points.
+
+    The result is ``Configuration(cfg.points, kept)``, indexed from the kept
+    lines' point lists: the points are already checked and each kept line's
+    points are already known, so neither is looked up again.
+    """
+    kept = [li for li, pts in enumerate(cfg.line_points) if len(pts) >= 2]
+    out = Configuration.__new__(Configuration)
+    out.points = cfg.points
+    out.lines = tuple(cfg.lines[li] for li in kept)
+    out._index(cfg.line_points[li] for li in kept)
+    return out

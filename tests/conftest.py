@@ -4,8 +4,9 @@ from pathlib import Path
 import pytest
 
 from matroid_joints.affine import affine_matroid, grid3d
-from matroid_joints.construct import build_construction
+from matroid_joints.construct import behrend_points, build_construction, grid_lines
 from matroid_joints.core import Matroid, make_flat
+from matroid_joints.planar import Configuration
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -34,6 +35,14 @@ def build5():
 @pytest.fixture(scope="session")
 def build200():
     return build_construction(200)
+
+
+@pytest.fixture(scope="session")
+def base3_grid():
+    """The N = 8 grid filtered by 2 + {x <= 16 whose base-3 digits are 0 or 1},
+    a Salem-Spencer set, before pruning: 28 points, 25 lines after it."""
+    sums = [2 + x for x in (0, 1, 3, 4, 9, 10, 12, 13)]
+    return Configuration(behrend_points(8, sums), grid_lines(8).lines)
 
 
 @pytest.fixture(scope="session")

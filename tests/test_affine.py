@@ -127,6 +127,14 @@ def test_affine_matroid_is_simple():
     assert all(m.oracle(frozenset({a, b})) for a in range(3) for b in range(a + 1, 3))
 
 
+def test_affine_oracle_rejects_unknown_index():
+    # -1 is not the last point, and 99 is a domain error, at every size
+    m = affine_matroid(grid3d(2)[0])
+    for subset in ({-1}, {-1, 7}, {99}, {0, 99}, {0, 1, 99}, {0, 1, 2, 99}, {0, 1, 2, 3, 99}):
+        with pytest.raises(MatroidError, match="unknown point index"):
+            m.oracle(frozenset(subset))
+
+
 def test_affine_matroid_rejects_duplicates():
     with pytest.raises(MatroidError):
         affine_matroid([point(0, 0), point(0, 0)])
@@ -209,13 +217,13 @@ def test_span_matches_oracle_closure_off_the_axes():
         assert closure(m, s) == closure(reference, s)
 
 
-def test_descriptor_flats_spend_four_oracle_calls_per_line():
+def test_descriptor_flats_spend_two_oracle_calls_per_line():
     pts, desc = grid3d(3)
     m = affine_matroid(pts)
     calls = []
     counting = dataclasses.replace(m, oracle=lambda s: calls.append(s) or m.oracle(s))
     lines = descriptor_flats(counting, desc)
-    # a 2-point greedy basis for the closure and again for the rank; the
+    # one 2-point greedy basis gives both the closure and the rank; the
     # span costs no oracle call
-    assert len(calls) == 4 * len(desc)
+    assert len(calls) == 2 * len(desc)
     assert lines == descriptor_flats(dataclasses.replace(m, span=None), desc)

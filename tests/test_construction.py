@@ -74,19 +74,29 @@ def test_tf_independence_rules(build5):
     assert not tfm.is_independent(three)
     # five points are always dependent
     assert not tfm.is_independent(frozenset(range(5)))
-    # unknown index is a domain error, on the 3-set path too
-    for subset in ({0, 1, 2, 99}, {0, 1, 99}, {-1, 0, 1}):
+    # unknown index is a domain error at every subset size
+    for subset in ({99}, {-1}, {0, 99}, {-1, 0}, {0, 1, 99}, {-1, 0, 1}, {0, 1, 2, 99}, {0, 1, 2, 3, 99}):
         with pytest.raises(MatroidError, match="unknown point index"):
             tfm.is_independent(frozenset(subset))
 
 
-def cover_count_rule(tfm, triple):
-    # reference: a 3-set is dependent iff some line covers all three points
+def cover_count_rule(tfm, subset):
+    # reference: a 3-set is dependent iff some line covers all three points;
+    # a 4-set iff some line covers three, or two lines meeting at a
+    # configuration point (an angle) cover all four
     cover = {}
-    for p in triple:
+    for p in subset:
         for l in tfm.point_lines[p]:
             cover[l] = cover.get(l, 0) + 1
-    return not any(c == 3 for c in cover.values())
+    if len(subset) == 3:
+        return not any(c == 3 for c in cover.values())
+    if any(c >= 3 for c in cover.values()):
+        return False
+    twos = sorted(l for l, c in cover.items() if c == 2)
+    return not any(
+        (la, lb) in tfm.angle_index and subset <= tfm.line_points[la] | tfm.line_points[lb]
+        for la, lb in combinations(twos, 2)
+    )
 
 
 @pytest.mark.parametrize("n", [5, 10, 12])
@@ -110,6 +120,57 @@ def test_three_sets_match_cover_count_rule_on_build200(build200, data):
     rest = data.draw(st.lists(anywhere, min_size=3 - len(on_line), max_size=3 - len(on_line), unique=True))
     triple = frozenset(on_line + rest)
     assert tfm.is_independent(triple) == cover_count_rule(tfm, triple)
+
+
+def angle_only(tfm, quad):
+    # dependent by the angle rule alone: no line holds three of the points
+    return not any(len(quad & pts) >= 3 for pts in tfm.line_points) and not cover_count_rule(tfm, quad)
+
+
+@pytest.mark.parametrize("case", [5, 10, 12, "base3"])
+def test_four_sets_match_cover_count_rule_exhaustively(case, base3_grid):
+    if case == "base3":
+        tfm = TriangleFreeMatroid(prune_lines(base3_grid))
+    else:
+        tfm = build_construction(case).matroid
+    quads = [frozenset(q) for q in combinations(range(len(tfm.point_lines)), 4)]
+    verdicts = [tfm.is_independent(q) for q in quads]
+    assert verdicts == [cover_count_rule(tfm, q) for q in quads]
+    assert not all(verdicts)
+    assert any(angle_only(tfm, q) for q in quads)
+
+
+def spacious_angles(tfm):
+    # meeting line pairs of at least three points each: any two points of
+    # one leave two more on the other
+    return [
+        pair for pair in sorted(tfm.angle_index) if all(len(tfm.line_points[l]) >= 3 for l in pair)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_four_sets_match_cover_count_rule_on_build200(build200, data):
+    tfm = build200.matroid
+    kind = data.draw(st.sampled_from(["angle", "collinear", "scattered"]))
+    if kind == "angle":
+        # two points of each of two lines meeting at a configuration point
+        la, lb = data.draw(st.sampled_from(spacious_angles(tfm)))
+        first = data.draw(st.lists(st.sampled_from(sorted(tfm.line_points[la])), min_size=2, max_size=2, unique=True))
+        rest = sorted(tfm.line_points[lb] - set(first))
+        second = data.draw(st.lists(st.sampled_from(rest), min_size=2, max_size=2, unique=True))
+        quad = frozenset(first + second)
+    elif kind == "collinear":
+        # three points of one line and one more point
+        li = data.draw(st.sampled_from([i for i, pts in enumerate(tfm.line_points) if len(pts) >= 3]))
+        three = data.draw(st.lists(st.sampled_from(sorted(tfm.line_points[li])), min_size=3, max_size=3, unique=True))
+        other = st.integers(0, len(tfm.point_lines) - 1).filter(lambda p: p not in three)
+        quad = frozenset(three + [data.draw(other)])
+    else:
+        quad = frozenset(data.draw(st.lists(st.integers(0, len(tfm.point_lines) - 1), min_size=4, max_size=4, unique=True)))
+    assert tfm.is_independent(quad) == cover_count_rule(tfm, quad)
+    if kind != "scattered":
+        assert not tfm.is_independent(quad)
 
 
 def test_angle_dependence(build5):

@@ -12,7 +12,9 @@ from matroid_joints import core
 from matroid_joints.affine import affine_matroid, descriptor_flats, grid3d, point
 from matroid_joints.construct import TriangleFreeMatroid, behrend_points, grid_lines
 from matroid_joints.core import (
+    CheckResult,
     Flat,
+    IncidenceReport,
     Matroid,
     MatroidError,
     check_axioms,
@@ -267,6 +269,8 @@ def test_joint_witness_validates_like_is_joint():
         joint_witness(m, 99, lines)
     with pytest.raises(MatroidError):
         joint_witness(m, 0, [Flat(frozenset({0}), 1)])
+    with pytest.raises(MatroidError):
+        count_joints(m, [Flat(frozenset(), 2)])
 
 
 def union_witness(m, x, lines, n):
@@ -482,6 +486,26 @@ def test_submodularity_pairs_differ_in_rank(case, matroid200, monkeypatch):
 
 def test_incidence_properties_pass(random_q3):
     assert check_incidence_properties(random_q3, samples=400).ok
+
+
+def test_incidence_reports_are_pinned(build5):
+    # sampled indices are drawn from range(...) and the (line, plane) pair
+    # of an index is read by divmod; the draws, and so the verdicts and
+    # counterexamples, are those of sampling from the full pair lists
+    m = affine_matroid(grid3d(3)[0])
+    flips = {frozenset({3, 8, 15}), frozenset({18, 24, 25})}
+    broken = dataclasses.replace(m, span=None, oracle=lambda s: (s in flips) != m.oracle(s))
+    ok = CheckResult(core.PASS)
+    assert check_incidence_properties(build5.matroid.to_matroid()) == IncidenceReport(ok, ok, ok, ok, 24, 35)
+    assert check_incidence_properties(m) == IncidenceReport(ok, ok, ok, ok, 253, 491)
+    assert check_incidence_properties(broken, samples=100) == IncidenceReport(
+        CheckResult(core.FAIL, (18, 21), "2 lines"),
+        ok,
+        CheckResult(core.FAIL, ((18, 21, 24, 25), (11, 21, 25))),
+        CheckResult(core.FAIL, ((2, 13, 24), (18, 21, 24, 25)), "0 planes"),
+        253,
+        490,
+    )
 
 
 def test_incidence_rejects_non_simple():

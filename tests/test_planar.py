@@ -123,6 +123,28 @@ def test_prune_lines():
     assert pruned.points == cfg.points
 
 
+@pytest.mark.parametrize("case", ["build5", "build200", "base3"])
+def test_prune_lines_equals_configuration_of_kept_lines(case, request):
+    if case == "base3":
+        cfg = request.getfixturevalue("base3_grid")
+    else:
+        build = request.getfixturevalue(case)
+        cfg = Configuration(behrend_points(build.N, build.behrend), build.grid.lines)
+    kept = [l for l, pts in zip(cfg.lines, cfg.line_points) if len(pts) >= 2]
+    pruned, reference = prune_lines(cfg), Configuration(cfg.points, kept)
+    assert len(kept) < len(cfg.lines)
+    for attr in ("points", "lines", "line_points", "point_lines", "angle_index"):
+        assert getattr(pruned, attr) == getattr(reference, attr)
+    assert pruned.to_json() == reference.to_json()
+
+
+def test_grid_line_helpers_equal_canonical_lines():
+    for c in range(-9, 10):
+        assert horizontal(c) == line(0, 1, c)
+        assert vertical(c) == line(1, 0, c)
+        assert diagonal(c) == line(1, -1, c)
+
+
 def test_prune_idempotent():
     pts = [(a, b) for a in range(1, 4) for b in range(1, 4)]
     cfg = Configuration(pts, [horizontal(1), horizontal(9), vertical(2), diagonal(7)])
