@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -33,39 +34,89 @@ def heavy_plane_prune(
 ) -> tuple[list[Flat], list[PruneStep]]:
     """Repeatedly remove all lines lying in a plane with >= 2/epsilon of them.
 
-    Candidate planes are closures of unions of intersecting line pairs,
-    taken from the point -> line index; the heaviest plane goes first,
-    ties broken lexicographically on the plane's member list.
+    Candidate planes are the planes cl(l_i | l_j) of the line pairs that
+    meet at a point (``_meeting_planes``).  A plane does not change as
+    lines go, so each is closed once and its lines are found once; a step
+    counts the live lines of each plane that a meeting pair of two live
+    lines still generates.  The heaviest plane goes first, ties broken
+    lexicographically on the plane's member list; ``removed`` indexes the
+    line list as it was before the step.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise MatroidError("epsilon must be positive")
-    threshold = Fraction(2) / epsilon
+    threshold = math.ceil(2 / epsilon)  # an int count is >= 2/epsilon iff >= this
     lines = core._require_lines(m, lines)
-    survivors = list(lines)
+    candidates = _meeting_planes(m, lines)
+    alive = [True] * len(lines)
     trace: list[PruneStep] = []
     while True:
-        by_point = core._lines_by_point(m.size, survivors)
-        planes: dict[tuple, frozenset] = {}
-        for (i, j), shared in _common_points(by_point).items():
-            plane = _meeting_plane(m, survivors[i].members, survivors[j].members, shared[0])
-            planes.setdefault(tuple(sorted(plane)), plane)
         best: Optional[tuple] = None
-        best_contained: list[int] = []
-        for key in sorted(planes):
-            plane = planes[key]
-            touching = {i for x in plane for i in by_point[x]}
-            contained = sorted(i for i in touching if survivors[i].members <= plane)
-            if Fraction(len(contained)) < threshold:
+        best_held: list[int] = []
+        for plane, (held, pairs) in list(candidates.items()):
+            if not any(alive[i] and alive[j] for i, j in pairs):
+                del candidates[plane]
                 continue
-            if best is None or len(contained) > len(best_contained):
-                best, best_contained = key, contained
+            live = [i for i in held if alive[i]]
+            if len(live) < max(threshold, len(best_held)):
+                continue
+            key = tuple(sorted(plane))
+            if len(live) > len(best_held) or key < best:
+                best, best_held = key, live
         if best is None:
             break
-        trace.append(PruneStep(plane=best, removed=tuple(best_contained)))
-        removed = set(best_contained)
-        survivors = [f for i, f in enumerate(survivors) if i not in removed]
-    return survivors, trace
+        position = {i: k for k, i in enumerate(i for i, a in enumerate(alive) if a)}
+        trace.append(PruneStep(plane=best, removed=tuple(position[i] for i in best_held)))
+        for i in best_held:
+            alive[i] = False
+    return [f for f, a in zip(lines, alive) if a], trace
+
+
+def _meeting_planes(
+    m: Matroid, lines: list[Flat]
+) -> dict[frozenset, tuple[list[int], list[tuple[int, int]]]]:
+    """Each distinct plane cl(l_i | l_j) of a pair of lines meeting at a
+    point, with the ascending indices of the lines it holds and the
+    meeting pairs (i, j) that generate it.
+
+    One oracle call on the star {x, a_i, a_j} of a pair meeting at x (a_i
+    the smallest other member of l_i, read as in ``core.count_joints``)
+    picks the path.  An independent star lies in l_i | l_j, so when both
+    lines lie in a rank-3 plane P found earlier, r(star) = r(P) = 3 gives
+    cl(l_i | l_j) = P: the held line pairs of each such P are indexed for
+    that lookup.  Otherwise an independent star is a basis of the plane,
+    and any other pair goes through ``_meeting_plane``.  A new plane's
+    lines are found by their ends: a line whose two smallest members lie
+    in the plane is tested for containment.
+    """
+    ends = [core._two_smallest(f.members) for f in lines]
+    by_min: dict[int, list[int]] = {}
+    for i, (a, _) in enumerate(ends):
+        by_min.setdefault(a, []).append(i)
+    mins = frozenset(by_min)
+    plane_of: dict[tuple[int, int], frozenset] = {}  # held pair of a rank-3 plane -> it
+    planes: dict[frozenset, tuple[list[int], list[tuple[int, int]]]] = {}
+    for (i, j), shared in _common_points(core._lines_by_point(m.size, lines)).items():
+        star = core._star(shared[0], (ends[i], ends[j]))
+        rank3 = len(star) == 3 and m.oracle(star)
+        plane = plane_of.get((i, j)) if rank3 else None
+        if plane is None:
+            if rank3:
+                plane = core._closure_of(m, star, star)
+            else:
+                plane = _meeting_plane(m, lines[i].members, lines[j].members, shared[0])
+            if plane not in planes:
+                held = sorted(
+                    k
+                    for p in plane & mins
+                    for k in by_min[p]
+                    if ends[k][1] in plane and lines[k].members <= plane
+                )
+                planes[plane] = (held, [])
+                if rank3:
+                    plane_of.update(dict.fromkeys(combinations(held, 2), plane))
+        planes[plane][1].append((i, j))
+    return planes
 
 
 def _meeting_plane(m: Matroid, l1: frozenset, l2: frozenset, x: int) -> frozenset:
@@ -91,13 +142,13 @@ def degree_partition(
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise MatroidError("epsilon must be positive")
-    heavy = Fraction(4) / epsilon
+    heavy = math.ceil(4 / epsilon)  # an int degree is >= 4/epsilon iff >= this
     degrees = {x: 0 for x in range(m.size)}
     for f in lines:
         for x in f.members:
             degrees[x] += 1
-    e1 = {x for x, d in degrees.items() if Fraction(d) >= heavy}
-    e2 = {x for x, d in degrees.items() if 3 <= d and Fraction(d) < heavy}
+    e1 = {x for x, d in degrees.items() if d >= heavy}
+    e2 = {x for x, d in degrees.items() if 3 <= d < heavy}
     return e1, e2, degrees
 
 

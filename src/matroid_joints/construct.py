@@ -113,19 +113,21 @@ class TriangleFreeMatroid:
         B + e is dependent iff |B| = 4, or e lies on a line through two
         members of B (a collinear 3-set, or a line covering three of a
         4-set), or e lies on a line through the third member that meets
-        that line at a configuration point (an angle covering the 4-set).
-        Two distinct lines share at most one point, so a pair lies on at
-        most one line.
+        that line at a configuration point (an angle covering the 4-set),
+        which is a common member of the two lines' point sets.  Two
+        distinct lines share at most one point, so a pair lies on at most
+        one line.
         """
         if len(basis) >= 4:
             return frozenset(range(len(self.point_lines)))
         out = set(basis)
         for p, q in combinations(basis, 2):
-            for la in set(self.point_lines[p]).intersection(self.point_lines[q]):
-                out |= self.line_points[la]
+            for la in self.point_line_sets[p] & self.point_line_sets[q]:
+                on_la = self.line_points[la]
+                out |= on_la
                 for r in basis - {p, q}:
                     for lb in self.point_lines[r]:
-                        if (min(la, lb), max(la, lb)) in self.angle_index:
+                        if not on_la.isdisjoint(self.line_points[lb]):
                             out |= self.line_points[lb]
         return frozenset(out)
 

@@ -92,14 +92,14 @@ class Configuration:
         self.lines: tuple[IntLine, ...] = tuple(lines)
         if len(set(self.points)) != len(self.points):
             raise MatroidError("duplicate points in configuration")
-        if len(set(self.lines)) != len(self.lines):
-            raise MatroidError("duplicate lines in configuration")
         # a point lies on at most one line of each direction (A, B), so one
         # lookup of A*x + B*y per direction finds its lines; points are
-        # visited in index order, so each line's points come out ascending
+        # visited in index order, so each line's points come out ascending;
+        # a line given twice is a repeated C within one direction
         by_direction: dict[tuple[int, int], dict[int, int]] = {}
         for li, l in enumerate(self.lines):
-            by_direction.setdefault((l.A, l.B), {})[l.C] = li
+            if by_direction.setdefault((l.A, l.B), {}).setdefault(l.C, li) != li:
+                raise MatroidError("duplicate lines in configuration")
         if (0, 0) in by_direction:
             raise MatroidError("degenerate line: A = B = 0")
         line_points: list[list[int]] = [[] for _ in self.lines]

@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -18,6 +18,7 @@ from matroid_joints.analysis import (
     triangle_stats,
     write_sweep_csv,
 )
+from matroid_joints.construct import build_construction
 from matroid_joints.core import MatroidError, make_flat
 
 
@@ -55,6 +56,105 @@ def test_heavy_plane_prune_fixed_point(matroid200):
     assert len(resurvivors) == len(survivors)
 
 
+def reference_prune(m, lines, epsilon):
+    """A plain per-step prune: each step closes every meeting pair's plane
+    afresh and scans every line through every plane point."""
+    threshold = Fraction(2) / Fraction(epsilon)
+    survivors = list(lines)
+    trace = []
+    while True:
+        by_point = core._lines_by_point(m.size, survivors)
+        planes = {}
+        for (i, j), shared in analysis._common_points(by_point).items():
+            plane = analysis._meeting_plane(m, survivors[i].members, survivors[j].members, shared[0])
+            planes.setdefault(tuple(sorted(plane)), plane)
+        best, best_contained = None, []
+        for key in sorted(planes):
+            plane = planes[key]
+            touching = {i for x in plane for i in by_point[x]}
+            contained = sorted(i for i in touching if survivors[i].members <= plane)
+            if Fraction(len(contained)) < threshold:
+                continue
+            if best is None or len(contained) > len(best_contained):
+                best, best_contained = key, contained
+        if best is None:
+            break
+        trace.append(analysis.PruneStep(plane=best, removed=tuple(best_contained)))
+        removed = set(best_contained)
+        survivors = [f for i, f in enumerate(survivors) if i not in removed]
+    return survivors, trace
+
+
+def grid3d_subject(k):
+    pts, desc = grid3d(k)
+    m = affine_matroid(pts)
+    return m, descriptor_flats(m, desc)
+
+
+def thirteen_direction_grid(k):
+    """{0..k-1}^3 with every line in a direction of {-1, 0, 1}^3 that holds
+    at least three grid points."""
+    coords = [(a, b, c) for a in range(k) for b in range(k) for c in range(k)]
+    index = {t: i for i, t in enumerate(coords)}
+    m = affine_matroid([point(*t) for t in coords])
+    directions = [d for d in product((-1, 0, 1), repeat=3) if d > (0, 0, 0)]
+    lines = []
+    for d in directions:
+        for t in coords:
+            if tuple(a - b for a, b in zip(t, d)) in index:
+                continue  # not the first point of its line
+            run = []
+            while t in index:
+                run.append(index[t])
+                t = tuple(a + b for a, b in zip(t, d))
+            if len(run) >= 3:
+                lines.append(make_flat(m, run[:2]))
+    return m, lines
+
+
+PRUNE_SUBJECTS = (
+    [f"build{n}" for n in (*range(4, 41), 200)]
+    + [f"grid3d{k}" for k in range(2, 7)]
+    + ["thirteen3", "thirteen4", "doubled", "grid3d3_twice"]
+)
+
+
+@pytest.fixture(scope="module")
+def prune_subject(request, doubled_grid):
+    name = request.param
+    if name.startswith("build"):
+        b = build_construction(int(name[5:]))
+        return b.matroid.to_matroid(), b.matroid.matroid_lines()
+    if name == "doubled":
+        return doubled_grid
+    if name == "grid3d3_twice":
+        m, lines = grid3d_subject(3)
+        return m, lines + [lines[i] for i in (0, 4, 9, 13, 26)]
+    if name.startswith("thirteen"):
+        return thirteen_direction_grid(int(name[8:]))
+    return grid3d_subject(int(name[6:]))
+
+
+@pytest.mark.parametrize("prune_subject", PRUNE_SUBJECTS, indirect=True)
+def test_heavy_plane_prune_matches_reference(prune_subject):
+    # 4/5 puts 2/epsilon between two integers, where rounding it matters
+    m, lines = prune_subject
+    for eps in (Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(4, 5), 1, Fraction(3, 2), 5):
+        assert heavy_plane_prune(m, lines, eps) == reference_prune(m, lines, eps), eps
+
+
+def test_heavy_plane_prune_closes_each_plane_once(monkeypatch):
+    # grid3d(6): 648 meeting pairs (three per point) span the 18
+    # axis-parallel planes; a closure per meeting pair and step would take
+    # 648 on the first step alone
+    m, lines = grid3d_subject(6)
+    calls = []
+    closure_of = core._closure_of
+    monkeypatch.setattr(core, "_closure_of", lambda *a: calls.append(a) or closure_of(*a))
+    _, trace = heavy_plane_prune(m, lines, Fraction(1, 2))
+    assert (len(calls), len(trace)) == (18, 6)
+
+
 def test_degree_partition_thresholds(matroid200):
     m, lines = matroid200
     e1, e2, degrees = degree_partition(m, lines, Fraction(1))
@@ -63,6 +163,16 @@ def test_degree_partition_thresholds(matroid200):
     for x, d in degrees.items():
         if d <= 2:
             assert x not in e1 and x not in e2
+
+
+@pytest.mark.parametrize("subject", ["matroid200", "grid3d4"])
+def test_degree_partition_matches_fraction_rule(subject, matroid200):
+    m, lines = matroid200 if subject == "matroid200" else grid3d_subject(4)
+    for eps in (Fraction(3, 7), Fraction(2, 3), Fraction(5, 3)):
+        e1, e2, degrees = degree_partition(m, lines, eps)
+        heavy = Fraction(4) / eps
+        assert e1 == {x for x, d in degrees.items() if Fraction(d) >= heavy}
+        assert e2 == {x for x, d in degrees.items() if 3 <= d and Fraction(d) < heavy}
 
 
 def test_degree_sum_bounded_by_line_pairs(matroid200):
