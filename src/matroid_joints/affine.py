@@ -32,6 +32,11 @@ class RationalPoint:
 
 
 def point(*coords) -> RationalPoint:
+    """Raises MatroidError on a coordinate that is not an int (bool
+    excluded) or a Fraction; nothing is coerced."""
+    for c in coords:
+        if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+            raise MatroidError(f"coordinate {c!r} is not an int or a Fraction")
     return RationalPoint(tuple(Fraction(c) for c in coords))
 
 
@@ -176,17 +181,9 @@ def affine_matroid(points: Sequence[RationalPoint]) -> Matroid:
     return Matroid(labels=pts, oracle=oracle, span=span)
 
 
-@dataclass(frozen=True)
-class LineDescriptor:
-    """An axis-parallel grid line given by its member point indices."""
-
-    axis: int  # varying coordinate: 0 = x, 1 = y, 2 = z
-    fixed: tuple[int, int]  # values of the two fixed coordinates, in index order
-    members: tuple[int, ...]
-
-
-def grid3d(k: int) -> tuple[tuple[RationalPoint, ...], list[LineDescriptor]]:
-    """The {1..k}^3 grid with its 3k^2 axis-parallel lines.
+def grid3d(k: int) -> tuple[tuple[RationalPoint, ...], list[tuple[int, ...]]]:
+    """The {1..k}^3 grid with its 3k^2 axis-parallel lines, each line the
+    tuple of its member point indices.
 
     Every grid point lies on exactly three of these lines, one per axis.
     """
@@ -200,19 +197,13 @@ def grid3d(k: int) -> tuple[tuple[RationalPoint, ...], list[LineDescriptor]]:
     def at(x: int, y: int, z: int) -> int:
         return index[x, y, z]
 
-    lines = []
-    for a in coords:
-        for b in coords:
-            lines.append(LineDescriptor(0, (a, b), tuple(at(t, a, b) for t in coords)))
-    for a in coords:
-        for b in coords:
-            lines.append(LineDescriptor(1, (a, b), tuple(at(a, t, b) for t in coords)))
-    for a in coords:
-        for b in coords:
-            lines.append(LineDescriptor(2, (a, b), tuple(at(a, b, t) for t in coords)))
+    lines = [tuple(at(t, a, b) for t in coords) for a in coords for b in coords]
+    lines += [tuple(at(a, t, b) for t in coords) for a in coords for b in coords]
+    lines += [tuple(at(a, b, t) for t in coords) for a in coords for b in coords]
     return pts, lines
 
 
-def descriptor_flats(m: Matroid, lines: Iterable[LineDescriptor]) -> list[Flat]:
-    """Matroid lines for the descriptors: closures of a point pair on each."""
-    return [make_flat(m, desc.members[:2]) for desc in lines]
+def descriptor_flats(m: Matroid, lines: Iterable[Sequence[int]]) -> list[Flat]:
+    """Matroid lines for the member-index tuples: closures of a point pair
+    on each."""
+    return [make_flat(m, members[:2]) for members in lines]

@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 from . import core
 from .core import Flat, Matroid, MatroidError
 from .construct import build_construction
-from .planar import triple_points
+from .planar import _triangles_at, triple_points
 
 
 @dataclass
@@ -85,9 +85,9 @@ def _meeting_planes(
     lines lie in a rank-3 plane P found earlier, r(star) = r(P) = 3 gives
     cl(l_i | l_j) = P: the held line pairs of each such P are indexed for
     that lookup.  Otherwise an independent star is a basis of the plane,
-    and any other pair goes through ``_meeting_plane``.  A new plane's
-    lines are found by their ends: a line whose two smallest members lie
-    in the plane is tested for containment.
+    and any other pair's plane is ``core.closure`` of the union.  A new
+    plane's lines are found by their ends: a line whose two smallest
+    members lie in the plane is tested for containment.
     """
     ends = [core._two_smallest(f.members) for f in lines]
     by_min: dict[int, list[int]] = {}
@@ -104,7 +104,7 @@ def _meeting_planes(
             if rank3:
                 plane = core._closure_of(m, star, star)
             else:
-                plane = _meeting_plane(m, lines[i].members, lines[j].members, shared[0])
+                plane = core.closure(m, lines[i].members | lines[j].members)
             if plane not in planes:
                 held = sorted(
                     k
@@ -117,22 +117,6 @@ def _meeting_planes(
                     plane_of.update(dict.fromkeys(combinations(held, 2), plane))
         planes[plane][1].append((i, j))
     return planes
-
-
-def _meeting_plane(m: Matroid, l1: frozenset, l2: frozenset, x: int) -> frozenset:
-    """cl(l1 | l2) for two lines meeting at x.
-
-    cl{x, a, b}, with a and b the smallest other members of the lines, is
-    that plane whenever it holds both lines (then cl(l1 | l2) lies in it
-    and it lies in cl(l1 | l2)); a three-point basis scan replaces one of
-    |l1 | l2| points.  In a simple matroid it always holds them, since each
-    line is the closure of any two of its points; otherwise the union is
-    closed.
-    """
-    plane = core.closure(m, core._star(x, map(core._two_smallest, (l1, l2))))
-    if l1 <= plane and l2 <= plane:
-        return plane
-    return core.closure(m, l1 | l2)
 
 
 def degree_partition(
@@ -199,26 +183,22 @@ class TriangleStats:
 
 def triangle_stats(g: IntersectionGraph) -> TriangleStats:
     """Exact triangle counts; a triangle is degenerate when its three
-    edges share one witness point (three lines through one point)."""
-    adj = g.adjacency()
-    total = 0
-    degenerate = 0
-    per_witness: dict[int, int] = {}
-    for i in range(g.n):
-        for j in sorted(adj[i]):
-            if j <= i:
-                continue
-            for k in sorted(adj[i] & adj[j]):
-                if k <= j:
-                    continue
-                total += 1
-                w1 = g.edges[(i, j)]
-                w2 = g.edges[(i, k)]
-                w3 = g.edges[(j, k)]
-                if w1 == w2 == w3:
-                    degenerate += 1
-                    per_witness[w1] = per_witness.get(w1, 0) + 1
-    return TriangleStats(total=total, degenerate=degenerate, per_witness=per_witness)
+    edges share one witness point (three lines through one point).
+
+    ``intersection_graph`` rejects two lines that share two points, so a
+    triangle's three witnesses are all one point or three distinct ones.
+    The d lines of a witness's edges pairwise meet there and give C(d, 3)
+    degenerate triangles; the others come from ``planar._triangles_at``
+    walking the edges as a meeting map.
+    """
+    lines_at: dict[int, set[int]] = {}
+    for pair, w in g.edges.items():
+        lines_at.setdefault(w, set()).update(pair)
+    at = sorted((w, sorted(ls)) for w, ls in lines_at.items())
+    per_witness = {w: math.comb(len(ls), 3) for w, ls in at if len(ls) >= 3}
+    degenerate = sum(per_witness.values())
+    crossing = sum(len(found) for found in _triangles_at(g.edges, g.n, at))
+    return TriangleStats(total=degenerate + crossing, degenerate=degenerate, per_witness=per_witness)
 
 
 @dataclass
@@ -231,7 +211,6 @@ class AnalysisReport:
     joints_after_prune: int
     E1_size: int
     E2_size: int
-    graph_vertices: int
     graph_edges: int
     triangles: int
     degenerate_triples: int
@@ -256,7 +235,6 @@ def analyze(m: Matroid, lines: list[Flat], epsilon: Fraction) -> AnalysisReport:
         joints_after_prune=joints_after,
         E1_size=len(e1),
         E2_size=len(e2),
-        graph_vertices=g.n,
         graph_edges=len(g.edges),
         triangles=stats.total,
         degenerate_triples=stats.degenerate,

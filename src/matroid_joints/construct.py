@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
 from . import core
 from .behrend import BehrendSet, behrend_set
@@ -59,10 +60,10 @@ def grid_lines(N: int) -> GridFamily:
     return GridFamily(N=N, lines=tuple(lines))
 
 
-def behrend_points(N: int, b) -> list[Point]:
-    """Grid points (a, b) with 1 <= a, b <= N and a + b in the given set,
+def behrend_points(N: int, sums: Iterable[int]) -> list[Point]:
+    """Grid points (a, b) with 1 <= a, b <= N and a + b in the given sums,
     ordered by a, then b: for each a, b = s - a over the sums s ascending."""
-    sums = sorted(set(b.members if isinstance(b, BehrendSet) else b))
+    sums = sorted(set(sums))
     return [(x, s - x) for x in range(1, N + 1) for s in sums if 1 <= s - x <= N]
 
 
@@ -171,7 +172,7 @@ def build_construction(N: int) -> ConstructionBuild:
     if N < 4:
         raise MatroidError("build_construction requires N >= 4")
     b = behrend_set(N)
-    pts = behrend_points(N, b)
+    pts = behrend_points(N, b.members)
     grid = grid_lines(N)
     config = prune_lines(Configuration(pts, grid.lines))
     if not is_triangle_free(config):

@@ -51,7 +51,8 @@ class Matroid:
     def _subset(self, subset: Iterable[int]) -> frozenset:
         s = frozenset(subset)
         for e in s:
-            if not (isinstance(e, int) and 0 <= e < len(self.labels)):
+            # bool is an int subclass, and True is not element 1
+            if isinstance(e, bool) or not (isinstance(e, int) and 0 <= e < len(self.labels)):
                 raise MatroidError(f"element {e!r} not in ground set of size {len(self.labels)}")
         return s
 

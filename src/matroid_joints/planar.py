@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import MatroidError
 
@@ -164,20 +164,35 @@ def find_triangles(cfg: Configuration, limit: Optional[int] = None) -> list[Tria
     A triangle is three distinct points and three distinct lines with each
     line incident to exactly two of the points.  ``limit`` (at least 1)
     caps the number of records returned.
-
-    At each point x, a line l3 that meets two lines l1 < l2 through x (the
-    bitmasks ``meets``) but not at x closes a triangle, since two lines share
-    at most one point.  A triangle is kept at its smallest vertex only.
     """
     if limit is not None and limit < 1:
         raise MatroidError(f"limit must be at least 1, got {limit}")
-    angle = cfg.angle_index
-    meets = [0] * len(cfg.lines)
+    out: list[Triangle] = []
+    for found in _triangles_at(cfg.angle_index, len(cfg.lines), enumerate(cfg.point_lines)):
+        out += sorted(found, key=lambda t: t.points)
+        if limit is not None and len(out) >= limit:
+            return out[:limit]
+    return out
+
+
+def _triangles_at(
+    angle: dict[tuple[int, int], int],
+    n_lines: int,
+    point_lines: Iterable[tuple[int, Sequence[int]]],
+) -> Iterator[list[Triangle]]:
+    """For each point x with its ascending lines, the triangles whose
+    smallest vertex is x; ``angle`` maps each pair of lines a < b that
+    meet to their meeting point, and two lines through x meet there.
+
+    A line l3 that meets two lines l1 < l2 through x (the bitmasks
+    ``meets``) but not at x closes a triangle, since two lines share at
+    most one point.
+    """
+    meets = [0] * n_lines
     for a, b in angle:
         meets[a] |= 1 << b
         meets[b] |= 1 << a
-    out: list[Triangle] = []
-    for x, ls in enumerate(cfg.point_lines):
+    for x, ls in point_lines:
         through = sum(1 << l for l in ls)
         found = []
         for l1, l2 in combinations(ls, 2):
@@ -191,10 +206,7 @@ def find_triangles(cfg: Configuration, limit: Optional[int] = None) -> list[Tria
                     found.append(Triangle((x, p, q), (l1, l2, l3)))
                 elif x < q < p:
                     found.append(Triangle((x, q, p), (l2, l1, l3)))
-        out += sorted(found, key=lambda t: t.points)
-        if limit is not None and len(out) >= limit:
-            return out[:limit]
-    return out
+        yield found
 
 
 def is_triangle_free(cfg: Configuration) -> bool:

@@ -67,7 +67,7 @@ def doubled_grid():
         return base.oracle(s)
 
     m = Matroid(pts + (pts[0],), oracle)
-    return m, [make_flat(m, d.members[:2]) for d in desc]
+    return m, [make_flat(m, d[:2]) for d in desc]
 
 
 @pytest.fixture(scope="session")

@@ -140,6 +140,15 @@ def test_affine_matroid_rejects_duplicates():
         affine_matroid([point(0, 0), point(0, 0)])
 
 
+def test_point_rejects_coordinates_it_would_coerce():
+    # Fraction(0.1) is a binary float's value, Fraction(True) is 1 and
+    # Fraction("1/3") parses a string: none of them is an exact coordinate
+    for bad in (0.1, True, "1/3"):
+        with pytest.raises(MatroidError, match="not an int or a Fraction"):
+            point(0, bad)
+    assert point(-2, Fraction(1, 3)).coords == (Fraction(-2), Fraction(1, 3))
+
+
 def test_grid3d_counts():
     pts, lines = grid3d(2)
     assert len(pts) == 8 and len(lines) == 12
@@ -164,7 +173,7 @@ def test_descriptor_flats_cover_descriptor_points():
     m = affine_matroid(pts)
     lines = descriptor_flats(m, desc)
     for d, f in zip(desc, lines):
-        assert frozenset(d.members) == f.members
+        assert frozenset(d) == f.members
         assert f.rank == 2
 
 

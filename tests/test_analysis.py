@@ -65,8 +65,8 @@ def reference_prune(m, lines, epsilon):
     while True:
         by_point = core._lines_by_point(m.size, survivors)
         planes = {}
-        for (i, j), shared in analysis._common_points(by_point).items():
-            plane = analysis._meeting_plane(m, survivors[i].members, survivors[j].members, shared[0])
+        for i, j in analysis._common_points(by_point):
+            plane = core.closure(m, survivors[i].members | survivors[j].members)
             planes.setdefault(tuple(sorted(plane)), plane)
         best, best_contained = None, []
         for key in sorted(planes):
@@ -115,7 +115,7 @@ def thirteen_direction_grid(k):
 PRUNE_SUBJECTS = (
     [f"build{n}" for n in (*range(4, 41), 200)]
     + [f"grid3d{k}" for k in range(2, 7)]
-    + ["thirteen3", "thirteen4", "doubled", "grid3d3_twice"]
+    + ["thirteen3", "thirteen4", "doubled", "grid3d3_twice", "q3"]
 )
 
 
@@ -130,6 +130,10 @@ def prune_subject(request, doubled_grid):
     if name == "grid3d3_twice":
         m, lines = grid3d_subject(3)
         return m, lines + [lines[i] for i in (0, 4, 9, 13, 26)]
+    if name == "q3":
+        # the 3 x 3 x 2 grid with every line: most lines hold two points
+        m = affine_matroid([point(a, b, c) for a in range(3) for b in range(3) for c in range(2)])
+        return m, core.flats_of_rank(m, 2)
     if name.startswith("thirteen"):
         return thirteen_direction_grid(int(name[8:]))
     return grid3d_subject(int(name[6:]))
@@ -189,27 +193,6 @@ def test_intersection_graph_disjoint_lines():
     assert g.edges == {}
 
 
-@pytest.mark.parametrize("case", ["grid3d", "doubled", "q3", "build200"])
-def test_meeting_plane_is_closure_of_union(case, matroid200, doubled_grid):
-    if case == "grid3d":
-        pts, desc = grid3d(3)
-        m = affine_matroid(pts)
-        lines = descriptor_flats(m, desc)
-    elif case == "doubled":
-        m, lines = doubled_grid
-    elif case == "q3":
-        m = affine_matroid([point(a, b, c) for a in range(3) for b in range(3) for c in range(2)])
-        lines = core.flats_of_rank(m, 2)
-    else:
-        m, lines = matroid200
-    pairs = 0
-    for l1, l2 in combinations([f.members for f in lines], 2):
-        for x in l1 & l2:
-            pairs += 1
-            assert analysis._meeting_plane(m, l1, l2, x) == core.closure(m, l1 | l2)
-    assert pairs
-
-
 def test_construction_planes_hold_two_lines(matroid200):
     # in a triangle-free configuration the plane of two meeting lines is
     # their union, so it holds those two lines alone; 2 / epsilon > 2 for
@@ -219,7 +202,7 @@ def test_construction_planes_hold_two_lines(matroid200):
     for l1, l2 in combinations([f.members for f in lines], 2):
         for x in l1 & l2:
             pairs += 1
-            assert analysis._meeting_plane(m, l1, l2, x) == l1 | l2
+            assert core.closure(m, l1 | l2) == l1 | l2
     assert pairs == 350
     assert heavy_plane_prune(m, lines, Fraction(99, 100)) == (lines, [])
 
@@ -255,6 +238,56 @@ def test_each_degree3_joint_contributes_triangle(matroid200):
     assert stats.degenerate <= sum(math.comb(degrees[x], 3) for x in e2)
     for x, count in stats.per_witness.items():
         assert count <= math.comb(degrees[x], 3)
+
+
+def reference_triangle_stats(g):
+    """The adjacency-set triple loop: every i < j < k pairwise adjacent,
+    degenerate when its three witnesses are one point."""
+    adj = g.adjacency()
+    total = degenerate = 0
+    per_witness = {}
+    for i in range(g.n):
+        for j in sorted(adj[i]):
+            if j <= i:
+                continue
+            for k in sorted(adj[i] & adj[j]):
+                if k <= j:
+                    continue
+                total += 1
+                w1, w2, w3 = g.edges[(i, j)], g.edges[(i, k)], g.edges[(j, k)]
+                if w1 == w2 == w3:
+                    degenerate += 1
+                    per_witness[w1] = per_witness.get(w1, 0) + 1
+    return analysis.TriangleStats(total=total, degenerate=degenerate, per_witness=per_witness)
+
+
+@pytest.mark.parametrize("prune_subject", PRUNE_SUBJECTS, indirect=True)
+def test_triangle_stats_matches_reference(prune_subject):
+    m, lines = prune_subject
+    for eps in (Fraction(1, 20), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), 1):
+        survivors, _ = heavy_plane_prune(m, lines, eps)
+        for subset in (lines, survivors):
+            _, e2, _ = degree_partition(m, subset, eps)
+            try:
+                g = intersection_graph(m, subset, e2)
+            except MatroidError:
+                # a line given twice, or two lines through a parallel pair
+                assert any(len(a.members & b.members) > 1 for a, b in combinations(subset, 2))
+                continue
+            assert triangle_stats(g) == reference_triangle_stats(g), eps
+
+
+def test_triangle_stats_counts_crossing_triangles():
+    # after the 1/4 prune, the 13-direction grid k = 3 keeps triangles
+    # whose three witnesses are distinct points
+    m, lines = thirteen_direction_grid(3)
+    eps = Fraction(1, 4)
+    survivors, _ = heavy_plane_prune(m, lines, eps)
+    _, e2, _ = degree_partition(m, survivors, eps)
+    g = intersection_graph(m, survivors, e2)
+    stats = triangle_stats(g)
+    assert stats == reference_triangle_stats(g)
+    assert stats.total - stats.degenerate == 20
 
 
 def test_degenerate_triangles_are_edge_disjoint(matroid200):

@@ -51,9 +51,8 @@ def test_behrend_points_match_grid_scan():
     rng = random.Random(3)
     for n in range(1, 301):
         random_sums = rng.sample(range(-3, 2 * n + 4), rng.randint(0, min(2 * n + 7, 40)))
-        for sums in (behrend_set(n), frozenset(random_sums)):
-            members = set(sums.members if isinstance(sums, BehrendSet) else sums)
-            grid = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1) if x + y in members]
+        for sums in (behrend_set(n).members, frozenset(random_sums)):
+            grid = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1) if x + y in sums]
             assert behrend_points(n, sums) == grid
 
 

@@ -92,6 +92,13 @@ def test_rank_rejects_foreign_elements(square):
         rank(square, {99})
 
 
+def test_bool_is_not_an_element(square):
+    # True == 1 and False == 0, but neither names a ground-set element
+    for subset in ([True], [False], [0, True]):
+        with pytest.raises(MatroidError, match="not in ground set"):
+            rank(square, subset)
+
+
 def test_greedy_rank_matches_brute_force(random_q3):
     rng = random.Random(1)
     for _ in range(50):

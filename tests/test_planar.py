@@ -129,7 +129,7 @@ def test_prune_lines_equals_configuration_of_kept_lines(case, request):
         cfg = request.getfixturevalue("base3_grid")
     else:
         build = request.getfixturevalue(case)
-        cfg = Configuration(behrend_points(build.N, build.behrend), build.grid.lines)
+        cfg = Configuration(behrend_points(build.N, build.behrend.members), build.grid.lines)
     kept = [l for l, pts in zip(cfg.lines, cfg.line_points) if len(pts) >= 2]
     pruned, reference = prune_lines(cfg), Configuration(cfg.points, kept)
     assert len(kept) < len(cfg.lines)
