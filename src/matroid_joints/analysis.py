@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from . import core
-from .core import Flat, Matroid, MatroidError
+from .core import Flat, Matroid, MatroidError, _common_points
 from .construct import build_construction
 from .planar import _triangles_at, triple_points
 
@@ -127,10 +127,7 @@ def degree_partition(
     if epsilon <= 0:
         raise MatroidError("epsilon must be positive")
     heavy = math.ceil(4 / epsilon)  # an int degree is >= 4/epsilon iff >= this
-    degrees = {x: 0 for x in range(m.size)}
-    for f in lines:
-        for x in f.members:
-            degrees[x] += 1
+    degrees = {x: len(through) for x, through in enumerate(core._lines_by_point(m.size, lines))}
     e1 = {x for x, d in degrees.items() if d >= heavy}
     e2 = {x for x, d in degrees.items() if 3 <= d < heavy}
     return e1, e2, degrees
@@ -162,16 +159,6 @@ def intersection_graph(m: Matroid, lines: list[Flat], e2: set[int]) -> Intersect
         if shared[0] in e2:
             edges[(i, j)] = shared[0]
     return IntersectionGraph(n=len(lines), edges=edges)
-
-
-def _common_points(by_point: list[list[int]]) -> dict[tuple[int, int], list[int]]:
-    """For each pair of lines with a point in common, in ascending (i, j)
-    order, their common points; the pairs come from the point -> line index."""
-    common: dict[tuple[int, int], list[int]] = {}
-    for x, through in enumerate(by_point):
-        for pair in combinations(through, 2):
-            common.setdefault(pair, []).append(x)
-    return dict(sorted(common.items()))
 
 
 @dataclass
@@ -220,6 +207,7 @@ class AnalysisReport:
 def analyze(m: Matroid, lines: list[Flat], epsilon: Fraction) -> AnalysisReport:
     """Run the full pipeline on one instance and record every statistic."""
     epsilon = Fraction(epsilon)
+    intersection_graph(m, core._require_lines(m, lines), set())  # two lines sharing two points raise
     joints_initial = core.count_joints(m, lines)
     survivors, trace = heavy_plane_prune(m, lines, epsilon)
     joints_after = core.count_joints(m, survivors) if trace else joints_initial

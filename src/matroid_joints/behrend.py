@@ -63,10 +63,10 @@ def _digit_bound(N: int, n: int) -> int:
 SHELL_BUDGET = 2_000_000
 
 
-def sphere_shells(n: int, s: int, budget: int = SHELL_BUDGET) -> dict[int, list[tuple[int, ...]]]:
+def sphere_shells(n: int, s: int) -> dict[int, list[tuple[int, ...]]]:
     """Partition {0..s-1}^n by squared Euclidean norm."""
-    if s ** n > budget:
-        raise MatroidError(f"shell enumeration of {s}^{n} points exceeds budget {budget}")
+    if s ** n > SHELL_BUDGET:
+        raise MatroidError(f"shell enumeration of {s}^{n} points exceeds budget {SHELL_BUDGET}")
     shells: dict[int, list[tuple[int, ...]]] = {}
     for x in product(range(s), repeat=n):
         shells.setdefault(sum(v * v for v in x), []).append(x)

@@ -16,7 +16,7 @@ from . import affine, analysis, core
 from .behrend import behrend_set, has_3ap, optimal_3ap_free
 from .construct import ConstructionError, TriangleFreeMatroid, build_construction, verify_construction_properties
 from .core import MatroidError
-from .planar import Configuration, is_triangle_free, triple_points
+from .planar import Configuration, _exact_int, is_triangle_free, triple_points
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 3
@@ -133,6 +133,9 @@ def cmd_verify(args) -> int:
     with open(args.dump) as fh:
         data = json.load(fh)
     config = Configuration.from_json(data)
+    for key in ("N", "triple_points"):
+        if data.get(key) is not None:
+            _exact_int(data[key])
     if any(len(pts) < 2 for pts in config.line_points):
         sys.stderr.write("error: dump is not a pruned configuration\n")
         return VERIFY_ERROR

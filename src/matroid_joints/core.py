@@ -41,10 +41,6 @@ class Matroid:
     def size(self) -> int:
         return len(self.labels)
 
-    @property
-    def ground(self) -> frozenset:
-        return frozenset(range(len(self.labels)))
-
     def is_independent(self, subset: Iterable[int]) -> bool:
         return self.oracle(self._subset(subset))
 
@@ -154,12 +150,22 @@ def coplanar(m: Matroid, lines: list[Flat]) -> bool:
 
 
 def _lines_by_point(size: int, lines: list[Flat]) -> list[list[int]]:
-    """For each element, the ascending indices of the lines through it."""
+    """For each element, the ascending indices of the lines (or planes) through it."""
     by_point: list[list[int]] = [[] for _ in range(size)]
     for i, f in enumerate(lines):
         for x in f.members:
             by_point[x].append(i)
     return by_point
+
+
+def _common_points(by_point: list[list[int]]) -> dict[tuple[int, int], list[int]]:
+    """For each pair of lines with a point in common, in ascending (i, j)
+    order, their common points; the pairs come from the point -> line index."""
+    common: dict[tuple[int, int], list[int]] = {}
+    for x, through in enumerate(by_point):
+        for pair in combinations(through, 2):
+            common.setdefault(pair, []).append(x)
+    return dict(sorted(common.items()))
 
 
 def _two_smallest(members: frozenset) -> tuple[int, int]:
@@ -404,6 +410,8 @@ def check_submodularity(m: Matroid, pairs: int, rng_seed: int = 0) -> Submodular
     plus the two elements that follow it in that order, so that the four
     ranks differ and the inequality has something to test.
     """
+    if pairs < 1:
+        raise MatroidError(f"pairs must be at least 1, got {pairs}")
     rng = random.Random(rng_seed)
     report = SubmodularityReport(pairs_checked=pairs)
     for _ in range(pairs):
@@ -437,8 +445,11 @@ def check_incidence_properties(m: Matroid, rng_seed: int = 0, samples: int = 100
 
     Raises MatroidError (naming the violating subset) when the matroid is
     not simple.  Properties over pairs/triples are checked exhaustively
-    when their count is at most ``samples``, otherwise on a seeded sample.
+    when their count is at most ``samples`` (at least 1), otherwise on a
+    seeded sample; the flats through a point come from ``_lines_by_point``.
     """
+    if samples < 1:
+        raise MatroidError(f"samples must be at least 1, got {samples}")
     for e in range(m.size):
         if not m.oracle(frozenset({e})):
             raise MatroidError(f"matroid is not simple: singleton {{{e}}} is dependent")
@@ -451,6 +462,9 @@ def check_incidence_properties(m: Matroid, rng_seed: int = 0, samples: int = 100
     planes = flats_of_rank(m, 3)
     line_sets = [f.members for f in lines]
     plane_sets = [f.members for f in planes]
+    by_point = _lines_by_point(m.size, lines)
+    lines_at = [set(through) for through in by_point]
+    planes_at = [set(through) for through in _lines_by_point(m.size, planes)]
 
     def sample_or_all(total: int) -> Iterable[int]:
         """All of range(total), or a seeded sample of ``samples`` of it, ascending."""
@@ -464,7 +478,7 @@ def check_incidence_properties(m: Matroid, rng_seed: int = 0, samples: int = 100
     # (1) any two points lie in exactly one line
     r1 = CheckResult(PASS)
     for a, b in pick(list(combinations(range(m.size), 2))):
-        n_lines = sum(1 for s in line_sets if a in s and b in s)
+        n_lines = len(lines_at[a] & lines_at[b])
         if n_lines != 1:
             r1 = CheckResult(FAIL, counterexample=(a, b), detail=f"{n_lines} lines")
             break
@@ -472,9 +486,9 @@ def check_incidence_properties(m: Matroid, rng_seed: int = 0, samples: int = 100
     # (2) three non-collinear points lie in exactly one plane
     r2 = CheckResult(PASS)
     for t in pick(list(combinations(range(m.size), 3))):
-        if any(set(t) <= s for s in line_sets):
+        if set.intersection(*(lines_at[x] for x in t)):
             continue
-        n_planes = sum(1 for s in plane_sets if set(t) <= s)
+        n_planes = len(set.intersection(*(planes_at[x] for x in t)))
         if n_planes != 1:
             r2 = CheckResult(FAIL, counterexample=t, detail=f"{n_planes} planes")
             break
@@ -490,14 +504,8 @@ def check_incidence_properties(m: Matroid, rng_seed: int = 0, samples: int = 100
 
     # (4) two intersecting lines lie in a unique plane
     r4 = CheckResult(PASS)
-    meeting = [
-        (i, j)
-        for i, j in combinations(range(len(lines)), 2)
-        if line_sets[i] & line_sets[j]
-    ]
-    for i, j in pick(meeting):
-        union = line_sets[i] | line_sets[j]
-        n_planes = sum(1 for s in plane_sets if union <= s)
+    for i, j in pick(list(_common_points(by_point))):
+        n_planes = len(set.intersection(*(planes_at[x] for x in line_sets[i] | line_sets[j])))
         if n_planes != 1:
             r4 = CheckResult(
                 FAIL,

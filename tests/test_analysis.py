@@ -215,6 +215,19 @@ def test_intersection_graph_rejects_lines_sharing_two_points():
         intersection_graph(m, lines, set())
 
 
+def test_analyze_rejects_a_repeated_line_before_pruning(monkeypatch):
+    # the prune removes the copies at epsilon 1/2, so only a check made
+    # before it sees them, whatever epsilon is
+    m, lines = grid3d_subject(3)
+    twice = lines + [lines[i] for i in (0, 4, 9, 13, 26)]
+    pruned = []
+    monkeypatch.setattr(analysis, "heavy_plane_prune", lambda *a: pruned.append(a))
+    for eps in (Fraction(1, 2), Fraction(1, 20)):
+        with pytest.raises(MatroidError, match="lines 0 and 27 share 3 points"):
+            analyze(m, twice, eps)
+    assert pruned == []
+
+
 def test_intersection_graph_witnesses(matroid200):
     m, lines = matroid200
     _, e2, degrees = degree_partition(m, lines, Fraction(1, 2))

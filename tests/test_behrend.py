@@ -62,7 +62,7 @@ def test_sphere_shells_n1_singletons():
 
 def test_sphere_shells_budget():
     with pytest.raises(MatroidError):
-        sphere_shells(10, 10, budget=10**6)
+        sphere_shells(10, 10)
 
 
 def _collinear(a, b, c):

@@ -171,6 +171,8 @@ _LINE = {"A": 0, "B": 1, "C": 1}
         {"points": _TWO_POINTS, "lines": [{"A": False, "B": True, "C": 1}]},
         {"points": [[1, 1, 7], [2, 1]], "lines": [_LINE]},
         {"points": 5, "lines": [_LINE]},
+        {"points": _TWO_POINTS, "lines": [_LINE], "N": [1]},
+        {"points": _TWO_POINTS, "lines": [_LINE], "triple_points": "x"},
     ],
     ids=[
         "no-points",
@@ -179,6 +181,8 @@ _LINE = {"A": 0, "B": 1, "C": 1}
         "bool-coefficient",
         "point-triple",
         "points-not-a-list",
+        "N-not-an-int",
+        "triple-points-not-an-int",
     ],
 )
 def test_verify_rejects_malformed_dump(capsys, tmp_path, data):

@@ -515,6 +515,127 @@ def test_incidence_reports_are_pinned(build5):
     )
 
 
+def reference_incidence(m, rng_seed=0, samples=1000):
+    """The scanning incidence check: every line or plane is tested for each
+    sampled pair, triple or meeting pair, and the meeting pairs come from
+    all pairs of lines."""
+    for e in range(m.size):
+        if not m.oracle(frozenset({e})):
+            raise MatroidError(f"matroid is not simple: singleton {{{e}}} is dependent")
+    for a, b in combinations(range(m.size), 2):
+        if not m.oracle(frozenset({a, b})):
+            raise MatroidError(f"matroid is not simple: pair {{{a}, {b}}} is dependent")
+
+    rng = random.Random(rng_seed)
+    lines = core.flats_of_rank(m, 2)
+    planes = core.flats_of_rank(m, 3)
+    line_sets = [f.members for f in lines]
+    plane_sets = [f.members for f in planes]
+
+    def sample_or_all(total):
+        if total <= samples:
+            return range(total)
+        return sorted(rng.sample(range(total), samples))
+
+    def pick(items):
+        return [items[k] for k in sample_or_all(len(items))]
+
+    r1 = CheckResult(core.PASS)
+    for a, b in pick(list(combinations(range(m.size), 2))):
+        n_lines = sum(1 for s in line_sets if a in s and b in s)
+        if n_lines != 1:
+            r1 = CheckResult(core.FAIL, counterexample=(a, b), detail=f"{n_lines} lines")
+            break
+
+    r2 = CheckResult(core.PASS)
+    for t in pick(list(combinations(range(m.size), 3))):
+        if any(set(t) <= s for s in line_sets):
+            continue
+        n_planes = sum(1 for s in plane_sets if set(t) <= s)
+        if n_planes != 1:
+            r2 = CheckResult(core.FAIL, counterexample=t, detail=f"{n_planes} planes")
+            break
+
+    r3 = CheckResult(core.PASS)
+    for k in sample_or_all(len(lines) * len(planes)):
+        i, j = divmod(k, len(planes))
+        if len(line_sets[i] & plane_sets[j]) >= 2 and not line_sets[i] <= plane_sets[j]:
+            r3 = CheckResult(core.FAIL, counterexample=(tuple(sorted(line_sets[i])), tuple(sorted(plane_sets[j]))))
+            break
+
+    r4 = CheckResult(core.PASS)
+    meeting = [(i, j) for i, j in combinations(range(len(lines)), 2) if line_sets[i] & line_sets[j]]
+    for i, j in pick(meeting):
+        union = line_sets[i] | line_sets[j]
+        n_planes = sum(1 for s in plane_sets if union <= s)
+        if n_planes != 1:
+            r4 = CheckResult(
+                core.FAIL,
+                counterexample=(tuple(sorted(line_sets[i])), tuple(sorted(line_sets[j]))),
+                detail=f"{n_planes} planes",
+            )
+            break
+
+    return IncidenceReport(r1, r2, r3, r4, lines=len(lines), planes=len(planes))
+
+
+def flipped_grid3d3():
+    """grid3d(3) with the oracle of two 3-sets flipped: a matroid that
+    breaks properties (1), (3) and (4)."""
+    m = affine_matroid(grid3d(3)[0])
+    flips = {frozenset({3, 8, 15}), frozenset({18, 24, 25})}
+    return dataclasses.replace(m, span=None, oracle=lambda s: (s in flips) != m.oracle(s))
+
+
+def criterion2_q3():
+    """The 12 random points of Q^3 that acceptance criterion 2 checks."""
+    rng = random.Random(12)
+    pts = []
+    seen = set()
+    while len(pts) < 12:
+        c = (rng.randint(0, 40), rng.randint(0, 40), rng.randint(0, 40))
+        if c not in seen:
+            seen.add(c)
+            pts.append(point(*c))
+    return affine_matroid(pts)
+
+
+@pytest.mark.parametrize("subject", ["build5", "grid3d3", "grid3d3_flipped", "q3_12", "base3_n8"])
+def test_incidence_reports_match_scanning_reference(subject, build5, base3_grid, monkeypatch):
+    m = {
+        "build5": lambda: build5.matroid.to_matroid(),
+        "grid3d3": lambda: affine_matroid(grid3d(3)[0]),
+        "grid3d3_flipped": flipped_grid3d3,
+        "q3_12": criterion2_q3,
+        "base3_n8": lambda: TriangleFreeMatroid(prune_lines(base3_grid)).to_matroid(),
+    }[subject]()
+    # both checks read the subject's flats from one enumeration per rank
+    flats = {k: flats_of_rank(m, k) for k in (2, 3)}
+    monkeypatch.setattr(core, "flats_of_rank", lambda _, k: flats[k])
+    failing = 0
+    for samples in (1, 7, 100, 1000):
+        for seed in (0, 1, 2):
+            report = check_incidence_properties(m, rng_seed=seed, samples=samples)
+            assert report == reference_incidence(m, rng_seed=seed, samples=samples), (samples, seed)
+            failing += not report.ok
+    # the flipped oracle fails on most of its cases: the comparison covers
+    # failing reports and their counterexamples, not only passes
+    assert (failing > 0) == (subject == "grid3d3_flipped")
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_incidence_rejects_samples_below_one(samples):
+    # a check that samples nothing would report a pass
+    with pytest.raises(MatroidError, match="samples must be at least 1"):
+        check_incidence_properties(flipped_grid3d3(), samples=samples)
+
+
+@pytest.mark.parametrize("pairs", [0, -2])
+def test_submodularity_rejects_pairs_below_one(random_q3, pairs):
+    with pytest.raises(MatroidError, match="pairs must be at least 1"):
+        check_submodularity(random_q3, pairs=pairs)
+
+
 def test_incidence_rejects_non_simple():
     m = Matroid(labels=(0, 1, 2), oracle=lambda s: len(s) <= 1 or s == frozenset({0, 1}))
     with pytest.raises(MatroidError, match="not simple"):
