@@ -23,7 +23,8 @@ print(f"  lines before/after pruning: {report.L_initial} / {report.L_after_prune
 print(f"  planes pruned:              {report.planes_pruned}")
 print(f"  joints before/after:        {report.joints_initial} / {report.joints_after_prune}")
 print(f"  heavy points |E1|:          {report.E1_size}")
-print(f"  moderate joints |E2|:       {report.E2_size}")
+# E2 is every point of degree in [3, ceil(4/epsilon)) = [3, 8), with no rank test
+print(f"  degree 3..7 points |E2|:    {report.E2_size}")
 print(f"  intersection-graph edges:   {report.graph_edges}")
 print(f"  triangles / degenerate:     {report.triangles} / {report.degenerate_triples}")
 print(f"  edge-disjoint lower bound:  {report.edge_disjoint_lower_bound}")

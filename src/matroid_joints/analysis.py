@@ -10,12 +10,14 @@ the removal-lemma constant, it only measures.
 from __future__ import annotations
 
 import csv
+import heapq
 import json
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import core
 from .core import Flat, Matroid, MatroidError, _common_points
@@ -35,10 +37,12 @@ def heavy_plane_prune(
     """Repeatedly remove all lines lying in a plane with >= 2/epsilon of them.
 
     Candidate planes are the planes cl(l_i | l_j) of the line pairs that
-    meet at a point (``_meeting_planes``).  A plane does not change as
-    lines go, so each is closed once and its lines are found once; a step
-    counts the live lines of each plane that a meeting pair of two live
-    lines still generates.  The heaviest plane goes first, ties broken
+    meet at a point and hold at least 2/epsilon lines (``_meeting_planes``).
+    A plane does not change as lines go, and its live count only falls, so
+    the steps come from a lazy heap of (-live count, member list): a popped
+    plane is dropped when it holds too few live lines or no meeting pair of
+    two live lines still generates it, pushed back when its count is stale,
+    and taken otherwise.  The heaviest plane goes first, ties broken
     lexicographically on the plane's member list; ``removed`` indexes the
     line list as it was before the step.
     """
@@ -47,45 +51,50 @@ def heavy_plane_prune(
         raise MatroidError("epsilon must be positive")
     threshold = math.ceil(2 / epsilon)  # an int count is >= 2/epsilon iff >= this
     lines = core._require_lines(m, lines)
-    candidates = _meeting_planes(m, lines)
+    planes = _meeting_planes(m, lines, threshold)
+    # member lists are distinct, so an entry never compares past its key
+    heap = [(-len(held), key, held, pairs) for held, (key, pairs) in planes.items()]
+    heapq.heapify(heap)
     alive = [True] * len(lines)
+    dead: list[int] = []  # ascending
     trace: list[PruneStep] = []
-    while True:
-        best: Optional[tuple] = None
-        best_held: list[int] = []
-        for plane, (held, pairs) in list(candidates.items()):
-            if not any(alive[i] and alive[j] for i, j in pairs):
-                del candidates[plane]
-                continue
-            live = [i for i in held if alive[i]]
-            if len(live) < max(threshold, len(best_held)):
-                continue
-            key = tuple(sorted(plane))
-            if len(live) > len(best_held) or key < best:
-                best, best_held = key, live
-        if best is None:
-            break
-        position = {i: k for k, i in enumerate(i for i, a in enumerate(alive) if a)}
-        trace.append(PruneStep(plane=best, removed=tuple(position[i] for i in best_held)))
-        for i in best_held:
+    while heap:
+        count, key, held, pairs = heapq.heappop(heap)
+        live = [i for i in held if alive[i]]
+        if len(live) < threshold or not any(alive[i] and alive[j] for i, j in pairs):
+            continue
+        if len(live) < -count:
+            heapq.heappush(heap, (-len(live), key, held, pairs))
+            continue
+        trace.append(PruneStep(plane=key, removed=tuple(i - bisect_left(dead, i) for i in live)))
+        for i in live:
             alive[i] = False
+            insort(dead, i)
     return [f for f, a in zip(lines, alive) if a], trace
 
 
 def _meeting_planes(
-    m: Matroid, lines: list[Flat]
-) -> dict[frozenset, tuple[list[int], list[tuple[int, int]]]]:
+    m: Matroid, lines: list[Flat], threshold: int
+) -> dict[tuple[int, ...], tuple[tuple[int, ...], list[tuple[int, int]]]]:
     """Each distinct plane cl(l_i | l_j) of a pair of lines meeting at a
-    point, with the ascending indices of the lines it holds and the
+    point that holds at least ``threshold`` lines, keyed by the ascending
+    indices of the lines it holds, with its ascending member list and the
     meeting pairs (i, j) that generate it.
+
+    The held lines name the plane: a plane is cl(l_i | l_j) of two lines it
+    holds, so two planes holding the same lines contain each other.  Its
+    point set is dropped once they are found, and a plane holding fewer
+    than ``threshold`` lines is not kept: lines only die, so it could
+    never be pruned.
 
     One oracle call on the star {x, a_i, a_j} of a pair meeting at x (a_i
     the smallest other member of l_i, read as in ``core.count_joints``)
     picks the path.  An independent star lies in l_i | l_j, so when both
     lines lie in a rank-3 plane P found earlier, r(star) = r(P) = 3 gives
-    cl(l_i | l_j) = P: the held line pairs of each such P are indexed for
-    that lookup.  Otherwise an independent star is a basis of the plane,
-    and any other pair's plane is ``core.closure`` of the union.  A new
+    cl(l_i | l_j) = P: the held line pairs of each such P holding three or
+    more lines are indexed for that lookup (a plane of two lines is reached
+    from its one pair).  Otherwise an independent star is a basis of the
+    plane, and any other pair's plane is ``core.closure`` of the union.  A
     plane's lines are found by their ends: a line whose two smallest
     members lie in the plane is tested for containment.
     """
@@ -94,38 +103,46 @@ def _meeting_planes(
     for i, (a, _) in enumerate(ends):
         by_min.setdefault(a, []).append(i)
     mins = frozenset(by_min)
-    plane_of: dict[tuple[int, int], frozenset] = {}  # held pair of a rank-3 plane -> it
-    planes: dict[frozenset, tuple[list[int], list[tuple[int, int]]]] = {}
+    plane_of: dict[tuple[int, int], tuple[int, ...]] = {}  # held pair -> the rank-3 plane's lines
+    planes: dict[tuple[int, ...], tuple[tuple[int, ...], list[tuple[int, int]]]] = {}
     for (i, j), shared in _common_points(core._lines_by_point(m.size, lines)).items():
         star = core._star(shared[0], (ends[i], ends[j]))
         rank3 = len(star) == 3 and m.oracle(star)
-        plane = plane_of.get((i, j)) if rank3 else None
-        if plane is None:
+        held = plane_of.get((i, j)) if rank3 else None
+        if held is None:
             if rank3:
                 plane = core._closure_of(m, star, star)
             else:
                 plane = core.closure(m, lines[i].members | lines[j].members)
-            if plane not in planes:
-                held = sorted(
+            held = tuple(
+                sorted(
                     k
                     for p in plane & mins
                     for k in by_min[p]
                     if ends[k][1] in plane and lines[k].members <= plane
                 )
-                planes[plane] = (held, [])
-                if rank3:
-                    plane_of.update(dict.fromkeys(combinations(held, 2), plane))
-        planes[plane][1].append((i, j))
+            )
+            if rank3 and len(held) >= 3:
+                plane_of.update(dict.fromkeys(combinations(held, 2), held))
+            if len(held) >= threshold and held not in planes:
+                planes[held] = (tuple(sorted(plane)), [])
+        if held in planes:
+            planes[held][1].append((i, j))
     return planes
 
 
 def degree_partition(
     m: Matroid, lines: list[Flat], epsilon: Fraction
 ) -> tuple[set[int], set[int], dict[int, int]]:
-    """Line-degree of each point; E1 = heavy points, E2 = moderate joints."""
+    """Line-degree of each point; E1 = the points of degree >= 4/epsilon,
+    E2 = the points of degree in [3, ceil(4/epsilon)).
+
+    E2 is taken by degree alone, with no rank test: a point of three
+    coplanar lines is in E2 though it is no joint."""
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise MatroidError("epsilon must be positive")
+    lines = core._require_lines(m, lines)
     heavy = math.ceil(4 / epsilon)  # an int degree is >= 4/epsilon iff >= this
     degrees = {x: len(through) for x, through in enumerate(core._lines_by_point(m.size, lines))}
     e1 = {x for x, d in degrees.items() if d >= heavy}
@@ -152,6 +169,7 @@ def intersection_graph(m: Matroid, lines: list[Flat], e2: set[int]) -> Intersect
     Pairs come from the point -> line index and are visited in ascending
     (i, j) order; the first pair sharing more than one point raises.
     """
+    lines = core._require_lines(m, lines)
     edges: dict[tuple[int, int], int] = {}
     for (i, j), shared in _common_points(core._lines_by_point(m.size, lines)).items():
         if len(shared) > 1:
@@ -207,7 +225,7 @@ class AnalysisReport:
 def analyze(m: Matroid, lines: list[Flat], epsilon: Fraction) -> AnalysisReport:
     """Run the full pipeline on one instance and record every statistic."""
     epsilon = Fraction(epsilon)
-    intersection_graph(m, core._require_lines(m, lines), set())  # two lines sharing two points raise
+    intersection_graph(m, lines, set())  # a bad line, or two lines sharing two points, raise
     joints_initial = core.count_joints(m, lines)
     survivors, trace = heavy_plane_prune(m, lines, epsilon)
     joints_after = core.count_joints(m, survivors) if trace else joints_initial

@@ -12,6 +12,7 @@ counterexamples in (size, lex) order.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -166,6 +167,30 @@ def _common_points(by_point: list[list[int]]) -> dict[tuple[int, int], list[int]
         for pair in combinations(through, 2):
             common.setdefault(pair, []).append(x)
     return dict(sorted(common.items()))
+
+
+def _unrank_subset(n: int, k: int, r: int) -> tuple[int, ...]:
+    """The k-subset of range(n) at index r of ``combinations(range(n), k)``.
+
+    Of the k-subsets of range(low, n), C(n - low, k) - C(n - a, k) start
+    below a, so the first member is the largest a for which that count is
+    at most r; the rest is the same search on range(a + 1, n).
+    """
+    out: list[int] = []
+    low = 0
+    for size in range(k, 0, -1):
+        total = math.comb(n - low, size)
+        lo, hi = low, n - size
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if total - math.comb(n - mid, size) <= r:
+                lo = mid
+            else:
+                hi = mid - 1
+        r -= total - math.comb(n - lo, size)
+        out.append(lo)
+        low = lo + 1
+    return tuple(out)
 
 
 def _two_smallest(members: frozenset) -> tuple[int, int]:
@@ -447,6 +472,9 @@ def check_incidence_properties(m: Matroid, rng_seed: int = 0, samples: int = 100
     not simple.  Properties over pairs/triples are checked exhaustively
     when their count is at most ``samples`` (at least 1), otherwise on a
     seeded sample; the flats through a point come from ``_lines_by_point``.
+    A sampled pair or triple of points is unranked from its index
+    (``_unrank_subset``), and a sampled meeting line pair is read from the
+    sorted pair keys, so no whole list of them is built.
     """
     if samples < 1:
         raise MatroidError(f"samples must be at least 1, got {samples}")
@@ -472,12 +500,13 @@ def check_incidence_properties(m: Matroid, rng_seed: int = 0, samples: int = 100
             return range(total)
         return sorted(rng.sample(range(total), samples))
 
-    def pick(items: list) -> list:
-        return [items[k] for k in sample_or_all(len(items))]
+    def pick_subsets(k: int) -> Iterable[tuple[int, ...]]:
+        """The sampled k-subsets of the ground set, in ``combinations`` order."""
+        return (_unrank_subset(m.size, k, r) for r in sample_or_all(math.comb(m.size, k)))
 
     # (1) any two points lie in exactly one line
     r1 = CheckResult(PASS)
-    for a, b in pick(list(combinations(range(m.size), 2))):
+    for a, b in pick_subsets(2):
         n_lines = len(lines_at[a] & lines_at[b])
         if n_lines != 1:
             r1 = CheckResult(FAIL, counterexample=(a, b), detail=f"{n_lines} lines")
@@ -485,7 +514,7 @@ def check_incidence_properties(m: Matroid, rng_seed: int = 0, samples: int = 100
 
     # (2) three non-collinear points lie in exactly one plane
     r2 = CheckResult(PASS)
-    for t in pick(list(combinations(range(m.size), 3))):
+    for t in pick_subsets(3):
         if set.intersection(*(lines_at[x] for x in t)):
             continue
         n_planes = len(set.intersection(*(planes_at[x] for x in t)))
@@ -502,9 +531,12 @@ def check_incidence_properties(m: Matroid, rng_seed: int = 0, samples: int = 100
             r3 = CheckResult(FAIL, counterexample=(tuple(sorted(line_sets[i])), tuple(sorted(plane_sets[j]))))
             break
 
-    # (4) two intersecting lines lie in a unique plane
+    # (4) two intersecting lines lie in a unique plane; meeting pair (i, j)
+    # is the int i * len(lines) + j, which sorts in (i, j) order
     r4 = CheckResult(PASS)
-    for i, j in pick(list(_common_points(by_point))):
+    meeting = sorted({i * len(lines) + j for through in by_point for i, j in combinations(through, 2)})
+    for k in sample_or_all(len(meeting)):
+        i, j = divmod(meeting[k], len(lines))
         n_planes = len(set.intersection(*(planes_at[x] for x in line_sets[i] | line_sets[j])))
         if n_planes != 1:
             r4 = CheckResult(

@@ -1,10 +1,15 @@
 """Heavy-plane pruning, degree partitions, and triangle statistics."""
 
+import hashlib
+import heapq
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matroid_joints import analysis, core
 from matroid_joints.affine import affine_matroid, descriptor_flats, grid3d, point
@@ -18,8 +23,9 @@ from matroid_joints.analysis import (
     triangle_stats,
     write_sweep_csv,
 )
-from matroid_joints.construct import build_construction
+from matroid_joints.construct import TriangleFreeMatroid, behrend_points, build_construction, grid_lines
 from matroid_joints.core import MatroidError, make_flat
+from matroid_joints.planar import Configuration, prune_lines
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +163,102 @@ def test_heavy_plane_prune_closes_each_plane_once(monkeypatch):
     monkeypatch.setattr(core, "_closure_of", lambda *a: calls.append(a) or closure_of(*a))
     _, trace = heavy_plane_prune(m, lines, Fraction(1, 2))
     assert (len(calls), len(trace)) == (18, 6)
+
+
+def test_meeting_planes_keeps_the_planes_that_can_be_pruned(matroid200):
+    # the construction's planes each hold their two generating lines, so
+    # none reaches 4 = 2 / (1/2); grid3d(6)'s 18 axis planes hold 12 each
+    assert analysis._meeting_planes(*matroid200, 4) == {}
+    m, lines = grid3d_subject(6)
+    planes = analysis._meeting_planes(m, lines, 4)
+    assert len(planes) == 18
+    for held, (key, pairs) in planes.items():
+        assert len(held) == 12
+        assert key == tuple(sorted(core.closure(m, lines[held[0]].members | lines[held[-1]].members)))
+        assert held == tuple(i for i, f in enumerate(lines) if f.members <= set(key))
+        assert pairs and all(i in held and j in held for i, j in pairs)
+
+
+@lru_cache(maxsize=None)
+def differential_subject(name):
+    return grid3d_subject(4) if name == "grid3d4" else thirteen_direction_grid(3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["grid3d4", "thirteen3"]).flatmap(
+        lambda name: st.tuples(
+            st.just(name),
+            st.sets(st.integers(0, len(differential_subject(name)[1]) - 1), min_size=2),
+        )
+    ),
+    st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(1)]),
+)
+def test_heavy_plane_prune_matches_reference_on_line_subsets(subject, eps):
+    name, kept = subject
+    m, lines = differential_subject(name)
+    subset = [lines[i] for i in sorted(kept)]
+    assert heavy_plane_prune(m, subset, eps) == reference_prune(m, subset, eps)
+
+
+def test_heavy_plane_prune_repushes_stale_planes(monkeypatch):
+    # grid3d(4)'s 12 axis planes tie at 8 lines; the first step takes the
+    # least member list, which leaves 8 of the others a line short, so
+    # their heap entries go stale and are pushed back with the new count
+    m, lines = grid3d_subject(4)
+    pushes = []
+    push = heapq.heappush
+    monkeypatch.setattr(heapq, "heappush", lambda heap, item: pushes.append(item) or push(heap, item))
+    survivors, trace = heavy_plane_prune(m, lines, Fraction(1, 2))
+    assert (survivors, trace) == reference_prune(m, lines, Fraction(1, 2))
+    assert trace[0].plane == tuple(range(16))
+    assert pushes and all(-count < 8 for count, *_ in pushes)
+
+
+def base3_window(n, t):
+    """The window build: the sums x + t in [2, 2n] of the x <= 6n whose
+    base-3 digits are all 0 or 1, over the pruned n x n grid."""
+    powers = [3**k for k in range(20) if 3**k <= 6 * n]
+    xs = {sum(p for k, p in enumerate(powers) if bits >> k & 1) for bits in range(2 ** len(powers))}
+    sums = [x + t for x in xs if x <= 6 * n and 2 <= x + t <= 2 * n]
+    tfm = TriangleFreeMatroid(prune_lines(Configuration(behrend_points(n, sums), grid_lines(n).lines)))
+    return tfm.to_matroid(), tfm.matroid_lines()
+
+
+# sha256 of the repr of the (plane, removed) pairs of the epsilon = 1 trace
+# below, recorded from the per-step rescanning prune that the heap replaced
+TRACE_DIGEST_400 = "bb69d20fbf4b31d697dbc0793b3a9d1bfef8cb1151c6eef395060b180b70eba6"
+
+
+def test_heavy_plane_prune_at_scale():
+    # N = 400, t = -571: 17,824 points and 1,593 lines, each plane of two
+    # meeting lines holding just those two; at epsilon = 1 every such plane
+    # is a candidate and the prune takes 714 of them, two lines at a time
+    m, lines = base3_window(400, -571)
+    assert (m.size, len(lines)) == (17824, 1593)
+    assert heavy_plane_prune(m, lines, Fraction(1, 2)) == (lines, [])
+    survivors, trace = heavy_plane_prune(m, lines, Fraction(1))
+    assert (len(trace), len(survivors)) == (714, 165)
+    digest = hashlib.sha256(repr([(s.plane, s.removed) for s in trace]).encode()).hexdigest()
+    assert digest == TRACE_DIGEST_400
+
+
+@pytest.mark.parametrize("partition", [True, False], ids=["degree_partition", "intersection_graph"])
+@pytest.mark.parametrize("bad", ["member-99", "not-a-flat", "rank-3"])
+def test_line_inputs_are_validated(partition, bad):
+    pts, desc = grid3d(2)
+    m = affine_matroid(pts)
+    line = {
+        "member-99": core.Flat(frozenset({0, 99}), 2),
+        "not-a-flat": frozenset({0, 1}),
+        "rank-3": make_flat(m, {0, 1, 2}),
+    }[bad]
+    lines = [make_flat(m, desc[0][:2]), line]
+    with pytest.raises(MatroidError):
+        if partition:
+            degree_partition(m, lines, Fraction(1, 2))
+        else:
+            intersection_graph(m, lines, set(range(m.size)))
 
 
 def test_degree_partition_thresholds(matroid200):

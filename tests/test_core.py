@@ -623,6 +623,15 @@ def test_incidence_reports_match_scanning_reference(subject, build5, base3_grid,
     assert (failing > 0) == (subject == "grid3d3_flipped")
 
 
+def test_unrank_subset_follows_combinations_order():
+    for n in range(9):
+        for k in range(1, 5):
+            subsets = list(combinations(range(n), k))
+            assert [core._unrank_subset(n, k, r) for r in range(len(subsets))] == subsets
+    # the last triple of 17,824 points, without listing the 9.4e11 before it
+    assert core._unrank_subset(17824, 3, 17824 * 17823 * 17822 // 6 - 1) == (17821, 17822, 17823)
+
+
 @pytest.mark.parametrize("samples", [0, -3])
 def test_incidence_rejects_samples_below_one(samples):
     # a check that samples nothing would report a pass
