@@ -27,7 +27,6 @@ print(f"  heavy points |E1|:          {report.E1_size}")
 print(f"  degree 3..7 points |E2|:    {report.E2_size}")
 print(f"  intersection-graph edges:   {report.graph_edges}")
 print(f"  triangles / degenerate:     {report.triangles} / {report.degenerate_triples}")
-print(f"  edge-disjoint lower bound:  {report.edge_disjoint_lower_bound}")
 
 print()
 print("sweep over N (joints J vs lines L):")

@@ -36,6 +36,10 @@ def heavy_plane_prune(
 ) -> tuple[list[Flat], list[PruneStep]]:
     """Repeatedly remove all lines lying in a plane with >= 2/epsilon of them.
 
+    The lines are a simple matroid's: two lines sharing two points raise
+    MatroidError (``core._common_points``) before any plane is closed, and
+    so does a meeting pair whose star is dependent (``_meeting_planes``).
+
     Candidate planes are the planes cl(l_i | l_j) of the line pairs that
     meet at a point and hold at least 2/epsilon lines (``_meeting_planes``).
     A plane does not change as lines go, and its live count only falls, so
@@ -87,33 +91,29 @@ def _meeting_planes(
     than ``threshold`` lines is not kept: lines only die, so it could
     never be pruned.
 
-    One oracle call on the star {x, a_i, a_j} of a pair meeting at x (a_i
-    the smallest other member of l_i, read as in ``core.count_joints``)
-    picks the path.  An independent star lies in l_i | l_j, so when both
-    lines lie in a rank-3 plane P found earlier, r(star) = r(P) = 3 gives
-    cl(l_i | l_j) = P: the held line pairs of each such P holding three or
-    more lines are indexed for that lookup (a plane of two lines is reached
-    from its one pair).  Otherwise an independent star is a basis of the
-    plane, and any other pair's plane is ``core.closure`` of the union.  A
-    plane's lines are found by their ends: a line whose two smallest
-    members lie in the plane is tested for containment.
+    A pair meeting at x is checked by one oracle call on its star
+    {x, a_i, a_j} (a_i the smallest other member of l_i, read as in
+    ``core.count_joints``): a dependent star means the matroid is not
+    simple or a line is not a rank-2 flat, and raises MatroidError; an
+    independent one is a basis of the pair's plane.  The held line pairs of
+    each plane of three or more lines are indexed, so that plane is closed
+    once.  A plane's lines are found by their ends: a line whose two
+    smallest members lie in the plane is tested for containment.
     """
     ends = [core._two_smallest(f.members) for f in lines]
     by_min: dict[int, list[int]] = {}
     for i, (a, _) in enumerate(ends):
         by_min.setdefault(a, []).append(i)
     mins = frozenset(by_min)
-    plane_of: dict[tuple[int, int], tuple[int, ...]] = {}  # held pair -> the rank-3 plane's lines
+    plane_of: dict[tuple[int, int], tuple[int, ...]] = {}  # held pair -> the plane's lines
     planes: dict[tuple[int, ...], tuple[tuple[int, ...], list[tuple[int, int]]]] = {}
-    for (i, j), shared in _common_points(core._lines_by_point(m.size, lines)).items():
-        star = core._star(shared[0], (ends[i], ends[j]))
-        rank3 = len(star) == 3 and m.oracle(star)
-        held = plane_of.get((i, j)) if rank3 else None
+    for (i, j), x in _common_points(core._lines_by_point(m.size, lines)).items():
+        star = core._star(x, (ends[i], ends[j]))
+        if len(star) < 3 or not m.oracle(star):
+            raise MatroidError(f"lines {i} and {j} meet at {x} in a dependent star")
+        held = plane_of.get((i, j))
         if held is None:
-            if rank3:
-                plane = core._closure_of(m, star, star)
-            else:
-                plane = core.closure(m, lines[i].members | lines[j].members)
+            plane = core._closure_of(m, star, star)
             held = tuple(
                 sorted(
                     k
@@ -122,7 +122,7 @@ def _meeting_planes(
                     if ends[k][1] in plane and lines[k].members <= plane
                 )
             )
-            if rank3 and len(held) >= 3:
+            if len(held) >= 3:
                 plane_of.update(dict.fromkeys(combinations(held, 2), held))
             if len(held) >= threshold and held not in planes:
                 planes[held] = (tuple(sorted(plane)), [])
@@ -164,19 +164,12 @@ class IntersectionGraph:
 
 
 def intersection_graph(m: Matroid, lines: list[Flat], e2: set[int]) -> IntersectionGraph:
-    """Edge per line pair meeting in a point of e2, labeled by the witness.
-
-    Pairs come from the point -> line index and are visited in ascending
-    (i, j) order; the first pair sharing more than one point raises.
-    """
+    """Edge per line pair meeting in a point of e2, labeled by the witness:
+    the meeting map ``core._common_points`` filtered to e2, which raises
+    MatroidError on two lines that share two or more points."""
     lines = core._require_lines(m, lines)
-    edges: dict[tuple[int, int], int] = {}
-    for (i, j), shared in _common_points(core._lines_by_point(m.size, lines)).items():
-        if len(shared) > 1:
-            raise MatroidError(f"lines {i} and {j} share {len(shared)} points")
-        if shared[0] in e2:
-            edges[(i, j)] = shared[0]
-    return IntersectionGraph(n=len(lines), edges=edges)
+    meeting = _common_points(core._lines_by_point(m.size, lines))
+    return IntersectionGraph(n=len(lines), edges={pair: x for pair, x in meeting.items() if x in e2})
 
 
 @dataclass
@@ -219,15 +212,14 @@ class AnalysisReport:
     graph_edges: int
     triangles: int
     degenerate_triples: int
-    edge_disjoint_lower_bound: int
 
 
 def analyze(m: Matroid, lines: list[Flat], epsilon: Fraction) -> AnalysisReport:
-    """Run the full pipeline on one instance and record every statistic."""
+    """Run the full pipeline on one instance and record every statistic;
+    the prune goes first, so the lines it rejects raise before any count."""
     epsilon = Fraction(epsilon)
-    intersection_graph(m, lines, set())  # a bad line, or two lines sharing two points, raise
-    joints_initial = core.count_joints(m, lines)
     survivors, trace = heavy_plane_prune(m, lines, epsilon)
+    joints_initial = core.count_joints(m, lines)
     joints_after = core.count_joints(m, survivors) if trace else joints_initial
     e1, e2, _ = degree_partition(m, survivors, epsilon)
     g = intersection_graph(m, survivors, e2)
@@ -244,7 +236,6 @@ def analyze(m: Matroid, lines: list[Flat], epsilon: Fraction) -> AnalysisReport:
         graph_edges=len(g.edges),
         triangles=stats.total,
         degenerate_triples=stats.degenerate,
-        edge_disjoint_lower_bound=len(e2),
     )
 
 

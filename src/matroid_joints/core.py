@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 
 class MatroidError(ValueError):
@@ -159,14 +160,19 @@ def _lines_by_point(size: int, lines: list[Flat]) -> list[list[int]]:
     return by_point
 
 
-def _common_points(by_point: list[list[int]]) -> dict[tuple[int, int], list[int]]:
-    """For each pair of lines with a point in common, in ascending (i, j)
-    order, their common points; the pairs come from the point -> line index."""
-    common: dict[tuple[int, int], list[int]] = {}
+def _common_points(by_point: Sequence[Sequence[int]]) -> dict[tuple[int, int], int]:
+    """The meeting map: each pair of lines i < j that meet -> their point,
+    in the order of the point -> line index.  Lines of a simple matroid
+    meet at most once, so a pair met twice raises MatroidError naming the
+    least such pair and how many points it shares."""
+    common: dict[tuple[int, int], int] = {}
     for x, through in enumerate(by_point):
         for pair in combinations(through, 2):
-            common.setdefault(pair, []).append(x)
-    return dict(sorted(common.items()))
+            if common.setdefault(pair, x) != x:
+                shared = Counter(p for ls in by_point for p in combinations(ls, 2))
+                i, j = min(p for p, k in shared.items() if k > 1)
+                raise MatroidError(f"lines {i} and {j} share {shared[i, j]} points")
+    return common
 
 
 def _unrank_subset(n: int, k: int, r: int) -> tuple[int, ...]:
@@ -532,7 +538,8 @@ def check_incidence_properties(m: Matroid, rng_seed: int = 0, samples: int = 100
             break
 
     # (4) two intersecting lines lie in a unique plane; meeting pair (i, j)
-    # is the int i * len(lines) + j, which sorts in (i, j) order
+    # is the int i * len(lines) + j, which sorts in (i, j) order and holds
+    # less memory than ``_common_points``' tuple and point on large builds
     r4 = CheckResult(PASS)
     meeting = sorted({i * len(lines) + j for through in by_point for i, j in combinations(through, 2)})
     for k in sample_or_all(len(meeting)):

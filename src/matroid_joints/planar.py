@@ -13,7 +13,7 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import MatroidError
+from .core import MatroidError, _common_points
 
 Point = tuple[int, int]
 
@@ -87,7 +87,7 @@ class Configuration:
     def __init__(self, points: Iterable[Point], lines: Iterable[IntLine]):
         """Raises MatroidError on a coordinate that is not an integer (bool
         included; nothing is coerced), a line with A = B = 0, or two lines
-        that share two points (one line given twice)."""
+        that share two points (``core._common_points``)."""
         self.points: tuple[Point, ...] = tuple((_exact_int(a), _exact_int(b)) for a, b in points)
         self.lines: tuple[IntLine, ...] = tuple(lines)
         if len(set(self.points)) != len(self.points):
@@ -112,19 +112,15 @@ class Configuration:
 
     def _index(self, line_points: Iterable[Iterable[int]]) -> None:
         """Set ``line_points`` and the indexes read from it: ``point_lines``
-        and ``angle_index``.  Each line's points are ascending indices."""
+        and ``angle_index``, the meeting map ``core._common_points``.  Each
+        line's points are ascending indices."""
         self.line_points: tuple[tuple[int, ...], ...] = tuple(tuple(pts) for pts in line_points)
         point_lines: list[list[int]] = [[] for _ in self.points]
         for li, pts in enumerate(self.line_points):
             for pi in pts:
                 point_lines[pi].append(li)
         self.point_lines: tuple[tuple[int, ...], ...] = tuple(tuple(ls) for ls in point_lines)
-        # line pairs a < b meeting at a point -> that point; a repeat is one line twice
-        self.angle_index: dict[tuple[int, int], int] = {}
-        for pi, ls in enumerate(self.point_lines):
-            for pair in combinations(ls, 2):
-                if self.angle_index.setdefault(pair, pi) != pi:
-                    raise MatroidError("lines %d and %d share two points" % pair)
+        self.angle_index: dict[tuple[int, int], int] = _common_points(self.point_lines)
 
     def to_json(self) -> dict:
         return {

@@ -121,21 +121,22 @@ def thirteen_direction_grid(k):
 PRUNE_SUBJECTS = (
     [f"build{n}" for n in (*range(4, 41), 200)]
     + [f"grid3d{k}" for k in range(2, 7)]
-    + ["thirteen3", "thirteen4", "doubled", "grid3d3_twice", "q3"]
+    + ["thirteen3", "thirteen4", "q3"]
 )
 
 
+def grid3d3_twice():
+    """grid3d(3) with five of its lines given a second time."""
+    m, lines = grid3d_subject(3)
+    return m, lines + [lines[i] for i in (0, 4, 9, 13, 26)]
+
+
 @pytest.fixture(scope="module")
-def prune_subject(request, doubled_grid):
+def prune_subject(request):
     name = request.param
     if name.startswith("build"):
         b = build_construction(int(name[5:]))
         return b.matroid.to_matroid(), b.matroid.matroid_lines()
-    if name == "doubled":
-        return doubled_grid
-    if name == "grid3d3_twice":
-        m, lines = grid3d_subject(3)
-        return m, lines + [lines[i] for i in (0, 4, 9, 13, 26)]
     if name == "q3":
         # the 3 x 3 x 2 grid with every line: most lines hold two points
         m = affine_matroid([point(a, b, c) for a in range(3) for b in range(3) for c in range(2)])
@@ -309,25 +310,52 @@ def test_construction_planes_hold_two_lines(matroid200):
     assert heavy_plane_prune(m, lines, Fraction(99, 100)) == (lines, [])
 
 
-def test_intersection_graph_rejects_lines_sharing_two_points():
+def lines_sharing_two_points():
     m = core.Matroid(tuple(range(6)), lambda s: len(s) <= 2)
-    # (0, 2) and (1, 3) each share two points; (0, 2) comes first
-    lines = [core.Flat(frozenset(xs), 2) for xs in ((0, 1, 2), (3, 4), (0, 1), (3, 4, 5))]
+    # (0, 2) and (1, 3) each share two points; (0, 2) is the least pair
+    return m, [core.Flat(frozenset(xs), 2) for xs in ((0, 1, 2), (3, 4), (0, 1), (3, 4, 5))]
+
+
+def test_intersection_graph_rejects_lines_sharing_two_points():
     with pytest.raises(MatroidError, match="lines 0 and 2 share 2 points"):
-        intersection_graph(m, lines, set())
+        intersection_graph(*lines_sharing_two_points(), set())
+
+
+@pytest.mark.parametrize("call", [heavy_plane_prune, analyze])
+def test_prune_and_analyze_raise_the_same_error(call):
+    with pytest.raises(MatroidError, match="lines 0 and 2 share 2 points"):
+        call(*lines_sharing_two_points(), 1)
+
+
+def test_heavy_plane_prune_rejects_a_dependent_star():
+    # two lines of U(2, 5) meeting at 0: their star {0, 1, 2} is dependent,
+    # so {0, 1} and {0, 2} are not lines of a simple matroid's plane
+    m = core.Matroid(tuple(range(5)), lambda s: len(s) <= 2)
+    lines = [core.Flat(frozenset({0, 1}), 2), core.Flat(frozenset({0, 2}), 2)]
+    with pytest.raises(MatroidError, match="dependent star"):
+        heavy_plane_prune(m, lines, 1)
+
+
+@pytest.mark.parametrize("subject", ["doubled", "grid3d3_twice"])
+def test_heavy_plane_prune_rejects_lines_sharing_points(subject, doubled_grid):
+    # a point parallel to point 0, and five lines given twice: some pair of
+    # lines shares two or more points
+    m, lines = doubled_grid if subject == "doubled" else grid3d3_twice()
+    with pytest.raises(MatroidError, match=r"lines \d+ and \d+ share \d+ points"):
+        heavy_plane_prune(m, lines, 1)
 
 
 def test_analyze_rejects_a_repeated_line_before_pruning(monkeypatch):
     # the prune removes the copies at epsilon 1/2, so only a check made
-    # before it sees them, whatever epsilon is
-    m, lines = grid3d_subject(3)
-    twice = lines + [lines[i] for i in (0, 4, 9, 13, 26)]
-    pruned = []
-    monkeypatch.setattr(analysis, "heavy_plane_prune", lambda *a: pruned.append(a))
+    # before any plane is closed sees them, whatever epsilon is
+    m, twice = grid3d3_twice()
+    closed = []
+    closure_of = core._closure_of
+    monkeypatch.setattr(core, "_closure_of", lambda *a: closed.append(a) or closure_of(*a))
     for eps in (Fraction(1, 2), Fraction(1, 20)):
         with pytest.raises(MatroidError, match="lines 0 and 27 share 3 points"):
             analyze(m, twice, eps)
-    assert pruned == []
+    assert closed == []
 
 
 def test_intersection_graph_witnesses(matroid200):
@@ -383,12 +411,7 @@ def test_triangle_stats_matches_reference(prune_subject):
         survivors, _ = heavy_plane_prune(m, lines, eps)
         for subset in (lines, survivors):
             _, e2, _ = degree_partition(m, subset, eps)
-            try:
-                g = intersection_graph(m, subset, e2)
-            except MatroidError:
-                # a line given twice, or two lines through a parallel pair
-                assert any(len(a.members & b.members) > 1 for a, b in combinations(subset, 2))
-                continue
+            g = intersection_graph(m, subset, e2)
             assert triangle_stats(g) == reference_triangle_stats(g), eps
 
 
@@ -432,7 +455,6 @@ def test_analyze_report(matroid200):
     assert report.L_initial == len(lines)
     assert report.joints_after_prune >= report.joints_initial - report.planes_pruned * report.L_initial
     assert Fraction(report.E1_size) * 8 <= report.L_initial**2
-    assert report.edge_disjoint_lower_bound == report.E2_size
 
 
 def test_joints_sweep_rows():

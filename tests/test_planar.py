@@ -159,7 +159,7 @@ def test_duplicate_rejection():
     with pytest.raises(MatroidError):
         Configuration([], [horizontal(1), line(0, 2, 2)])
     # x = 1 twice, uncanonicalised: the two lines share (1, 0) and (1, 1)
-    with pytest.raises(MatroidError, match="lines 0 and 1 share two points"):
+    with pytest.raises(MatroidError, match="lines 0 and 1 share 2 points"):
         Configuration([(1, 0), (1, 1)], [IntLine(1, 0, 1), IntLine(2, 0, 2)])
 
 
