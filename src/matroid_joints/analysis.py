@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Iterable
 
 from . import core
-from .core import Flat, Matroid, MatroidError, _common_points
+from .core import Flat, Matroid, MatroidError
 from .construct import build_construction
 from .planar import _triangles_at, triple_points
 
@@ -32,7 +32,7 @@ class PruneStep:
 
 
 def heavy_plane_prune(
-    m: Matroid, lines: list[Flat], epsilon: Fraction
+    m: Matroid, lines: list[Flat] | core.LineIndex, epsilon: Fraction
 ) -> tuple[list[Flat], list[PruneStep]]:
     """Repeatedly remove all lines lying in a plane with >= 2/epsilon of them.
 
@@ -54,12 +54,12 @@ def heavy_plane_prune(
     if epsilon <= 0:
         raise MatroidError("epsilon must be positive")
     threshold = math.ceil(2 / epsilon)  # an int count is >= 2/epsilon iff >= this
-    lines = core._require_lines(m, lines)
-    planes = _meeting_planes(m, lines, threshold)
+    index = core._require_lines(m, lines)
+    planes = _meeting_planes(m, index, threshold)
     # member lists are distinct, so an entry never compares past its key
     heap = [(-len(held), key, held, pairs) for held, (key, pairs) in planes.items()]
     heapq.heapify(heap)
-    alive = [True] * len(lines)
+    alive = [True] * len(index.flats)
     dead: list[int] = []  # ascending
     trace: list[PruneStep] = []
     while heap:
@@ -74,11 +74,11 @@ def heavy_plane_prune(
         for i in live:
             alive[i] = False
             insort(dead, i)
-    return [f for f, a in zip(lines, alive) if a], trace
+    return [f for f, a in zip(index.flats, alive) if a], trace
 
 
 def _meeting_planes(
-    m: Matroid, lines: list[Flat], threshold: int
+    m: Matroid, lines: list[Flat] | core.LineIndex, threshold: int
 ) -> dict[tuple[int, ...], tuple[tuple[int, ...], list[tuple[int, int]]]]:
     """Each distinct plane cl(l_i | l_j) of a pair of lines meeting at a
     point that holds at least ``threshold`` lines, keyed by the ascending
@@ -91,24 +91,29 @@ def _meeting_planes(
     than ``threshold`` lines is not kept: lines only die, so it could
     never be pruned.
 
-    A pair meeting at x is checked by one oracle call on its star
-    {x, a_i, a_j} (a_i the smallest other member of l_i, read as in
-    ``core.count_joints``): a dependent star means the matroid is not
+    The meeting pairs and the lines' two smallest members come from the
+    lines' ``core.LineIndex``.  A pair meeting at x is checked by one
+    oracle call on its star {x, a_i, a_j}, a_i the smallest member of l_i
+    other than x, read inline from its two smallest members as in
+    ``core.count_joints``: a dependent star means the matroid is not
     simple or a line is not a rank-2 flat, and raises MatroidError; an
     independent one is a basis of the pair's plane.  The held line pairs of
     each plane of three or more lines are indexed, so that plane is closed
     once.  A plane's lines are found by their ends: a line whose two
     smallest members lie in the plane is tested for containment.
     """
-    ends = [core._two_smallest(f.members) for f in lines]
+    index = core._require_lines(m, lines)
+    flats, ends = index.flats, index.ends
     by_min: dict[int, list[int]] = {}
     for i, (a, _) in enumerate(ends):
         by_min.setdefault(a, []).append(i)
     mins = frozenset(by_min)
     plane_of: dict[tuple[int, int], tuple[int, ...]] = {}  # held pair -> the plane's lines
     planes: dict[tuple[int, ...], tuple[tuple[int, ...], list[tuple[int, int]]]] = {}
-    for (i, j), x in _common_points(core._lines_by_point(m.size, lines)).items():
-        star = core._star(x, (ends[i], ends[j]))
+    for (i, j), x in index.meeting.items():
+        a, b = ends[i]
+        c, d = ends[j]
+        star = frozenset((x, b if a == x else a, d if c == x else c))
         if len(star) < 3 or not m.oracle(star):
             raise MatroidError(f"lines {i} and {j} meet at {x} in a dependent star")
         held = plane_of.get((i, j))
@@ -119,7 +124,7 @@ def _meeting_planes(
                     k
                     for p in plane & mins
                     for k in by_min[p]
-                    if ends[k][1] in plane and lines[k].members <= plane
+                    if ends[k][1] in plane and flats[k].members <= plane
                 )
             )
             if len(held) >= 3:
@@ -132,7 +137,7 @@ def _meeting_planes(
 
 
 def degree_partition(
-    m: Matroid, lines: list[Flat], epsilon: Fraction
+    m: Matroid, lines: list[Flat] | core.LineIndex, epsilon: Fraction
 ) -> tuple[set[int], set[int], dict[int, int]]:
     """Line-degree of each point; E1 = the points of degree >= 4/epsilon,
     E2 = the points of degree in [3, ceil(4/epsilon)).
@@ -142,9 +147,9 @@ def degree_partition(
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise MatroidError("epsilon must be positive")
-    lines = core._require_lines(m, lines)
+    index = core._require_lines(m, lines)
     heavy = math.ceil(4 / epsilon)  # an int degree is >= 4/epsilon iff >= this
-    degrees = {x: len(through) for x, through in enumerate(core._lines_by_point(m.size, lines))}
+    degrees = {x: len(through) for x, through in enumerate(index.by_point)}
     e1 = {x for x, d in degrees.items() if d >= heavy}
     e2 = {x for x, d in degrees.items() if 3 <= d < heavy}
     return e1, e2, degrees
@@ -163,13 +168,14 @@ class IntersectionGraph:
         return adj
 
 
-def intersection_graph(m: Matroid, lines: list[Flat], e2: set[int]) -> IntersectionGraph:
+def intersection_graph(m: Matroid, lines: list[Flat] | core.LineIndex, e2: set[int]) -> IntersectionGraph:
     """Edge per line pair meeting in a point of e2, labeled by the witness:
     the meeting map ``core._common_points`` filtered to e2, which raises
     MatroidError on two lines that share two or more points."""
-    lines = core._require_lines(m, lines)
-    meeting = _common_points(core._lines_by_point(m.size, lines))
-    return IntersectionGraph(n=len(lines), edges={pair: x for pair, x in meeting.items() if x in e2})
+    index = core._require_lines(m, lines)
+    return IntersectionGraph(
+        n=len(index.flats), edges={pair: x for pair, x in index.meeting.items() if x in e2}
+    )
 
 
 @dataclass
@@ -215,18 +221,26 @@ class AnalysisReport:
 
 
 def analyze(m: Matroid, lines: list[Flat], epsilon: Fraction) -> AnalysisReport:
-    """Run the full pipeline on one instance and record every statistic;
-    the prune goes first, so the lines it rejects raise before any count."""
+    """Run the full pipeline on one instance and record every statistic.
+
+    The lines are validated and indexed once (``core.LineIndex``), and
+    every stage reads that index: the prune, the joint count, the degree
+    partition and the intersection graph.  The prune goes first, so lines
+    it rejects raise before any count.  When it takes no step the
+    survivors are the lines and keep their index; otherwise the survivors
+    are indexed once."""
     epsilon = Fraction(epsilon)
-    survivors, trace = heavy_plane_prune(m, lines, epsilon)
-    joints_initial = core.count_joints(m, lines)
-    joints_after = core.count_joints(m, survivors) if trace else joints_initial
-    e1, e2, _ = degree_partition(m, survivors, epsilon)
-    g = intersection_graph(m, survivors, e2)
+    index = core._require_lines(m, lines)
+    survivors, trace = heavy_plane_prune(m, index, epsilon)
+    joints_initial = core.count_joints(m, index)
+    kept = core.LineIndex(m.size, survivors) if trace else index
+    joints_after = core.count_joints(m, kept) if trace else joints_initial
+    e1, e2, _ = degree_partition(m, kept, epsilon)
+    g = intersection_graph(m, kept, e2)
     stats = triangle_stats(g)
     return AnalysisReport(
         epsilon=epsilon,
-        L_initial=len(lines),
+        L_initial=len(index.flats),
         L_after_prune=len(survivors),
         planes_pruned=len(trace),
         joints_initial=joints_initial,

@@ -114,31 +114,38 @@ class TriangleFreeMatroid:
         B + e is dependent iff |B| = 4, or e lies on a line through two
         members of B (a collinear 3-set, or a line covering three of a
         4-set), or e lies on a line through the third member that meets
-        that line at a configuration point (an angle covering the 4-set),
-        which is a common member of the two lines' point sets.  Two
-        distinct lines share at most one point, so a pair lies on at most
-        one line.
+        that line at a configuration point (an angle covering the 4-set).
+        Two distinct lines share at most one point, so a pair lies on at
+        most one line, and the lines through the third member that meet it
+        are those whose pair with it is a key of ``angle_index``.
         """
         if len(basis) >= 4:
             return frozenset(range(len(self.point_lines)))
         out = set(basis)
+        line_points, angle = self.line_points, self.angle_index
         for p, q in combinations(basis, 2):
             for la in self.point_line_sets[p] & self.point_line_sets[q]:
-                on_la = self.line_points[la]
-                out |= on_la
-                for r in basis - {p, q}:
+                out |= line_points[la]
+                for r in basis:
+                    if r == p or r == q:
+                        continue
                     for lb in self.point_lines[r]:
-                        if not on_la.isdisjoint(self.line_points[lb]):
-                            out |= self.line_points[lb]
+                        if ((la, lb) if la < lb else (lb, la)) in angle:
+                            out |= line_points[lb]
         return frozenset(out)
 
     def to_matroid(self) -> Matroid:
         return Matroid(labels=self.config.points, oracle=self.is_independent, span=self.span)
 
     def matroid_lines(self) -> list[Flat]:
-        """One rank-2 flat per configuration line: the closure of a point pair."""
-        m = self.to_matroid()
-        return [core.make_flat(m, sorted(pts)[:2]) for pts in self.line_points]
+        """One rank-2 flat per configuration line: its point set.
+
+        The closure of two points of a line is that line's point set
+        (``span``), so the flats are read from the configuration with no
+        oracle call; ``verify_construction_properties`` checks the same
+        equality through the oracle alone.
+        """
+        return [Flat(pts, 2) for pts in self.line_points]
 
 
 @dataclass

@@ -16,6 +16,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -135,18 +136,55 @@ def flats_of_rank(m: Matroid, k: int, *, allow_large: bool = False) -> list[Flat
     return [seen[key] for key in sorted(seen)]
 
 
-def _require_lines(m: Matroid, lines: Iterable[Flat]) -> list[Flat]:
+class LineIndex:
+    """Validated lines over a ground set of ``size`` elements, with the
+    incidence read from them at most once each: the lines' two smallest
+    members (``ends``), the point -> line index (``by_point``) and the
+    meeting map (``meeting``, ``_common_points``).
+
+    ``_require_lines`` builds one; every function that takes a list of
+    lines also takes the index built from it and then reads it as it is,
+    so a caller that hands one family of lines to several stages pays for
+    each piece of its incidence once.
+    """
+
+    def __init__(self, size: int, flats: list[Flat]):
+        self.size = size
+        self.flats = flats
+
+    @cached_property
+    def ends(self) -> list[tuple[int, int]]:
+        return [_two_smallest(f.members) for f in self.flats]
+
+    @cached_property
+    def by_point(self) -> list[list[int]]:
+        return _lines_by_point(self.size, self.flats)
+
+    @cached_property
+    def meeting(self) -> dict[tuple[int, int], int]:
+        return _common_points(self.by_point)
+
+
+def _require_lines(m: Matroid, lines: Iterable[Flat] | LineIndex) -> LineIndex:
+    """The index of ``lines``, each checked to be a ``Flat`` of rank 2 with
+    two or more members of the ground set (rank 2 needs two), with no
+    oracle call; an index already built for a ground set of this size is
+    returned as it is."""
+    if isinstance(lines, LineIndex):
+        if lines.size == m.size:
+            return lines
+        lines = lines.flats
     out = list(lines)
     for f in out:
-        if not isinstance(f, Flat) or f.rank != 2 or not f.members:
+        if not isinstance(f, Flat) or f.rank != 2 or len(f.members) < 2:
             raise MatroidError(f"expected a rank-2 flat, got {f!r}")
         m._subset(f.members)
-    return out
+    return LineIndex(m.size, out)
 
 
 def coplanar(m: Matroid, lines: list[Flat]) -> bool:
     """True iff the union of the given lines lies in a plane (rank <= 3)."""
-    lines = _require_lines(m, lines)
+    lines = _require_lines(m, lines).flats
     union: frozenset = frozenset().union(*(f.members for f in lines)) if lines else frozenset()
     return rank(m, union) <= 3
 
@@ -200,9 +238,9 @@ def _unrank_subset(n: int, k: int, r: int) -> tuple[int, ...]:
 
 
 def _two_smallest(members: frozenset) -> tuple[int, int]:
-    """The two smallest members of a line, the one member twice if it has one."""
+    """The two smallest members of a line (``_require_lines`` gives it two)."""
     low = sorted(members)
-    return low[0], low[1] if len(low) > 1 else low[0]
+    return low[0], low[1]
 
 
 def _star(x: int, ends: Iterable[tuple[int, int]]) -> frozenset:
@@ -249,17 +287,17 @@ def joint_witness(m: Matroid, x: int, lines: list[Flat]) -> Optional[tuple[int, 
     return _n_joint_witness(m, x, lines, 3)
 
 
-def count_joints(m: Matroid, lines: list[Flat]) -> int:
-    """The number of joints of ``lines``: each line's two smallest members
-    are taken once, and each point with three or more lines through it is
-    decided by ``_joint_search`` from them, one oracle call on its star
+def count_joints(m: Matroid, lines: list[Flat] | LineIndex) -> int:
+    """The number of joints of ``lines``: each point with three or more
+    lines through it is decided by ``_joint_search`` from the lines' two
+    smallest members (``LineIndex.ends``), one oracle call on its star
     when the star is independent."""
-    lines = _require_lines(m, lines)
-    ends = [_two_smallest(f.members) for f in lines]
+    index = _require_lines(m, lines)
+    flats, ends = index.flats, index.ends
     return sum(
         1
-        for x, through in enumerate(_lines_by_point(m.size, lines))
-        if len(through) >= 3 and _joint_search(m, x, through, lines, ends, 3) is not None
+        for x, through in enumerate(index.by_point)
+        if len(through) >= 3 and _joint_search(m, x, through, flats, ends, 3) is not None
     )
 
 
@@ -271,7 +309,7 @@ def is_n_joint(m: Matroid, x: int, lines: list[Flat], n: int) -> bool:
 
 
 def _n_joint_witness(m: Matroid, x: int, lines: list[Flat], n: int) -> Optional[tuple[int, ...]]:
-    lines = _require_lines(m, lines)
+    lines = _require_lines(m, lines).flats
     m._subset({x})
     through = [i for i, f in enumerate(lines) if x in f.members]
     ends = {i: _two_smallest(lines[i].members) for i in through}

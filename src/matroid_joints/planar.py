@@ -11,15 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import MatroidError, _common_points
 
 Point = tuple[int, int]
 
 
-@dataclass(frozen=True, order=True)
-class IntLine:
+class IntLine(NamedTuple):
+    """The line A*x + B*y = C: a tuple, so it hashes and orders as (A, B, C)."""
+
     A: int
     B: int
     C: int

@@ -71,7 +71,7 @@ def reference_prune(m, lines, epsilon):
     while True:
         by_point = core._lines_by_point(m.size, survivors)
         planes = {}
-        for i, j in analysis._common_points(by_point):
+        for i, j in core._common_points(by_point):
             plane = core.closure(m, survivors[i].members | survivors[j].members)
             planes.setdefault(tuple(sorted(plane)), plane)
         best, best_contained = None, []
@@ -146,11 +146,14 @@ def prune_subject(request):
     return grid3d_subject(int(name[6:]))
 
 
+# 4/5 puts 2/epsilon between two integers, where rounding it matters
+PRUNE_EPSILONS = (Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(4, 5), 1, Fraction(3, 2), 5)
+
+
 @pytest.mark.parametrize("prune_subject", PRUNE_SUBJECTS, indirect=True)
 def test_heavy_plane_prune_matches_reference(prune_subject):
-    # 4/5 puts 2/epsilon between two integers, where rounding it matters
     m, lines = prune_subject
-    for eps in (Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(4, 5), 1, Fraction(3, 2), 5):
+    for eps in PRUNE_EPSILONS:
         assert heavy_plane_prune(m, lines, eps) == reference_prune(m, lines, eps), eps
 
 
@@ -447,6 +450,71 @@ def test_degenerate_triangles_are_edge_disjoint(matroid200):
                     witness_edges.setdefault(w, set()).update({(i, j), (i, k), (j, k)})
     all_edges = [e for es in witness_edges.values() for e in es]
     assert len(all_edges) == len(set(all_edges))
+
+
+def reference_analyze(m, lines, eps):
+    """``analyze`` from the public stages, each handed a plain list of lines."""
+    survivors, trace = heavy_plane_prune(m, lines, eps)
+    e1, e2, _ = degree_partition(m, survivors, eps)
+    g = intersection_graph(m, survivors, e2)
+    stats = triangle_stats(g)
+    return analysis.AnalysisReport(
+        epsilon=Fraction(eps),
+        L_initial=len(lines),
+        L_after_prune=len(survivors),
+        planes_pruned=len(trace),
+        joints_initial=core.count_joints(m, lines),
+        joints_after_prune=core.count_joints(m, survivors),
+        E1_size=len(e1),
+        E2_size=len(e2),
+        graph_edges=len(g.edges),
+        triangles=stats.total,
+        degenerate_triples=stats.degenerate,
+    )
+
+
+@pytest.mark.parametrize("prune_subject", PRUNE_SUBJECTS, indirect=True)
+def test_analyze_matches_public_stages(prune_subject):
+    # the epsilons of the prune's differential test: builds keep their
+    # lines below epsilon 1 (the index is reused) and the grids lose some
+    m, lines = prune_subject
+    for eps in PRUNE_EPSILONS:
+        assert analyze(m, lines, eps) == reference_analyze(m, lines, eps), eps
+
+
+@pytest.mark.parametrize("eps, builds", [(Fraction(1, 2), 1), (Fraction(1), 2)], ids=["reused", "rebuilt"])
+def test_analyze_indexes_each_line_family_once(monkeypatch, matroid200, eps, builds):
+    # one index for the lines, and one more for the survivors only when the
+    # prune takes a step (76 steps at epsilon 1 on this build)
+    counted = {"_lines_by_point": [], "_common_points": [], "_two_smallest": []}
+    for name, calls in counted.items():
+        original = getattr(core, name)
+        monkeypatch.setattr(core, name, lambda *a, _f=original, _c=calls: _c.append(1) or _f(*a))
+    m, lines = matroid200
+    report = analyze(m, lines, eps)
+    assert (report.planes_pruned > 0) == (builds == 2)
+    assert len(counted["_lines_by_point"]) == builds
+    assert len(counted["_common_points"]) == builds
+    assert len(counted["_two_smallest"]) == len(lines) + (report.L_after_prune if builds == 2 else 0)
+
+
+@pytest.mark.parametrize("stage", ["prune", "partition", "graph", "joints", "analyze"])
+def test_one_member_line_is_rejected_without_an_oracle_call(stage):
+    # rank 2 needs two members: Flat({0}, 2) is no line, and every stage
+    # rejects it up front rather than reading a one-point star or degree
+    base, lines = grid3d_subject(3)
+    calls = []
+    m = core.Matroid(base.labels, lambda s: calls.append(s) or base.oracle(s), base.span)
+    lines = lines + [core.Flat(frozenset({0}), 2)]
+    with pytest.raises(MatroidError, match="expected a rank-2 flat"):
+        {
+            "prune": lambda: heavy_plane_prune(m, lines, 1),
+            "partition": lambda: degree_partition(m, lines, Fraction(1, 2)),
+            "graph": lambda: intersection_graph(m, lines, set(range(m.size))),
+            "joints": lambda: core.count_joints(m, lines),
+            "analyze": lambda: analyze(m, lines, Fraction(1, 2)),
+        }[stage]()
+    assert calls == []
 
 
 def test_analyze_report(matroid200):

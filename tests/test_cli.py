@@ -1,6 +1,7 @@
 """Exit codes and output shapes of the command-line entry points."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +206,17 @@ def test_sweep_stdout(capsys):
     rows = json.loads(out)
     assert [r["N"] for r in rows] == [16, 50, 200]
     assert all(set(r) >= {"N", "L", "joints"} for r in rows)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_sweep_at_epsilon_one_matches_golden(capsys):
+    # at epsilon = 1 the heavy-plane prune takes 76 and 109 steps, so the
+    # survivors are indexed afresh; the file holds the stdout of this command
+    code, out, _ = run(capsys, "sweep", "--ns", "250,400", "--epsilon", "1")
+    assert code == 0
+    assert out.encode() == (GOLDEN / "sweep_250_400_eps1.json").read_bytes()
 
 
 def test_sweep_csv_and_json_mirror(capsys, tmp_path):

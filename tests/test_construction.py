@@ -250,6 +250,18 @@ def small_triangle_free():
     return [tfm for tfm in builds if tfm.line_points] + [TriangleFreeMatroid(cfg)]
 
 
+def test_matroid_lines_equal_oracle_only_closures(small_triangle_free, build200):
+    # matroid_lines reads each line's point set off the configuration; the
+    # oracle-only closure of its two smallest points must give the same flat
+    for tfm in small_triangle_free + [build200.matroid]:
+        m = oracle_only(tfm)
+        flats = tfm.matroid_lines()
+        assert len(flats) == len(tfm.line_points)
+        for flat, pts in zip(flats, tfm.line_points):
+            expected = core.make_flat(m, sorted(pts)[:2])
+            assert (flat.members, flat.rank) == (expected.members, expected.rank)
+
+
 def assert_span_matches_oracle(tfm, subset):
     assert core.closure(tfm.to_matroid(), subset) == core.closure(oracle_only(tfm), subset)
 
