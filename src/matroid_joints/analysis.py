@@ -100,14 +100,15 @@ def _meeting_planes(
     independent one is a basis of the pair's plane.  The held line pairs of
     each plane of three or more lines are indexed, so that plane is closed
     once.  A plane's lines are found by their ends: a line whose two
-    smallest members lie in the plane is tested for containment.
+    smallest members lie in the plane is tested for containment.  At a
+    threshold of 3 or more, a plane holding only l_i and l_j is dropped
+    before its lines are sorted: no other pair generates it.
     """
     index = core._require_lines(m, lines)
     flats, ends = index.flats, index.ends
     by_min: dict[int, list[int]] = {}
     for i, (a, _) in enumerate(ends):
         by_min.setdefault(a, []).append(i)
-    mins = frozenset(by_min)
     plane_of: dict[tuple[int, int], tuple[int, ...]] = {}  # held pair -> the plane's lines
     planes: dict[tuple[int, ...], tuple[tuple[int, ...], list[tuple[int, int]]]] = {}
     for (i, j), x in index.meeting.items():
@@ -119,14 +120,16 @@ def _meeting_planes(
         held = plane_of.get((i, j))
         if held is None:
             plane = core._closure_of(m, star, star)
-            held = tuple(
-                sorted(
-                    k
-                    for p in plane & mins
-                    for k in by_min[p]
-                    if ends[k][1] in plane and flats[k].members <= plane
-                )
-            )
+            found = [
+                k
+                for p in plane
+                if p in by_min
+                for k in by_min[p]
+                if ends[k][1] in plane and flats[k].members <= plane
+            ]
+            if len(found) == 2 and threshold >= 3:
+                continue
+            held = tuple(sorted(found))
             if len(held) >= 3:
                 plane_of.update(dict.fromkeys(combinations(held, 2), held))
             if len(held) >= threshold and held not in planes:
@@ -220,15 +223,15 @@ class AnalysisReport:
     degenerate_triples: int
 
 
-def analyze(m: Matroid, lines: list[Flat], epsilon: Fraction) -> AnalysisReport:
+def analyze(m: Matroid, lines: list[Flat] | core.LineIndex, epsilon: Fraction) -> AnalysisReport:
     """Run the full pipeline on one instance and record every statistic.
 
-    The lines are validated and indexed once (``core.LineIndex``), and
-    every stage reads that index: the prune, the joint count, the degree
-    partition and the intersection graph.  The prune goes first, so lines
-    it rejects raise before any count.  When it takes no step the
-    survivors are the lines and keep their index; otherwise the survivors
-    are indexed once."""
+    The lines are validated and indexed once (``core.LineIndex``; an index
+    passed in is read as it is), and every stage reads that index: the
+    prune, the joint count, the degree partition and the intersection
+    graph.  The prune goes first, so lines it rejects raise before any
+    count.  When it takes no step the survivors are the lines and keep
+    their index; otherwise the survivors are indexed once."""
     epsilon = Fraction(epsilon)
     index = core._require_lines(m, lines)
     survivors, trace = heavy_plane_prune(m, index, epsilon)
@@ -273,8 +276,10 @@ SWEEP_COLUMNS = [
 def joints_sweep(ns: Iterable[int], epsilon_report: Fraction) -> list[dict]:
     """Build the construction for each N and tabulate joints against lines.
 
-    Per-N failures become rows with an "error" field; degenerate rows
-    (no surviving lines) carry a "warning" field and empty ratios.
+    ``analyze`` reads the configuration's own incidence
+    (``TriangleFreeMatroid.line_index``).  Per-N failures become rows with
+    an "error" field; degenerate rows (no surviving lines) carry a
+    "warning" field and empty ratios.
     """
     epsilon_report = Fraction(epsilon_report)
     rows: list[dict] = []
@@ -284,14 +289,13 @@ def joints_sweep(ns: Iterable[int], epsilon_report: Fraction) -> list[dict]:
         try:
             build = build_construction(n)
             m = build.matroid.to_matroid()
-            lines = build.matroid.matroid_lines()
-            report = analyze(m, lines, epsilon_report)
+            report = analyze(m, build.matroid.line_index(), epsilon_report)
             joints = report.joints_initial
-            big_l = len(lines)
+            big_l = report.L_initial
             row.update(
                 B_size=len(build.behrend),
                 E_size=len(build.config.points),
-                L0=len(build.grid.lines),
+                L0=len(build.grid),
                 L=big_l,
                 joints=joints,
                 joints_over_L2=(joints / big_l**2 if big_l else None),

@@ -131,7 +131,10 @@ def cmd_grid3d(args) -> int:
 
 def cmd_verify(args) -> int:
     with open(args.dump) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise MatroidError(f"dump {args.dump!r} is nested too deeply to parse") from None
     config = Configuration.from_json(data)
     for key in ("N", "triple_points"):
         if data.get(key) is not None:

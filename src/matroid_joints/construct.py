@@ -2,8 +2,8 @@
 simple matroid they induce.
 
 The pipeline: grid lines (horizontal, vertical, diagonal) over {1..N}^2,
-points filtered by coordinate sum lying in a 3-AP-free set, lines pruned
-to those with at least two surviving points.  On the resulting
+points filtered by coordinate sum lying in a 3-AP-free set, and only the
+lines with at least two surviving points kept.  On the resulting
 triangle-free configuration, independence is decided by a collinearity
 rule for 3-sets and a collinearity-or-angle rule for 4-sets; every 5-set
 is dependent.  An angle is the union of two configuration lines meeting
@@ -17,9 +17,11 @@ covers all four points covers two disjoint pairs, one per line.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import core
 from .behrend import BehrendSet, behrend_set
@@ -31,7 +33,6 @@ from .planar import (
     diagonal,
     horizontal,
     is_triangle_free,
-    prune_lines,
     triple_points,
     vertical,
 )
@@ -43,21 +44,43 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class GridFamily:
+    """The 4N+1 grid lines over {1..N}^2: y=b, x=a (1..N) and x-y=c (-N..N),
+    in that order.  ``len`` counts them without building them."""
+
     N: int
-    lines: tuple[IntLine, ...]
+
+    def __len__(self) -> int:
+        return 4 * self.N + 1
+
+    @cached_property
+    def lines(self) -> tuple[IntLine, ...]:
+        lines = (
+            [horizontal(b) for b in range(1, self.N + 1)]
+            + [vertical(a) for a in range(1, self.N + 1)]
+            + [diagonal(c) for c in range(-self.N, self.N + 1)]
+        )
+        assert len(set(lines)) == len(self)
+        return tuple(lines)
+
+    def populated_lines(self, points: Sequence[Point]) -> list[IntLine]:
+        """The lines holding two or more of ``points`` (points of the grid),
+        in the order of ``lines``: a point lies on one line of each
+        direction, read off its coordinates, so no other line is built."""
+        rows = Counter(y for _, y in points)
+        columns = Counter(x for x, _ in points)
+        diagonals = Counter(x - y for x, y in points)
+        return (
+            [horizontal(b) for b in sorted(rows) if rows[b] >= 2]
+            + [vertical(a) for a in sorted(columns) if columns[a] >= 2]
+            + [diagonal(c) for c in sorted(diagonals) if diagonals[c] >= 2]
+        )
 
 
 def grid_lines(N: int) -> GridFamily:
-    """The 4N+1 grid lines: y=b, x=a (1..N) and x-y=c (-N..N)."""
+    """The grid family of N; its lines are built when first read."""
     if N < 1:
         raise MatroidError("grid_lines requires N >= 1")
-    lines = (
-        [horizontal(b) for b in range(1, N + 1)]
-        + [vertical(a) for a in range(1, N + 1)]
-        + [diagonal(c) for c in range(-N, N + 1)]
-    )
-    assert len(set(lines)) == 4 * N + 1
-    return GridFamily(N=N, lines=tuple(lines))
+    return GridFamily(N=N)
 
 
 def behrend_points(N: int, sums: Iterable[int]) -> list[Point]:
@@ -147,6 +170,18 @@ class TriangleFreeMatroid:
         """
         return [Flat(pts, 2) for pts in self.line_points]
 
+    def line_index(self) -> core.LineIndex:
+        """The ``core.LineIndex`` of ``matroid_lines`` over ``to_matroid``'s
+        ground set, its pieces the configuration's own, so nothing is
+        indexed again: each line's points are ascending, so ``ends`` is
+        their first two; ``by_point`` is ``point_lines``; ``meeting`` is
+        ``angle_index``, ``core._common_points`` of ``point_lines``."""
+        index = core.LineIndex(len(self.point_lines), self.matroid_lines())
+        index.ends = [pts[:2] for pts in self.config.line_points]
+        index.by_point = self.point_lines
+        index.meeting = self.angle_index
+        return index
+
 
 @dataclass
 class ConstructionBuild:
@@ -164,7 +199,7 @@ class ConstructionBuild:
             "B": list(self.behrend.members),
             "points": cfg["points"],
             "lines": cfg["lines"],
-            "pruned_lines": len(self.grid.lines) - len(self.config.lines),
+            "pruned_lines": len(self.grid) - len(self.config.lines),
             "triple_points": len(triple_points(self.config)),
         }
 
@@ -181,7 +216,8 @@ def build_construction(N: int) -> ConstructionBuild:
     b = behrend_set(N)
     pts = behrend_points(N, b.members)
     grid = grid_lines(N)
-    config = prune_lines(Configuration(pts, grid.lines))
+    # the grid lines that ``planar.prune_lines`` would keep, indexed once
+    config = Configuration(pts, grid.populated_lines(pts))
     if not is_triangle_free(config):
         raise ConstructionError(f"triangle found in pruned configuration for N={N}")
     matroid = TriangleFreeMatroid(config)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matroid_joints import analysis, core
+from matroid_joints import analysis, core, planar
 from matroid_joints.affine import affine_matroid, descriptor_flats, grid3d, point
 from matroid_joints.analysis import (
     SWEEP_COLUMNS,
@@ -543,6 +543,31 @@ def test_joints_sweep_counts_joints_once_per_row(monkeypatch):
     rows = joints_sweep([5], Fraction(1, 2))
     assert rows[0].get("error") is None
     assert len(calls) == 1
+
+
+def test_sweep_row_builds_its_meeting_map_once(monkeypatch):
+    # the configuration's angle_index is the harness's meeting map, so a row
+    # at epsilon = 1/2 (no prune step) computes it once; 3 times before the
+    # build indexed only the populated lines and the harness read its index
+    calls = []
+    original = core._common_points
+    counted = lambda by_point: calls.append(1) or original(by_point)
+    monkeypatch.setattr(core, "_common_points", counted)
+    monkeypatch.setattr(planar, "_common_points", counted)
+    rows = joints_sweep([200], Fraction(1, 2))
+    assert rows[0].get("error") is None and rows[0]["L"] > 0
+    assert len(calls) == 1
+
+
+def test_line_index_is_the_configurations_incidence(build200, base3_grid):
+    # a seeded index equals the one core builds from the lines
+    for tfm in (build200.matroid, TriangleFreeMatroid(prune_lines(base3_grid))):
+        seeded = tfm.line_index()
+        built = core.LineIndex(tfm.to_matroid().size, tfm.matroid_lines())
+        assert seeded.size == built.size and seeded.flats == built.flats
+        assert seeded.ends == built.ends
+        assert [list(ls) for ls in seeded.by_point] == built.by_point
+        assert list(seeded.meeting.items()) == list(built.meeting.items())
 
 
 def test_sweep_row_errors_do_not_abort():

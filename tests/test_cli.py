@@ -1,9 +1,13 @@
 """Exit codes and output shapes of the command-line entry points."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matroid_joints import cli
 from matroid_joints.cli import USAGE_ERROR, VERIFY_ERROR, main
@@ -195,6 +199,58 @@ def test_verify_rejects_malformed_dump(capsys, tmp_path, data):
     assert err.startswith("error:")
 
 
+def test_verify_rejects_deeply_nested_dump(capsys, tmp_path):
+    # json.load gives up on deep nesting with a RecursionError
+    dump = tmp_path / "nested.json"
+    dump.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "verify", "--dump", str(dump))
+    assert code == USAGE_ERROR
+    assert out == ""
+    assert err.startswith("error:")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["points", "lines", "A", "B", "C", "N", "triple_points", ""]), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _dumps(draw):
+    """Dump-shaped JSON on at most 10 points (the axiom check stays
+    exhaustive), lines through pairs of them or with small coefficients,
+    optional fields of any JSON, or any JSON at all."""
+    points = draw(st.lists(st.lists(st.integers(0, 4), min_size=2, max_size=2), max_size=10))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if len(points) >= 2 and draw(st.booleans()):
+            (x1, y1), (x2, y2) = draw(st.lists(st.sampled_from(points), min_size=2, max_size=2))
+            a, b = y2 - y1, x1 - x2
+            lines.append({"A": a, "B": b, "C": a * x1 + b * y1})
+        else:
+            lines.append({k: draw(st.integers(-3, 3)) for k in "ABC"})
+    data = {"points": points, "lines": lines}
+    for key in ("N", "triple_points"):
+        if draw(st.booleans()):
+            data[key] = draw(st.integers(0, 4) | _JSON)
+    return draw(st.just(data) | _JSON)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_dumps())
+def test_verify_fuzzed_dump_exits_with_a_documented_code(tmp_path_factory, data):
+    dump = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    dump.write_text(json.dumps(data))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["verify", "--dump", str(dump)])
+    assert code in (0, USAGE_ERROR, VERIFY_ERROR)
+    if code == USAGE_ERROR:
+        assert err.getvalue().startswith("error:")
+
+
 def test_verify_missing_file(capsys, tmp_path):
     code, _, _ = run(capsys, "verify", "--dump", str(tmp_path / "absent.json"))
     assert code == USAGE_ERROR
@@ -217,6 +273,14 @@ def test_sweep_at_epsilon_one_matches_golden(capsys):
     code, out, _ = run(capsys, "sweep", "--ns", "250,400", "--epsilon", "1")
     assert code == 0
     assert out.encode() == (GOLDEN / "sweep_250_400_eps1.json").read_bytes()
+
+
+def test_construct_matches_golden(capsys):
+    # the file holds this command's stdout from before the build indexed
+    # only the grid lines that hold points: the same lines and pruned_lines
+    code, out, _ = run(capsys, "construct", "--n", "200")
+    assert code == 0
+    assert out.encode() == (GOLDEN / "construct_200.json").read_bytes()
 
 
 def test_sweep_csv_and_json_mirror(capsys, tmp_path):

@@ -33,12 +33,36 @@ from matroid_joints.planar import (
 
 def test_grid_lines_counts():
     fam = grid_lines(1)
-    assert len(fam.lines) == 5
+    assert len(fam) == len(fam.lines) == 5
     assert set(fam.lines) == {horizontal(1), vertical(1), diagonal(-1), diagonal(0), diagonal(1)}
     assert len(grid_lines(2).lines) == 9
     assert len(grid_lines(50).lines) == 201
     with pytest.raises(MatroidError):
         grid_lines(0)
+
+
+def _assert_same_configuration(cfg, reference):
+    for attr in ("points", "lines", "line_points", "point_lines"):
+        assert getattr(cfg, attr) == getattr(reference, attr), attr
+    assert list(cfg.angle_index.items()) == list(reference.angle_index.items())
+
+
+def test_build_indexes_exactly_the_pruned_grid_lines():
+    # the populated lines, indexed once, are prune_lines over all 4N + 1
+    for n in range(4, 301):
+        build = build_construction(n)
+        pts = behrend_points(n, build.behrend.members)
+        reference = prune_lines(Configuration(pts, grid_lines(n).lines))
+        _assert_same_configuration(build.config, reference)
+        assert len(build.grid) == len(build.grid.lines) == 4 * n + 1
+    # a denser sum set: a Salem-Spencer set shifted to start at 2
+    n = 40
+    sums = {2 + sum(c) for k in range(5) for c in combinations((1, 3, 9, 27), k)}
+    pts = behrend_points(n, sums)
+    grid = grid_lines(n)
+    reference = prune_lines(Configuration(pts, grid.lines))
+    assert len(reference.lines) > 100
+    _assert_same_configuration(Configuration(pts, grid.populated_lines(pts)), reference)
 
 
 def test_behrend_points_example():
