@@ -21,7 +21,7 @@ from typing import Iterable
 
 from . import core
 from .core import Flat, Matroid, MatroidError
-from .construct import build_construction
+from .construct import ConstructionError, build_construction
 from .planar import _triangles_at, triple_points
 
 
@@ -41,11 +41,14 @@ def heavy_plane_prune(
     so does a meeting pair whose star is dependent (``_meeting_planes``).
 
     Candidate planes are the planes cl(l_i | l_j) of the line pairs that
-    meet at a point and hold at least 2/epsilon lines (``_meeting_planes``).
-    A plane does not change as lines go, and its live count only falls, so
-    the steps come from a lazy heap of (-live count, member list): a popped
-    plane is dropped when it holds too few live lines or no meeting pair of
-    two live lines still generates it, pushed back when its count is stale,
+    meet at a point and hold at least 2/epsilon lines (``_meeting_planes``:
+    on the index of a ``TriangleFreeMatroid`` read through its own oracle
+    such a plane is l_i | l_j, holding those two lines alone, and is not
+    closed; on any other input each plane is closed once).  A plane does
+    not change as lines go, and its live count only falls, so the steps
+    come from a lazy heap of (-live count, member list): a popped plane is
+    dropped when it holds too few live lines or no meeting pair of two
+    live lines still generates it, pushed back when its count is stale,
     and taken otherwise.  The heaviest plane goes first, ties broken
     lexicographically on the plane's member list; ``removed`` indexes the
     line list as it was before the step.
@@ -97,18 +100,33 @@ def _meeting_planes(
     other than x, read inline from its two smallest members as in
     ``core.count_joints``: a dependent star means the matroid is not
     simple or a line is not a rank-2 flat, and raises MatroidError; an
-    independent one is a basis of the pair's plane.  The held line pairs of
-    each plane of three or more lines are indexed, so that plane is closed
-    once.  A plane's lines are found by their ends: a line whose two
-    smallest members lie in the plane is tested for containment.  At a
-    threshold of 3 or more, a plane holding only l_i and l_j is dropped
+    independent one is a basis of the pair's plane.
+
+    When the index was seeded by a ``TriangleFreeMatroid`` whose oracle is
+    ``m``'s (``core.LineIndex.oracle``), the plane of (i, j) is l_i | l_j
+    and holds l_i and l_j alone, so nothing is closed.  The lemma needs a
+    triangle-free configuration whose lines each hold two or more points
+    and share at most one: in span({x, a_i, a_j}), a line through a_j
+    that meets l_i off x closes a triangle with l_i and l_j, and so does a
+    line through a_i and a_j, so the span is l_i | l_j; a third line in it
+    would hold one point of l_i - {x} and one of l_j - {x}, again a
+    triangle.  At a threshold of 3 or more no such plane is kept.
+
+    Otherwise (any other matroid, or a plain list of lines) each plane is
+    closed through ``core._closure_of``, the reference.  The held line
+    pairs of each plane of three or more lines are indexed, so that plane
+    is closed once.  A plane's lines are found by their ends: a line whose
+    two smallest members lie in the plane is tested for containment.  At
+    a threshold of 3 or more, a plane holding only l_i and l_j is dropped
     before its lines are sorted: no other pair generates it.
     """
     index = core._require_lines(m, lines)
     flats, ends = index.flats, index.ends
+    unions = index.oracle is not None and index.oracle == m.oracle
     by_min: dict[int, list[int]] = {}
-    for i, (a, _) in enumerate(ends):
-        by_min.setdefault(a, []).append(i)
+    if not unions:
+        for i, (a, _) in enumerate(ends):
+            by_min.setdefault(a, []).append(i)
     plane_of: dict[tuple[int, int], tuple[int, ...]] = {}  # held pair -> the plane's lines
     planes: dict[tuple[int, ...], tuple[tuple[int, ...], list[tuple[int, int]]]] = {}
     for (i, j), x in index.meeting.items():
@@ -117,6 +135,10 @@ def _meeting_planes(
         star = frozenset((x, b if a == x else a, d if c == x else c))
         if len(star) < 3 or not m.oracle(star):
             raise MatroidError(f"lines {i} and {j} meet at {x} in a dependent star")
+        if unions:
+            if threshold <= 2:
+                planes[i, j] = (tuple(sorted(flats[i].members | flats[j].members)), [(i, j)])
+            continue
         held = plane_of.get((i, j))
         if held is None:
             plane = core._closure_of(m, star, star)
@@ -278,7 +300,9 @@ def joints_sweep(ns: Iterable[int], epsilon_report: Fraction) -> list[dict]:
 
     ``analyze`` reads the configuration's own incidence
     (``TriangleFreeMatroid.line_index``).  Per-N failures become rows with
-    an "error" field; degenerate rows (no surviving lines) carry a
+    an "error" field; a failure other than MatroidError or
+    ConstructionError, a bug rather than bad input, also writes its
+    traceback to stderr.  Degenerate rows (no surviving lines) carry a
     "warning" field and empty ratios.
     """
     epsilon_report = Fraction(epsilon_report)
@@ -309,6 +333,10 @@ def joints_sweep(ns: Iterable[int], epsilon_report: Fraction) -> list[dict]:
             if build.degenerate:
                 row["warning"] = "degenerate configuration: no line survived pruning"
         except Exception as exc:  # row-level failure; the sweep continues
+            if not isinstance(exc, (MatroidError, ConstructionError)):
+                import traceback  # here, so that only a failing run pays for the import
+
+                traceback.print_exc()
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
     return rows

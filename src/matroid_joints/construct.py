@@ -175,11 +175,17 @@ class TriangleFreeMatroid:
         ground set, its pieces the configuration's own, so nothing is
         indexed again: each line's points are ascending, so ``ends`` is
         their first two; ``by_point`` is ``point_lines``; ``meeting`` is
-        ``angle_index``, ``core._common_points`` of ``point_lines``."""
+        ``angle_index``, ``core._common_points`` of ``point_lines``.
+
+        ``oracle`` is ``is_independent``, which tells the heavy-plane prune
+        that a plane of two meeting lines is their union
+        (``analysis._meeting_planes``); that holds only on a triangle-free
+        configuration, the one this matroid is defined on."""
         index = core.LineIndex(len(self.point_lines), self.matroid_lines())
         index.ends = [pts[:2] for pts in self.config.line_points]
         index.by_point = self.point_lines
         index.meeting = self.angle_index
+        index.oracle = self.is_independent
         return index
 
 

@@ -146,7 +146,14 @@ class LineIndex:
     lines also takes the index built from it and then reads it as it is,
     so a caller that hands one family of lines to several stages pays for
     each piece of its incidence once.
+
+    ``oracle`` is None, or the independence oracle of the structure that
+    seeded the index (``TriangleFreeMatroid.line_index``): a stage that
+    reads the lines through a matroid with that very oracle may read that
+    structure's rules instead of closing flats.
     """
+
+    oracle: Optional[Callable[[frozenset], bool]] = None
 
     def __init__(self, size: int, flats: list[Flat]):
         self.size = size

@@ -87,8 +87,9 @@ class Configuration:
 
     def __init__(self, points: Iterable[Point], lines: Iterable[IntLine]):
         """Raises MatroidError on a coordinate that is not an integer (bool
-        included; nothing is coerced), a line with A = B = 0, or two lines
-        that share two points (``core._common_points``)."""
+        included; nothing is coerced), a line with A = B = 0, two lines
+        that share two points (``core._common_points``), or one line given
+        twice, in any two forms that ``line`` puts in one canonical form."""
         self.points: tuple[Point, ...] = tuple((_exact_int(a), _exact_int(b)) for a, b in points)
         self.lines: tuple[IntLine, ...] = tuple(lines)
         if len(set(self.points)) != len(self.points):
@@ -96,7 +97,7 @@ class Configuration:
         # a point lies on at most one line of each direction (A, B), so one
         # lookup of A*x + B*y per direction finds its lines; points are
         # visited in index order, so each line's points come out ascending;
-        # a line given twice is a repeated C within one direction
+        # a line given twice in one form is a repeated C within one direction
         by_direction: dict[tuple[int, int], dict[int, int]] = {}
         for li, l in enumerate(self.lines):
             if by_direction.setdefault((l.A, l.B), {}).setdefault(l.C, li) != li:
@@ -109,7 +110,13 @@ class Configuration:
                 li = line_of_c.get(a * x + b * y)
                 if li is not None:
                     line_points[li].append(pi)
+        # a line given in two forms lies in two directions of one canonical
+        # direction; checked after indexing, so a repeat that holds two
+        # points is named as two lines sharing them
         self._index(line_points)
+        if len({line(a, b, 0) for a, b in by_direction}) < len(by_direction):
+            if len({line(*l) for l in self.lines}) < len(self.lines):
+                raise MatroidError("duplicate lines in configuration")
 
     def _index(self, line_points: Iterable[Iterable[int]]) -> None:
         """Set ``line_points`` and the indexes read from it: ``point_lines``

@@ -2,16 +2,17 @@
 
 import hashlib
 import heapq
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from matroid_joints import analysis, core, planar
+from matroid_joints import analysis, cli, core, planar
 from matroid_joints.affine import affine_matroid, descriptor_flats, grid3d, point
 from matroid_joints.analysis import (
     SWEEP_COLUMNS,
@@ -23,7 +24,13 @@ from matroid_joints.analysis import (
     triangle_stats,
     write_sweep_csv,
 )
-from matroid_joints.construct import TriangleFreeMatroid, behrend_points, build_construction, grid_lines
+from matroid_joints.construct import (
+    ConstructionError,
+    TriangleFreeMatroid,
+    behrend_points,
+    build_construction,
+    grid_lines,
+)
 from matroid_joints.core import MatroidError, make_flat
 from matroid_joints.planar import Configuration, prune_lines
 
@@ -219,14 +226,14 @@ def test_heavy_plane_prune_repushes_stale_planes(monkeypatch):
     assert pushes and all(-count < 8 for count, *_ in pushes)
 
 
+@lru_cache(maxsize=None)
 def base3_window(n, t):
     """The window build: the sums x + t in [2, 2n] of the x <= 6n whose
     base-3 digits are all 0 or 1, over the pruned n x n grid."""
     powers = [3**k for k in range(20) if 3**k <= 6 * n]
     xs = {sum(p for k, p in enumerate(powers) if bits >> k & 1) for bits in range(2 ** len(powers))}
     sums = [x + t for x in xs if x <= 6 * n and 2 <= x + t <= 2 * n]
-    tfm = TriangleFreeMatroid(prune_lines(Configuration(behrend_points(n, sums), grid_lines(n).lines)))
-    return tfm.to_matroid(), tfm.matroid_lines()
+    return TriangleFreeMatroid(prune_lines(Configuration(behrend_points(n, sums), grid_lines(n).lines)))
 
 
 # sha256 of the repr of the (plane, removed) pairs of the epsilon = 1 trace
@@ -234,17 +241,89 @@ def base3_window(n, t):
 TRACE_DIGEST_400 = "bb69d20fbf4b31d697dbc0793b3a9d1bfef8cb1151c6eef395060b180b70eba6"
 
 
-def test_heavy_plane_prune_at_scale():
+@pytest.mark.parametrize("form", ["lines", "index"])
+def test_heavy_plane_prune_at_scale(form):
     # N = 400, t = -571: 17,824 points and 1,593 lines, each plane of two
     # meeting lines holding just those two; at epsilon = 1 every such plane
-    # is a candidate and the prune takes 714 of them, two lines at a time
-    m, lines = base3_window(400, -571)
-    assert (m.size, len(lines)) == (17824, 1593)
-    assert heavy_plane_prune(m, lines, Fraction(1, 2)) == (lines, [])
+    # is a candidate and the prune takes 714 of them, two lines at a time;
+    # the lines close each plane, the configuration's index reads it
+    tfm = base3_window(400, -571)
+    m = tfm.to_matroid()
+    lines = tfm.matroid_lines() if form == "lines" else tfm.line_index()
+    assert (m.size, len(tfm.line_points)) == (17824, 1593)
+    assert heavy_plane_prune(m, lines, Fraction(1, 2)) == (tfm.matroid_lines(), [])
     survivors, trace = heavy_plane_prune(m, lines, Fraction(1))
     assert (len(trace), len(survivors)) == (714, 165)
     digest = hashlib.sha256(repr([(s.plane, s.removed) for s in trace]).encode()).hexdigest()
     assert digest == TRACE_DIGEST_400
+
+
+BUILD_SUBJECTS = [name for name in PRUNE_SUBJECTS if name.startswith("build")]
+
+
+@pytest.mark.parametrize("name", BUILD_SUBJECTS)
+def test_configuration_index_matches_the_closures(name):
+    # a build's own index reads each plane as the union of its two lines;
+    # the same lines as a plain list close each plane through the oracle
+    tfm = build_construction(int(name[5:])).matroid
+    m, lines = tfm.to_matroid(), tfm.matroid_lines()
+    for eps in PRUNE_EPSILONS:
+        threshold = math.ceil(2 / Fraction(eps))
+        planes = analysis._meeting_planes(m, lines, threshold)
+        assert analysis._meeting_planes(m, tfm.line_index(), threshold) == planes, eps
+        assert heavy_plane_prune(m, tfm.line_index(), eps) == heavy_plane_prune(m, lines, eps), eps
+        assert analyze(m, tfm.line_index(), eps) == analyze(m, lines, eps), eps
+
+
+def progression_free(draws):
+    """The draws kept in order while no three kept ones form a 3-AP."""
+    kept = set()
+    for s in draws:
+        if not any(2 * s - a in kept or 2 * a - s in kept for a in kept):
+            kept.add(s)
+    return kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(4, 16).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(2, 2 * n), unique=True, max_size=2 * n))
+    )
+)
+def test_configuration_index_matches_the_closures_on_random_grids(subject):
+    # a random 3-AP-free set of sums filters the n x n grid; each threshold
+    # 1..5 is ceil(2 / epsilon) at epsilon = 2 / threshold
+    n, draws = subject
+    pts = behrend_points(n, progression_free(draws))
+    cfg = Configuration(pts, grid_lines(n).populated_lines(pts))
+    assume(planar.is_triangle_free(cfg))
+    tfm = TriangleFreeMatroid(cfg)
+    m, lines = tfm.to_matroid(), tfm.matroid_lines()
+    for threshold in range(1, 6):
+        eps = Fraction(2, threshold)
+        planes = analysis._meeting_planes(m, lines, threshold)
+        assert analysis._meeting_planes(m, tfm.line_index(), threshold) == planes, threshold
+        assert heavy_plane_prune(m, tfm.line_index(), eps) == heavy_plane_prune(m, lines, eps), threshold
+
+
+def test_a_seeded_index_under_another_matroid_closes_its_planes(monkeypatch, build200):
+    # only the oracle that seeded the index reads a plane as the union of
+    # its two lines; another matroid of the same size, even one deciding
+    # the same sets, closes one plane per meeting pair (350 on this build)
+    tfm = build200.matroid
+    own = tfm.to_matroid()
+    same_answers = core.Matroid(own.labels, lambda s: tfm.is_independent(s), own.span)
+    twin = TriangleFreeMatroid(tfm.config).to_matroid()
+    closed = []
+    closure_of = core._closure_of
+    monkeypatch.setattr(core, "_closure_of", lambda *a: closed.append(a) or closure_of(*a))
+    counts, results = [], []
+    for m in (own, same_answers, twin):
+        closed.clear()
+        results.append(heavy_plane_prune(m, tfm.line_index(), Fraction(1, 2)))
+        counts.append(len(closed))
+    assert counts == [0, 350, 350]
+    assert results == [(tfm.matroid_lines(), [])] * 3
 
 
 @pytest.mark.parametrize("partition", [True, False], ids=["degree_partition", "intersection_graph"])
@@ -568,6 +647,29 @@ def test_line_index_is_the_configurations_incidence(build200, base3_grid):
         assert seeded.ends == built.ends
         assert [list(ls) for ls in seeded.by_point] == built.by_point
         assert list(seeded.meeting.items()) == list(built.meeting.items())
+
+
+@pytest.mark.parametrize(
+    "error, traced",
+    [(KeyError("lost"), True), (MatroidError("bad"), False), (ConstructionError("triangle"), False)],
+    ids=["KeyError", "MatroidError", "ConstructionError"],
+)
+def test_sweep_row_bug_writes_its_traceback_to_stderr(monkeypatch, capsys, error, traced):
+    # a failure that is not a domain error is a bug: its row still carries
+    # the one-line error on stdout, and its traceback goes to stderr
+    def failing(*args):
+        raise error
+
+    monkeypatch.setattr(analysis, "analyze", failing)
+    assert cli.main(["sweep", "--ns", "5"]) == 0
+    out, err = capsys.readouterr()
+    (row,) = json.loads(out)
+    assert row["error"] == f"{type(error).__name__}: {error}"
+    assert "Traceback" not in out
+    if traced:
+        assert "Traceback" in err and "in failing" in err and err.endswith("KeyError: 'lost'\n")
+    else:
+        assert err == ""
 
 
 def test_sweep_row_errors_do_not_abort():

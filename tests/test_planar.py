@@ -163,6 +163,21 @@ def test_duplicate_rejection():
         Configuration([(1, 0), (1, 1)], [IntLine(1, 0, 1), IntLine(2, 0, 2)])
 
 
+@pytest.mark.parametrize(
+    "points, lines",
+    [
+        # x + y = 2 in two forms through one point: (1, 1) would lie on
+        # four lines, a triple point of three directions
+        ([(1, 1), (5, 5)], [IntLine(1, 1, 2), IntLine(2, 2, 4), IntLine(0, 1, 1), IntLine(1, 0, 1)]),
+        ([(0, 0)], [IntLine(0, 1, 3), IntLine(0, -2, -6)]),
+    ],
+    ids=["one-point", "no-point"],
+)
+def test_a_line_given_twice_in_any_form_is_rejected(points, lines):
+    with pytest.raises(MatroidError, match="duplicate lines in configuration"):
+        Configuration(points, lines)
+
+
 @pytest.mark.parametrize("bad", [(1.9, 2), ("3", 2), (True, 2)])
 def test_non_integer_coordinates_rejected(bad):
     # neither truncated nor coerced: (1.9, 2) must not land on y = 2 as (1, 2)
