@@ -21,7 +21,7 @@ from typing import Iterable
 
 from . import core
 from .core import Flat, Matroid, MatroidError
-from .construct import ConstructionError, build_construction
+from .construct import ConstructionError, TriangleFreeMatroid, build_construction
 from .planar import _triangles_at, triple_points
 
 
@@ -42,9 +42,9 @@ def heavy_plane_prune(
 
     Candidate planes are the planes cl(l_i | l_j) of the line pairs that
     meet at a point and hold at least 2/epsilon lines (``_meeting_planes``:
-    on the index of a ``TriangleFreeMatroid`` read through its own oracle
-    such a plane is l_i | l_j, holding those two lines alone, and is not
-    closed; on any other input each plane is closed once).  A plane does
+    on a triangle-free configuration read through a ``TriangleFreeMatroid``
+    of it such a plane is l_i | l_j, holding those two lines alone, and is
+    not closed; on any other input each plane is closed once).  A plane does
     not change as lines go, and its live count only falls, so the steps
     come from a lazy heap of (-live count, member list): a popped plane is
     dropped when it holds too few live lines or no meeting pair of two
@@ -62,7 +62,7 @@ def heavy_plane_prune(
     # member lists are distinct, so an entry never compares past its key
     heap = [(-len(held), key, held, pairs) for held, (key, pairs) in planes.items()]
     heapq.heapify(heap)
-    alive = [True] * len(index.flats)
+    alive = [True] * len(index.line_points)
     dead: list[int] = []  # ascending
     trace: list[PruneStep] = []
     while heap:
@@ -94,23 +94,25 @@ def _meeting_planes(
     than ``threshold`` lines is not kept: lines only die, so it could
     never be pruned.
 
-    The meeting pairs and the lines' two smallest members come from the
-    lines' ``core.LineIndex``.  A pair meeting at x is checked by one
-    oracle call on its star {x, a_i, a_j}, a_i the smallest member of l_i
-    other than x, read inline from its two smallest members as in
+    The meeting pairs and the lines' ascending points come from the lines'
+    ``core.LineIndex``.  A pair meeting at x is checked by one oracle call
+    on its star {x, a_i, a_j}, a_i the smallest member of l_i other than
+    x, read inline from its two smallest members as in
     ``core.count_joints``: a dependent star means the matroid is not
     simple or a line is not a rank-2 flat, and raises MatroidError; an
     independent one is a basis of the pair's plane.
 
-    When the index was seeded by a ``TriangleFreeMatroid`` whose oracle is
-    ``m``'s (``core.LineIndex.oracle``), the plane of (i, j) is l_i | l_j
-    and holds l_i and l_j alone, so nothing is closed.  The lemma needs a
-    triangle-free configuration whose lines each hold two or more points
-    and share at most one: in span({x, a_i, a_j}), a line through a_j
-    that meets l_i off x closes a triangle with l_i and l_j, and so does a
-    line through a_i and a_j, so the span is l_i | l_j; a third line in it
-    would hold one point of l_i - {x} and one of l_j - {x}, again a
-    triangle.  At a threshold of 3 or more no such plane is kept.
+    When ``m``'s oracle is that of a ``TriangleFreeMatroid`` whose
+    configuration is the index itself, and the configuration's gate
+    verdict (``planar.Configuration.triangle_free``, cached) says it has
+    no triangle, the plane of (i, j) is l_i | l_j and holds l_i and l_j
+    alone, so nothing is closed.  The lemma needs a triangle-free
+    configuration whose lines each hold two or more points and share at
+    most one: in span({x, a_i, a_j}), a line through a_j that meets l_i
+    off x closes a triangle with l_i and l_j, and so does a line through
+    a_i and a_j, so the span is l_i | l_j; a third line in it would hold
+    one point of l_i - {x} and one of l_j - {x}, again a triangle.  At a
+    threshold of 3 or more no such plane is kept.
 
     Otherwise (any other matroid, or a plain list of lines) each plane is
     closed through ``core._closure_of``, the reference.  The held line
@@ -121,23 +123,23 @@ def _meeting_planes(
     before its lines are sorted: no other pair generates it.
     """
     index = core._require_lines(m, lines)
-    flats, ends = index.flats, index.ends
-    unions = index.oracle is not None and index.oracle == m.oracle
+    line_points = index.line_points
+    tfm = getattr(m.oracle, "__self__", None)
+    unions = isinstance(tfm, TriangleFreeMatroid) and tfm.config is index and index.triangle_free
     by_min: dict[int, list[int]] = {}
     if not unions:
-        for i, (a, _) in enumerate(ends):
-            by_min.setdefault(a, []).append(i)
+        for i, pts in enumerate(line_points):
+            by_min.setdefault(pts[0], []).append(i)
     plane_of: dict[tuple[int, int], tuple[int, ...]] = {}  # held pair -> the plane's lines
     planes: dict[tuple[int, ...], tuple[tuple[int, ...], list[tuple[int, int]]]] = {}
     for (i, j), x in index.meeting.items():
-        a, b = ends[i]
-        c, d = ends[j]
-        star = frozenset((x, b if a == x else a, d if c == x else c))
+        li, lj = line_points[i], line_points[j]
+        star = frozenset((x, li[1] if li[0] == x else li[0], lj[1] if lj[0] == x else lj[0]))
         if len(star) < 3 or not m.oracle(star):
             raise MatroidError(f"lines {i} and {j} meet at {x} in a dependent star")
         if unions:
             if threshold <= 2:
-                planes[i, j] = (tuple(sorted(flats[i].members | flats[j].members)), [(i, j)])
+                planes[i, j] = (tuple(sorted({*li, *lj})), [(i, j)])
             continue
         held = plane_of.get((i, j))
         if held is None:
@@ -147,7 +149,7 @@ def _meeting_planes(
                 for p in plane
                 if p in by_min
                 for k in by_min[p]
-                if ends[k][1] in plane and flats[k].members <= plane
+                if line_points[k][1] in plane and plane.issuperset(line_points[k])
             ]
             if len(found) == 2 and threshold >= 3:
                 continue
@@ -199,7 +201,7 @@ def intersection_graph(m: Matroid, lines: list[Flat] | core.LineIndex, e2: set[i
     MatroidError on two lines that share two or more points."""
     index = core._require_lines(m, lines)
     return IntersectionGraph(
-        n=len(index.flats), edges={pair: x for pair, x in index.meeting.items() if x in e2}
+        n=len(index.line_points), edges={pair: x for pair, x in index.meeting.items() if x in e2}
     )
 
 
@@ -258,14 +260,14 @@ def analyze(m: Matroid, lines: list[Flat] | core.LineIndex, epsilon: Fraction) -
     index = core._require_lines(m, lines)
     survivors, trace = heavy_plane_prune(m, index, epsilon)
     joints_initial = core.count_joints(m, index)
-    kept = core.LineIndex(m.size, survivors) if trace else index
+    kept = core._require_lines(m, survivors) if trace else index
     joints_after = core.count_joints(m, kept) if trace else joints_initial
     e1, e2, _ = degree_partition(m, kept, epsilon)
     g = intersection_graph(m, kept, e2)
     stats = triangle_stats(g)
     return AnalysisReport(
         epsilon=epsilon,
-        L_initial=len(index.flats),
+        L_initial=len(index.line_points),
         L_after_prune=len(survivors),
         planes_pruned=len(trace),
         joints_initial=joints_initial,
@@ -298,11 +300,11 @@ SWEEP_COLUMNS = [
 def joints_sweep(ns: Iterable[int], epsilon_report: Fraction) -> list[dict]:
     """Build the construction for each N and tabulate joints against lines.
 
-    ``analyze`` reads the configuration's own incidence
-    (``TriangleFreeMatroid.line_index``).  Per-N failures become rows with
-    an "error" field; a failure other than MatroidError or
-    ConstructionError, a bug rather than bad input, also writes its
-    traceback to stderr.  Degenerate rows (no surviving lines) carry a
+    ``analyze`` reads the configuration itself as the lines' index
+    (``TriangleFreeMatroid.line_index``), through that matroid's oracle.
+    Per-N failures become rows with an "error" field; a failure other than
+    MatroidError or ConstructionError, a bug rather than bad input, also
+    writes its traceback to stderr.  Degenerate rows (no surviving lines) carry a
     "warning" field and empty ratios.
     """
     epsilon_report = Fraction(epsilon_report)

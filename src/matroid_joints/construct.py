@@ -91,20 +91,18 @@ def behrend_points(N: int, sums: Iterable[int]) -> list[Point]:
 
 
 class TriangleFreeMatroid:
-    """Independence oracle over a pruned triangle-free configuration."""
+    """Independence oracle over a pruned triangle-free configuration, read
+    off the configuration's own incidence: the matroid holds no copy of it."""
 
     def __init__(self, config: Configuration):
         if any(len(pts) < 2 for pts in config.line_points):
             raise MatroidError("every line must contain at least two points (prune first)")
         self.config = config
-        self.point_lines = config.point_lines
-        self.point_line_sets = [frozenset(ls) for ls in config.point_lines]
-        self.line_points = [frozenset(pts) for pts in config.line_points]
-        self.angle_index = config.angle_index
 
     def is_independent(self, subset: frozenset) -> bool:
-        if subset and (min(subset) < 0 or max(subset) >= len(self.point_lines)):
-            bad = next(p for p in sorted(subset) if not 0 <= p < len(self.point_lines))
+        by_point = self.config.by_point
+        if subset and (min(subset) < 0 or max(subset) >= len(by_point)):
+            bad = next(p for p in sorted(subset) if not 0 <= p < len(by_point))
             raise MatroidError(f"unknown point index {bad}")
         n = len(subset)
         if n <= 2:
@@ -113,22 +111,23 @@ class TriangleFreeMatroid:
             return False
         if n == 3:
             # dependent iff one line holds all three points
-            a, b, c = (self.point_line_sets[p] for p in subset)
-            return a.isdisjoint(b & c)
+            a, b, c = (by_point[p] for p in subset)
+            ab = _line_through(a, b)
+            return ab is None or ab not in c
         # n == 4: dependent iff a line holds three of the points, or an
         # angle covers all four; with no line on three points, each line of
         # the angle holds two of them, so the angle is the lines of the two
         # pairs of one pairing, meeting at a configuration point
-        a, b, c, d = (self.point_line_sets[p] for p in subset)
-        ab, cd = a & b, c & d
-        if not (ab.isdisjoint(c) and ab.isdisjoint(d) and cd.isdisjoint(a) and cd.isdisjoint(b)):
+        a, b, c, d = (by_point[p] for p in subset)
+        ab, cd = _line_through(a, b), _line_through(c, d)
+        if (ab is not None and (ab in c or ab in d)) or (cd is not None and (cd in a or cd in b)):
             return False
-        angle = self.angle_index
-        for one, other in ((ab, cd), (a & c, b & d), (a & d, b & c)):
-            for la in one:
-                for lb in other:
-                    if ((la, lb) if la < lb else (lb, la)) in angle:
-                        return False
+        ac, bd = _line_through(a, c), _line_through(b, d)
+        ad, bc = _line_through(a, d), _line_through(b, c)
+        meeting = self.config.meeting
+        for la, lb in ((ab, cd), (ac, bd), (ad, bc)):
+            if la is not None and lb is not None and ((la, lb) if la < lb else (lb, la)) in meeting:
+                return False
         return True
 
     def span(self, basis: frozenset) -> frozenset:
@@ -140,21 +139,24 @@ class TriangleFreeMatroid:
         that line at a configuration point (an angle covering the 4-set).
         Two distinct lines share at most one point, so a pair lies on at
         most one line, and the lines through the third member that meet it
-        are those whose pair with it is a key of ``angle_index``.
+        are those whose pair with it is a key of the meeting map.
         """
+        cfg = self.config
         if len(basis) >= 4:
-            return frozenset(range(len(self.point_lines)))
+            return frozenset(range(cfg.size))
         out = set(basis)
-        line_points, angle = self.line_points, self.angle_index
+        line_points, by_point, meeting = cfg.line_points, cfg.by_point, cfg.meeting
         for p, q in combinations(basis, 2):
-            for la in self.point_line_sets[p] & self.point_line_sets[q]:
-                out |= line_points[la]
-                for r in basis:
-                    if r == p or r == q:
-                        continue
-                    for lb in self.point_lines[r]:
-                        if ((la, lb) if la < lb else (lb, la)) in angle:
-                            out |= line_points[lb]
+            la = _line_through(by_point[p], by_point[q])
+            if la is None:
+                continue
+            out.update(line_points[la])
+            for r in basis:
+                if r == p or r == q:
+                    continue
+                for lb in by_point[r]:
+                    if ((la, lb) if la < lb else (lb, la)) in meeting:
+                        out.update(line_points[lb])
         return frozenset(out)
 
     def to_matroid(self) -> Matroid:
@@ -168,25 +170,21 @@ class TriangleFreeMatroid:
         oracle call; ``verify_construction_properties`` checks the same
         equality through the oracle alone.
         """
-        return [Flat(pts, 2) for pts in self.line_points]
+        return list(self.config.flats)
 
     def line_index(self) -> core.LineIndex:
         """The ``core.LineIndex`` of ``matroid_lines`` over ``to_matroid``'s
-        ground set, its pieces the configuration's own, so nothing is
-        indexed again: each line's points are ascending, so ``ends`` is
-        their first two; ``by_point`` is ``point_lines``; ``meeting`` is
-        ``angle_index``, ``core._common_points`` of ``point_lines``.
+        ground set: the configuration itself, whose lines are those."""
+        return self.config
 
-        ``oracle`` is ``is_independent``, which tells the heavy-plane prune
-        that a plane of two meeting lines is their union
-        (``analysis._meeting_planes``); that holds only on a triangle-free
-        configuration, the one this matroid is defined on."""
-        index = core.LineIndex(len(self.point_lines), self.matroid_lines())
-        index.ends = [pts[:2] for pts in self.config.line_points]
-        index.by_point = self.point_lines
-        index.meeting = self.angle_index
-        index.oracle = self.is_independent
-        return index
+
+def _line_through(p: Sequence[int], q: Sequence[int]) -> int | None:
+    """The line through two points, given the lines through each, or None:
+    two lines share at most one point, so there is at most one."""
+    for l in p:
+        if l in q:
+            return l
+    return None
 
 
 @dataclass
@@ -262,13 +260,13 @@ def verify_construction_properties(tfm: TriangleFreeMatroid) -> ConstructionRepo
     m = Matroid(tfm.config.points, tfm.is_independent)
 
     r1 = CheckResult(PASS)
-    for li, pts in enumerate(tfm.line_points):
-        flat = core.make_flat(m, sorted(pts)[:2])
-        if flat.members != pts or flat.rank != 2:
+    for li, pts in enumerate(tfm.config.line_points):
+        flat = core.make_flat(m, pts[:2])
+        if flat.members != frozenset(pts) or flat.rank != 2:
             r1 = CheckResult(FAIL, counterexample=(li,), detail="closure of pair != line points")
             break
 
-    joints = core.count_joints(m, [Flat(pts, 2) for pts in tfm.line_points])
+    joints = core.count_joints(m, tfm.config)
     triples = len(triple_points(tfm.config))
     r2 = CheckResult(PASS) if joints == triples else CheckResult(
         FAIL, counterexample=(joints, triples), detail="joints != triple points"

@@ -137,70 +137,65 @@ def flats_of_rank(m: Matroid, k: int, *, allow_large: bool = False) -> list[Flat
 
 
 class LineIndex:
-    """Validated lines over a ground set of ``size`` elements, with the
-    incidence read from them at most once each: the lines' two smallest
-    members (``ends``), the point -> line index (``by_point``) and the
-    meeting map (``meeting``, ``_common_points``).
+    """Lines over a ground set of ``size`` elements, each the ascending
+    tuple of its members (``line_points``), with the incidence read from
+    them at most once each: the point -> line index (``by_point``), the
+    meeting map (``meeting``, ``_common_points``) and the lines as rank-2
+    flats (``flats``), each built when first read.  The two smallest
+    members of line i are ``line_points[i][:2]``.
 
-    ``_require_lines`` builds one; every function that takes a list of
-    lines also takes the index built from it and then reads it as it is,
-    so a caller that hands one family of lines to several stages pays for
-    each piece of its incidence once.
-
-    ``oracle`` is None, or the independence oracle of the structure that
-    seeded the index (``TriangleFreeMatroid.line_index``): a stage that
-    reads the lines through a matroid with that very oracle may read that
-    structure's rules instead of closing flats.
+    ``_require_lines`` builds one from a list of flats; every function
+    that takes a list of lines also takes an index and then reads it as it
+    is, so a caller that hands one family of lines to several stages pays
+    for each piece of its incidence once.  ``planar.Configuration`` is one.
     """
 
-    oracle: Optional[Callable[[frozenset], bool]] = None
-
-    def __init__(self, size: int, flats: list[Flat]):
+    def __init__(self, size: int, line_points: Sequence[tuple[int, ...]]):
         self.size = size
-        self.flats = flats
+        self.line_points = line_points
 
     @cached_property
-    def ends(self) -> list[tuple[int, int]]:
-        return [_two_smallest(f.members) for f in self.flats]
-
-    @cached_property
-    def by_point(self) -> list[list[int]]:
-        return _lines_by_point(self.size, self.flats)
+    def by_point(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, _lines_by_point(self.size, self.line_points)))
 
     @cached_property
     def meeting(self) -> dict[tuple[int, int], int]:
         return _common_points(self.by_point)
 
+    @cached_property
+    def flats(self) -> list[Flat]:
+        return [Flat(frozenset(pts), 2) for pts in self.line_points]
+
 
 def _require_lines(m: Matroid, lines: Iterable[Flat] | LineIndex) -> LineIndex:
     """The index of ``lines``, each checked to be a ``Flat`` of rank 2 with
     two or more members of the ground set (rank 2 needs two), with no
-    oracle call; an index already built for a ground set of this size is
-    returned as it is."""
+    oracle call, and sorted once; an index already built for a ground set
+    of this size is returned as it is."""
     if isinstance(lines, LineIndex):
         if lines.size == m.size:
             return lines
         lines = lines.flats
-    out = list(lines)
-    for f in out:
+    line_points = []
+    for f in lines:
         if not isinstance(f, Flat) or f.rank != 2 or len(f.members) < 2:
             raise MatroidError(f"expected a rank-2 flat, got {f!r}")
         m._subset(f.members)
-    return LineIndex(m.size, out)
+        line_points.append(tuple(sorted(f.members)))
+    return LineIndex(m.size, line_points)
 
 
 def coplanar(m: Matroid, lines: list[Flat]) -> bool:
     """True iff the union of the given lines lies in a plane (rank <= 3)."""
-    lines = _require_lines(m, lines).flats
-    union: frozenset = frozenset().union(*(f.members for f in lines)) if lines else frozenset()
-    return rank(m, union) <= 3
+    return rank(m, frozenset().union(*_require_lines(m, lines).line_points)) <= 3
 
 
-def _lines_by_point(size: int, lines: list[Flat]) -> list[list[int]]:
-    """For each element, the ascending indices of the lines (or planes) through it."""
+def _lines_by_point(size: int, lines: Iterable[Iterable[int]]) -> list[list[int]]:
+    """For each element, the ascending indices of the lines (or planes),
+    given by their members, through it."""
     by_point: list[list[int]] = [[] for _ in range(size)]
-    for i, f in enumerate(lines):
-        for x in f.members:
+    for i, members in enumerate(lines):
+        for x in members:
             by_point[x].append(i)
     return by_point
 
@@ -244,41 +239,30 @@ def _unrank_subset(n: int, k: int, r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _two_smallest(members: frozenset) -> tuple[int, int]:
-    """The two smallest members of a line (``_require_lines`` gives it two)."""
-    low = sorted(members)
-    return low[0], low[1]
-
-
-def _star(x: int, ends: Iterable[tuple[int, int]]) -> frozenset:
+def _star(x: int, lines: Iterable[Sequence[int]]) -> frozenset:
     """The star of x: x plus the smallest other member of each line through
-    x, read from the lines' two smallest members (``_two_smallest``)."""
-    return frozenset({x, *(b if a == x else a for a, b in ends)})
+    x, read from the first two of the line's ascending points."""
+    return frozenset({x, *(pts[1] if pts[0] == x else pts[0] for pts in lines)})
 
 
 def _joint_search(
-    m: Matroid,
-    x: int,
-    through: list[int],
-    lines: list[Flat],
-    ends: list[tuple[int, int]] | dict[int, tuple[int, int]],
-    n: int,
+    m: Matroid, x: int, through: Sequence[int], line_points: Sequence[tuple[int, ...]], n: int
 ) -> Optional[tuple[int, ...]]:
     """The first n of the lines ``through`` x (ascending indices into
-    ``lines``, in combinations order) whose union has rank >= n + 1, or None.
+    ``line_points``, in combinations order) whose union has rank >= n + 1,
+    or None.
 
-    ``ends[i]`` holds the two smallest members of ``lines[i]``, for each i
-    in ``through``.  The star of x over the n lines lies in their union and
-    has at most n + 1 points, so one oracle call on it decides when it is
-    independent with n + 1 points; otherwise the union itself is ranked,
-    which keeps the answer exact where a line is not the closure of x and
-    that point (a matroid that is not simple).
+    The star of x over the n lines lies in their union and has at most
+    n + 1 points, so one oracle call on it decides when it is independent
+    with n + 1 points; otherwise the union itself is ranked, which keeps
+    the answer exact where a line is not the closure of x and that point
+    (a matroid that is not simple).
     """
     for combo in combinations(through, n):
-        star = _star(x, (ends[i] for i in combo))
+        star = _star(x, (line_points[i] for i in combo))
         if len(star) == n + 1 and m.oracle(star):
             return combo
-        union: frozenset = frozenset().union(*(lines[i].members for i in combo))
+        union: frozenset = frozenset().union(*(line_points[i] for i in combo))
         if rank(m, union) >= n + 1:
             return combo
     return None
@@ -297,14 +281,14 @@ def joint_witness(m: Matroid, x: int, lines: list[Flat]) -> Optional[tuple[int, 
 def count_joints(m: Matroid, lines: list[Flat] | LineIndex) -> int:
     """The number of joints of ``lines``: each point with three or more
     lines through it is decided by ``_joint_search`` from the lines' two
-    smallest members (``LineIndex.ends``), one oracle call on its star
-    when the star is independent."""
+    smallest members, one oracle call on its star when the star is
+    independent."""
     index = _require_lines(m, lines)
-    flats, ends = index.flats, index.ends
+    line_points = index.line_points
     return sum(
         1
         for x, through in enumerate(index.by_point)
-        if len(through) >= 3 and _joint_search(m, x, through, flats, ends, 3) is not None
+        if len(through) >= 3 and _joint_search(m, x, through, line_points, 3) is not None
     )
 
 
@@ -316,11 +300,9 @@ def is_n_joint(m: Matroid, x: int, lines: list[Flat], n: int) -> bool:
 
 
 def _n_joint_witness(m: Matroid, x: int, lines: list[Flat], n: int) -> Optional[tuple[int, ...]]:
-    lines = _require_lines(m, lines).flats
+    index = _require_lines(m, lines)
     m._subset({x})
-    through = [i for i, f in enumerate(lines) if x in f.members]
-    ends = {i: _two_smallest(lines[i].members) for i in through}
-    return _joint_search(m, x, through, lines, ends, n)
+    return _joint_search(m, x, index.by_point[x], index.line_points, n)
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +523,9 @@ def check_incidence_properties(m: Matroid, rng_seed: int = 0, samples: int = 100
     planes = flats_of_rank(m, 3)
     line_sets = [f.members for f in lines]
     plane_sets = [f.members for f in planes]
-    by_point = _lines_by_point(m.size, lines)
+    by_point = _lines_by_point(m.size, line_sets)
     lines_at = [set(through) for through in by_point]
-    planes_at = [set(through) for through in _lines_by_point(m.size, planes)]
+    planes_at = [set(through) for through in _lines_by_point(m.size, plane_sets)]
 
     def sample_or_all(total: int) -> Iterable[int]:
         """All of range(total), or a seeded sample of ``samples`` of it, ascending."""

@@ -1,19 +1,20 @@
 """Planar integer point-line configurations.
 
 Points are integer pairs (a, b); lines are canonical primitive triples
-(A, B, C) representing { (x, y) : A*x + B*y = C }.  A Configuration
-precomputes the full incidence structure and answers triangle, triple
-point, and pruning queries exactly.
+(A, B, C) representing { (x, y) : A*x + B*y = C }.  A Configuration is
+the ``core.LineIndex`` of its lines' point sets, and answers triangle,
+triple point, and pruning queries exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .core import MatroidError, _common_points
+from .core import LineIndex, MatroidError
 
 Point = tuple[int, int]
 
@@ -82,14 +83,28 @@ class Triangle:
     lines: tuple[int, int, int]
 
 
-class Configuration:
-    """Immutable incidence structure over distinct points and lines."""
+class Configuration(LineIndex):
+    """Immutable incidence structure over distinct points and lines: the
+    ``core.LineIndex`` of the lines' point sets (``line_points``,
+    ``by_point``, ``meeting``), with the ``points`` and the ``IntLine``s
+    (``lines``) it was read from."""
 
-    def __init__(self, points: Iterable[Point], lines: Iterable[IntLine]):
+    def __init__(
+        self, points: Iterable[Point], lines: Iterable[IntLine], line_points: Optional[Iterable[tuple]] = None
+    ):
         """Raises MatroidError on a coordinate that is not an integer (bool
         included; nothing is coerced), a line with A = B = 0, two lines
         that share two points (``core._common_points``), or one line given
-        twice, in any two forms that ``line`` puts in one canonical form."""
+        twice, in any two forms that ``line`` puts in one canonical form.
+
+        ``line_points``, when given, is each line's ascending point
+        indices, the incidence of a checked configuration's lines over
+        its points (``prune_lines`` passes the kept ones), and is taken
+        as it is: nothing is checked or looked up."""
+        if line_points is not None:
+            self.points, self.lines = tuple(points), tuple(lines)
+            super().__init__(len(self.points), tuple(line_points))
+            return
         self.points: tuple[Point, ...] = tuple((_exact_int(a), _exact_int(b)) for a, b in points)
         self.lines: tuple[IntLine, ...] = tuple(lines)
         if len(set(self.points)) != len(self.points):
@@ -104,31 +119,27 @@ class Configuration:
                 raise MatroidError("duplicate lines in configuration")
         if (0, 0) in by_direction:
             raise MatroidError("degenerate line: A = B = 0")
-        line_points: list[list[int]] = [[] for _ in self.lines]
+        found: list[list[int]] = [[] for _ in self.lines]
         for pi, (x, y) in enumerate(self.points):
             for (a, b), line_of_c in by_direction.items():
                 li = line_of_c.get(a * x + b * y)
                 if li is not None:
-                    line_points[li].append(pi)
-        # a line given in two forms lies in two directions of one canonical
-        # direction; checked after indexing, so a repeat that holds two
+                    found[li].append(pi)
+        super().__init__(len(self.points), tuple(map(tuple, found)))
+        # the meeting map is built here, so two lines sharing two points
+        # raise; a line given in two forms lies in two directions of one
+        # canonical direction, checked after it, so a repeat that holds two
         # points is named as two lines sharing them
-        self._index(line_points)
+        self.meeting
         if len({line(a, b, 0) for a, b in by_direction}) < len(by_direction):
             if len({line(*l) for l in self.lines}) < len(self.lines):
                 raise MatroidError("duplicate lines in configuration")
 
-    def _index(self, line_points: Iterable[Iterable[int]]) -> None:
-        """Set ``line_points`` and the indexes read from it: ``point_lines``
-        and ``angle_index``, the meeting map ``core._common_points``.  Each
-        line's points are ascending indices."""
-        self.line_points: tuple[tuple[int, ...], ...] = tuple(tuple(pts) for pts in line_points)
-        point_lines: list[list[int]] = [[] for _ in self.points]
-        for li, pts in enumerate(self.line_points):
-            for pi in pts:
-                point_lines[pi].append(li)
-        self.point_lines: tuple[tuple[int, ...], ...] = tuple(tuple(ls) for ls in point_lines)
-        self.angle_index: dict[tuple[int, int], int] = _common_points(self.point_lines)
+    @cached_property
+    def triangle_free(self) -> bool:
+        """The exact gate's verdict, ``find_triangles(self, limit=1)``
+        finding none, reached once however many stages ask."""
+        return not find_triangles(self, limit=1)
 
     def to_json(self) -> dict:
         return {
@@ -172,7 +183,7 @@ def find_triangles(cfg: Configuration, limit: Optional[int] = None) -> list[Tria
     if limit is not None and limit < 1:
         raise MatroidError(f"limit must be at least 1, got {limit}")
     out: list[Triangle] = []
-    for found in _triangles_at(cfg.angle_index, len(cfg.lines), enumerate(cfg.point_lines)):
+    for found in _triangles_at(cfg.meeting, len(cfg.lines), enumerate(cfg.by_point)):
         out += sorted(found, key=lambda t: t.points)
         if limit is not None and len(out) >= limit:
             return out[:limit]
@@ -182,7 +193,7 @@ def find_triangles(cfg: Configuration, limit: Optional[int] = None) -> list[Tria
 def _triangles_at(
     angle: dict[tuple[int, int], int],
     n_lines: int,
-    point_lines: Iterable[tuple[int, Sequence[int]]],
+    by_point: Iterable[tuple[int, Sequence[int]]],
 ) -> Iterator[list[Triangle]]:
     """For each point x with its ascending lines, the triangles whose
     smallest vertex is x; ``angle`` maps each pair of lines a < b that
@@ -196,7 +207,7 @@ def _triangles_at(
     for a, b in angle:
         meets[a] |= 1 << b
         meets[b] |= 1 << a
-    for x, ls in point_lines:
+    for x, ls in by_point:
         through = sum(1 << l for l in ls)
         found = []
         for l1, l2 in combinations(ls, 2):
@@ -214,24 +225,21 @@ def _triangles_at(
 
 
 def is_triangle_free(cfg: Configuration) -> bool:
-    return not find_triangles(cfg, limit=1)
+    """The configuration's cached gate verdict (``Configuration.triangle_free``)."""
+    return cfg.triangle_free
 
 
 def triple_points(cfg: Configuration) -> list[int]:
     """Indices of points incident to at least three lines."""
-    return [i for i, ls in enumerate(cfg.point_lines) if len(ls) >= 3]
+    return [i for i, ls in enumerate(cfg.by_point) if len(ls) >= 3]
 
 
 def prune_lines(cfg: Configuration) -> Configuration:
     """Keep only lines incident to at least two configuration points.
 
-    The result is ``Configuration(cfg.points, kept)``, indexed from the kept
+    The result is ``Configuration(cfg.points, kept)``, built from the kept
     lines' point lists: the points are already checked and each kept line's
     points are already known, so neither is looked up again.
     """
     kept = [li for li, pts in enumerate(cfg.line_points) if len(pts) >= 2]
-    out = Configuration.__new__(Configuration)
-    out.points = cfg.points
-    out.lines = tuple(cfg.lines[li] for li in kept)
-    out._index(cfg.line_points[li] for li in kept)
-    return out
+    return Configuration(cfg.points, (cfg.lines[li] for li in kept), (cfg.line_points[li] for li in kept))

@@ -64,7 +64,7 @@ def test_criterion_1_axiom_suite(acceptance_log):
         if len(subset) == 4:
             cover = {}
             for p in subset:
-                for l in tfm.point_lines[p]:
+                for l in tfm.config.by_point[p]:
                     cover[l] = cover.get(l, 0) + 1
             return not any(c >= 3 for c in cover.values())
         return tfm.is_independent(subset)

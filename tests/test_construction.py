@@ -42,9 +42,9 @@ def test_grid_lines_counts():
 
 
 def _assert_same_configuration(cfg, reference):
-    for attr in ("points", "lines", "line_points", "point_lines"):
+    for attr in ("points", "lines", "line_points", "by_point"):
         assert getattr(cfg, attr) == getattr(reference, attr), attr
-    assert list(cfg.angle_index.items()) == list(reference.angle_index.items())
+    assert list(cfg.meeting.items()) == list(reference.meeting.items())
 
 
 def test_build_indexes_exactly_the_pruned_grid_lines():
@@ -109,7 +109,7 @@ def cover_count_rule(tfm, subset):
     # configuration point (an angle) cover all four
     cover = {}
     for p in subset:
-        for l in tfm.point_lines[p]:
+        for l in tfm.config.by_point[p]:
             cover[l] = cover.get(l, 0) + 1
     if len(subset) == 3:
         return not any(c == 3 for c in cover.values())
@@ -117,7 +117,7 @@ def cover_count_rule(tfm, subset):
         return False
     twos = sorted(l for l, c in cover.items() if c == 2)
     return not any(
-        (la, lb) in tfm.angle_index and subset <= tfm.line_points[la] | tfm.line_points[lb]
+        (la, lb) in tfm.config.meeting and subset <= {*tfm.config.line_points[la], *tfm.config.line_points[lb]}
         for la, lb in combinations(twos, 2)
     )
 
@@ -125,7 +125,7 @@ def cover_count_rule(tfm, subset):
 @pytest.mark.parametrize("n", [5, 10, 12])
 def test_three_sets_match_cover_count_rule_exhaustively(n):
     tfm = build_construction(n).matroid
-    triples = list(combinations(range(len(tfm.point_lines)), 3))
+    triples = list(combinations(range(tfm.config.size), 3))
     verdicts = [tfm.is_independent(frozenset(t)) for t in triples]
     assert verdicts == [cover_count_rule(tfm, t) for t in triples]
     assert not all(verdicts)
@@ -137,9 +137,9 @@ def test_three_sets_match_cover_count_rule_on_build200(build200, data):
     tfm = build200.matroid
     # up to three points of one line, the rest anywhere: collinear,
     # two-on-a-line and scattered triples all come up
-    line = sorted(tfm.line_points[data.draw(st.integers(0, len(tfm.line_points) - 1))])
+    line = tfm.config.line_points[data.draw(st.integers(0, len(tfm.config.line_points) - 1))]
     on_line = data.draw(st.lists(st.sampled_from(line), max_size=3, unique=True))
-    anywhere = st.integers(0, len(tfm.point_lines) - 1).filter(lambda p: p not in on_line)
+    anywhere = st.integers(0, tfm.config.size - 1).filter(lambda p: p not in on_line)
     rest = data.draw(st.lists(anywhere, min_size=3 - len(on_line), max_size=3 - len(on_line), unique=True))
     triple = frozenset(on_line + rest)
     assert tfm.is_independent(triple) == cover_count_rule(tfm, triple)
@@ -147,7 +147,7 @@ def test_three_sets_match_cover_count_rule_on_build200(build200, data):
 
 def angle_only(tfm, quad):
     # dependent by the angle rule alone: no line holds three of the points
-    return not any(len(quad & pts) >= 3 for pts in tfm.line_points) and not cover_count_rule(tfm, quad)
+    return not any(len(quad.intersection(pts)) >= 3 for pts in tfm.config.line_points) and not cover_count_rule(tfm, quad)
 
 
 @pytest.mark.parametrize("case", [5, 10, 12, "base3"])
@@ -156,7 +156,7 @@ def test_four_sets_match_cover_count_rule_exhaustively(case, base3_grid):
         tfm = TriangleFreeMatroid(prune_lines(base3_grid))
     else:
         tfm = build_construction(case).matroid
-    quads = [frozenset(q) for q in combinations(range(len(tfm.point_lines)), 4)]
+    quads = [frozenset(q) for q in combinations(range(tfm.config.size), 4)]
     verdicts = [tfm.is_independent(q) for q in quads]
     assert verdicts == [cover_count_rule(tfm, q) for q in quads]
     assert not all(verdicts)
@@ -167,7 +167,7 @@ def spacious_angles(tfm):
     # meeting line pairs of at least three points each: any two points of
     # one leave two more on the other
     return [
-        pair for pair in sorted(tfm.angle_index) if all(len(tfm.line_points[l]) >= 3 for l in pair)
+        pair for pair in sorted(tfm.config.meeting) if all(len(tfm.config.line_points[l]) >= 3 for l in pair)
     ]
 
 
@@ -179,18 +179,18 @@ def test_four_sets_match_cover_count_rule_on_build200(build200, data):
     if kind == "angle":
         # two points of each of two lines meeting at a configuration point
         la, lb = data.draw(st.sampled_from(spacious_angles(tfm)))
-        first = data.draw(st.lists(st.sampled_from(sorted(tfm.line_points[la])), min_size=2, max_size=2, unique=True))
-        rest = sorted(tfm.line_points[lb] - set(first))
+        first = data.draw(st.lists(st.sampled_from(tfm.config.line_points[la]), min_size=2, max_size=2, unique=True))
+        rest = sorted(set(tfm.config.line_points[lb]) - set(first))
         second = data.draw(st.lists(st.sampled_from(rest), min_size=2, max_size=2, unique=True))
         quad = frozenset(first + second)
     elif kind == "collinear":
         # three points of one line and one more point
-        li = data.draw(st.sampled_from([i for i, pts in enumerate(tfm.line_points) if len(pts) >= 3]))
-        three = data.draw(st.lists(st.sampled_from(sorted(tfm.line_points[li])), min_size=3, max_size=3, unique=True))
-        other = st.integers(0, len(tfm.point_lines) - 1).filter(lambda p: p not in three)
+        li = data.draw(st.sampled_from([i for i, pts in enumerate(tfm.config.line_points) if len(pts) >= 3]))
+        three = data.draw(st.lists(st.sampled_from(tfm.config.line_points[li]), min_size=3, max_size=3, unique=True))
+        other = st.integers(0, tfm.config.size - 1).filter(lambda p: p not in three)
         quad = frozenset(three + [data.draw(other)])
     else:
-        quad = frozenset(data.draw(st.lists(st.integers(0, len(tfm.point_lines) - 1), min_size=4, max_size=4, unique=True)))
+        quad = frozenset(data.draw(st.lists(st.integers(0, tfm.config.size - 1), min_size=4, max_size=4, unique=True)))
     assert tfm.is_independent(quad) == cover_count_rule(tfm, quad)
     if kind != "scattered":
         assert not tfm.is_independent(quad)
@@ -200,7 +200,7 @@ def test_angle_dependence(build5):
     tfm = build5.matroid
     # an angle: two lines meeting at a configuration point; four points
     # covered two-per-line are dependent even though no three are collinear
-    for (la, lb), vertex in sorted(tfm.angle_index.items()):
+    for (la, lb), vertex in sorted(tfm.config.meeting.items()):
         pts_a = [p for p in tfm.config.line_points[la] if p != vertex]
         pts_b = [p for p in tfm.config.line_points[lb] if p != vertex]
         if len(pts_a) >= 2 and len(pts_b) >= 2:
@@ -249,18 +249,18 @@ def oracle_only(tfm):
 
 def test_line_flats_equal_line_point_sets(build5):
     m = oracle_only(build5.matroid)
-    for li, pts in enumerate(build5.matroid.line_points):
-        flat = core.make_flat(m, sorted(pts)[:2])
-        assert flat.members == pts
+    for li, pts in enumerate(build5.config.line_points):
+        flat = core.make_flat(m, pts[:2])
+        assert flat.members == frozenset(pts)
         assert flat.rank == 2
 
 
 def test_closure_of_line_pair_is_line(build5):
     # closure of two points on a retained line recovers exactly that line's points
     m = oracle_only(build5.matroid)
-    li = next(i for i, pts in enumerate(build5.matroid.line_points) if len(pts) >= 2)
-    pair = sorted(build5.matroid.line_points[li])[:2]
-    assert core.closure(m, pair) == build5.matroid.line_points[li]
+    li = next(i for i, pts in enumerate(build5.config.line_points) if len(pts) >= 2)
+    pair = build5.config.line_points[li][:2]
+    assert core.closure(m, pair) == frozenset(build5.config.line_points[li])
 
 
 @pytest.fixture(scope="module")
@@ -271,7 +271,7 @@ def small_triangle_free():
     shifted = {1 + sum(c) for k in range(5) for c in combinations((1, 3, 9, 27), k)}
     cfg = prune_lines(Configuration(behrend_points(20, shifted), grid_lines(20).lines))
     assert is_triangle_free(cfg)
-    return [tfm for tfm in builds if tfm.line_points] + [TriangleFreeMatroid(cfg)]
+    return [tfm for tfm in builds if tfm.config.line_points] + [TriangleFreeMatroid(cfg)]
 
 
 def test_matroid_lines_equal_oracle_only_closures(small_triangle_free, build200):
@@ -280,9 +280,9 @@ def test_matroid_lines_equal_oracle_only_closures(small_triangle_free, build200)
     for tfm in small_triangle_free + [build200.matroid]:
         m = oracle_only(tfm)
         flats = tfm.matroid_lines()
-        assert len(flats) == len(tfm.line_points)
-        for flat, pts in zip(flats, tfm.line_points):
-            expected = core.make_flat(m, sorted(pts)[:2])
+        assert len(flats) == len(tfm.config.line_points)
+        for flat, pts in zip(flats, tfm.config.line_points):
+            expected = core.make_flat(m, pts[:2])
             assert (flat.members, flat.rank) == (expected.members, expected.rank)
 
 
@@ -296,11 +296,12 @@ def test_span_matches_oracle_closure_on_random_subsets(small_triangle_free, data
     tfm = data.draw(st.sampled_from(small_triangle_free))
     # up to two points of one line plus points near it (on the lines that
     # meet it) or anywhere: the basis then reaches the line and angle steps
-    la = data.draw(st.integers(0, len(tfm.line_points) - 1))
-    near = tfm.line_points[la].union(*(tfm.line_points[lb] for pair in tfm.angle_index
-                                       if la in pair for lb in pair))
-    on_line = data.draw(st.lists(st.sampled_from(sorted(tfm.line_points[la])), max_size=2, unique=True))
-    anywhere = st.integers(0, len(tfm.point_lines) - 1)
+    line_points = tfm.config.line_points
+    la = data.draw(st.integers(0, len(line_points) - 1))
+    near = set(line_points[la]).union(*(line_points[lb] for pair in tfm.config.meeting
+                                        if la in pair for lb in pair))
+    on_line = data.draw(st.lists(st.sampled_from(line_points[la]), max_size=2, unique=True))
+    anywhere = st.integers(0, tfm.config.size - 1)
     others = data.draw(st.lists(st.one_of(st.sampled_from(sorted(near)), anywhere),
                                 max_size=6 - len(on_line), unique=True))
     assert_span_matches_oracle(tfm, set(on_line) | set(others))
@@ -310,8 +311,8 @@ def test_span_matches_oracle_closure_on_angles(small_triangle_free):
     # every union of two meeting lines, and two points of one line with a
     # point of the other (off the vertex), whose closure needs the angle step
     for tfm in small_triangle_free:
-        for (la, lb), vertex in tfm.angle_index.items():
-            a, b = tfm.line_points[la] - {vertex}, tfm.line_points[lb] - {vertex}
+        for (la, lb), vertex in tfm.config.meeting.items():
+            a, b = set(tfm.config.line_points[la]) - {vertex}, set(tfm.config.line_points[lb]) - {vertex}
             assert_span_matches_oracle(tfm, a | b | {vertex})
             for first, second in ((a, b), (b, a)):
                 if len(first) >= 2:
@@ -364,8 +365,8 @@ def _mutant_oracles(tfm):
     """One wrong oracle per property, each breaking that property alone."""
     # the pair that spans line 0 plus a point off it: {p, q, e} made dependent
     # puts e in the closure of line 0's pair
-    p, q = sorted(tfm.line_points[0])[:2]
-    e = min(set(range(len(tfm.config.points))) - tfm.line_points[0])
+    p, q = tfm.config.line_points[0][:2]
+    e = min(set(range(len(tfm.config.points))) - set(tfm.config.line_points[0]))
     return {
         "line_flats": lambda s: s != {p, q, e} and tfm.is_independent(s),
         "joint_independence": lambda s: len(s) != 4 and tfm.is_independent(s),
@@ -445,7 +446,7 @@ def test_angle_corruption_detected(build5):
         if len(subset) == 4:
             cover = {}
             for p in subset:
-                for l in tfm.point_lines[p]:
+                for l in tfm.config.by_point[p]:
                     cover[l] = cover.get(l, 0) + 1
             return not any(c >= 3 for c in cover.values())
         return tfm.is_independent(subset)

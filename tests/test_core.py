@@ -145,8 +145,8 @@ def test_closure_with_span_spends_only_the_basis_scan(build5):
     tfm = build5.matroid
     calls = []
     counting = Matroid(tfm.config.points, lambda s: calls.append(s) or tfm.is_independent(s), span=tfm.span)
-    pair = sorted(tfm.line_points[0])[:2]
-    assert closure(counting, pair) == tfm.line_points[0]
+    pair = tfm.config.line_points[0][:2]
+    assert closure(counting, pair) == frozenset(tfm.config.line_points[0])
     # the greedy basis of the pair; the 6 other points cost no oracle call
     assert len(calls) == 2
 
@@ -162,10 +162,11 @@ def test_closure_matches_rank_definition_on_salem_spencer():
     rng = random.Random(5)
     # two points of each line, an angle (a point and one more point on each
     # of two lines through it), and random sets up to a dependent 5-set
-    subsets = [sorted(pts)[:2] for pts in tfm.line_points]
+    line_points = tfm.config.line_points
+    subsets = [pts[:2] for pts in line_points]
     subsets += [
-        {p, min(tfm.line_points[a] - {p}), min(tfm.line_points[b] - {p})}
-        for p, ls in enumerate(tfm.point_lines)
+        {p, min(set(line_points[a]) - {p}), min(set(line_points[b]) - {p})}
+        for p, ls in enumerate(tfm.config.by_point)
         for a, b in combinations(ls, 2)
     ]
     subsets += [rng.sample(range(m.size), rng.randint(0, 5)) for _ in range(100)]

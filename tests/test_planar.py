@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matroid_joints import planar
 from matroid_joints.behrend import has_3ap
 from matroid_joints.construct import behrend_points, grid_lines
 from matroid_joints.core import MatroidError
@@ -35,6 +36,16 @@ def test_line_canonicalization():
     # nor uncanonicalised: 0*x + 0*y = 0 would hold every point
     with pytest.raises(MatroidError, match="degenerate"):
         Configuration([(0, 0), (3, 4)], [horizontal(0), IntLine(0, 0, 0)])
+
+
+def test_the_gate_runs_once_per_configuration(monkeypatch):
+    calls = []
+    original = planar.find_triangles
+    monkeypatch.setattr(planar, "find_triangles", lambda *a, **k: calls.append(1) or original(*a, **k))
+    cfg = one_triangle()
+    assert not is_triangle_free(cfg) and not is_triangle_free(cfg) and not cfg.triangle_free
+    assert len(calls) == 1
+    assert len(find_triangles(cfg)) == 1  # the search itself is not cached
 
 
 def test_incident_examples():
@@ -133,7 +144,7 @@ def test_prune_lines_equals_configuration_of_kept_lines(case, request):
     kept = [l for l, pts in zip(cfg.lines, cfg.line_points) if len(pts) >= 2]
     pruned, reference = prune_lines(cfg), Configuration(cfg.points, kept)
     assert len(kept) < len(cfg.lines)
-    for attr in ("points", "lines", "line_points", "point_lines", "angle_index"):
+    for attr in ("points", "lines", "line_points", "by_point", "meeting"):
         assert getattr(pruned, attr) == getattr(reference, attr)
     assert pruned.to_json() == reference.to_json()
 
@@ -229,10 +240,10 @@ def test_incidence_matches_incident_scan(points, coefficients):
     assert cfg.line_points == tuple(
         tuple(i for i, p in enumerate(points) if incident(l, p)) for l in lines
     )
-    assert cfg.point_lines == tuple(
+    assert cfg.by_point == tuple(
         tuple(li for li, l in enumerate(lines) if incident(l, p)) for p in points
     )
-    assert cfg.angle_index == {
+    assert cfg.meeting == {
         (a, b): pi
         for a, b in combinations(range(len(lines)), 2)
         for pi, p in enumerate(points)
