@@ -187,13 +187,6 @@ class IntersectionGraph:
     n: int  # one vertex per line
     edges: dict[tuple[int, int], int]  # (i, j) with i < j -> witness point
 
-    def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
-
 
 def intersection_graph(m: Matroid, lines: list[Flat] | core.LineIndex, e2: set[int]) -> IntersectionGraph:
     """Edge per line pair meeting in a point of e2, labeled by the witness:

@@ -110,25 +110,49 @@ class TriangleFreeMatroid:
         if n >= 5:
             return False
         if n == 3:
-            # dependent iff one line holds all three points
-            a, b, c = (by_point[p] for p in subset)
-            ab = _line_through(a, b)
-            return ab is None or ab not in c
+            # dependent iff one line holds all three points; two points
+            # share at most one line
+            a, b, c = subset
+            pb, pc = by_point[b], by_point[c]
+            for l in by_point[a]:
+                if l in pb:
+                    return l not in pc
+            return True
         # n == 4: dependent iff a line holds three of the points, or an
         # angle covers all four; with no line on three points, each line of
         # the angle holds two of them, so the angle is the lines of the two
-        # pairs of one pairing, meeting at a configuration point
-        a, b, c, d = (by_point[p] for p in subset)
-        ab, cd = _line_through(a, b), _line_through(c, d)
-        if (ab is not None and (ab in c or ab in d)) or (cd is not None and (cd in a or cd in b)):
-            return False
-        ac, bd = _line_through(a, c), _line_through(b, d)
-        ad, bc = _line_through(a, d), _line_through(b, c)
+        # pairs of one pairing, meeting at a configuration point.  A line
+        # on three of the points holds a and two others, or b, c and d.
+        a, b, c, d = subset
+        pb, pc, pd = by_point[b], by_point[c], by_point[d]
+        ab = ac = ad = bc = bd = cd = None
+        for l in by_point[a]:
+            if l in pb:
+                if l in pc or l in pd:
+                    return False
+                ab = l
+            elif l in pc:
+                if l in pd:
+                    return False
+                ac = l
+            elif l in pd:
+                ad = l
+        for l in pb:
+            if l in pc:
+                if l in pd:
+                    return False
+                bc = l
+            elif l in pd:
+                bd = l
+        for l in pc:
+            if l in pd:
+                cd = l
         meeting = self.config.meeting
-        for la, lb in ((ab, cd), (ac, bd), (ad, bc)):
-            if la is not None and lb is not None and ((la, lb) if la < lb else (lb, la)) in meeting:
-                return False
-        return True
+        return not (
+            (ab is not None and cd is not None and ((ab, cd) if ab < cd else (cd, ab)) in meeting)
+            or (ac is not None and bd is not None and ((ac, bd) if ac < bd else (bd, ac)) in meeting)
+            or (ad is not None and bc is not None and ((ad, bc) if ad < bc else (bc, ad)) in meeting)
+        )
 
     def span(self, basis: frozenset) -> frozenset:
         """cl(B) of an independent B, read off the incidence by the oracle's rules.

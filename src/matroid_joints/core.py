@@ -239,12 +239,6 @@ def _unrank_subset(n: int, k: int, r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _star(x: int, lines: Iterable[Sequence[int]]) -> frozenset:
-    """The star of x: x plus the smallest other member of each line through
-    x, read from the first two of the line's ascending points."""
-    return frozenset({x, *(pts[1] if pts[0] == x else pts[0] for pts in lines)})
-
-
 def _joint_search(
     m: Matroid, x: int, through: Sequence[int], line_points: Sequence[tuple[int, ...]], n: int
 ) -> Optional[tuple[int, ...]]:
@@ -252,15 +246,19 @@ def _joint_search(
     ``line_points``, in combinations order) whose union has rank >= n + 1,
     or None.
 
-    The star of x over the n lines lies in their union and has at most
-    n + 1 points, so one oracle call on it decides when it is independent
-    with n + 1 points; otherwise the union itself is ranked, which keeps
-    the answer exact where a line is not the closure of x and that point
-    (a matroid that is not simple).
+    The star of x over the n lines -- x plus the smallest other member of
+    each line, read from its first two ascending points -- lies in their
+    union and has at most n + 1 points, so one oracle call on it decides
+    when it is independent with n + 1 points; otherwise the union itself
+    is ranked, which keeps the answer exact where a line is not the
+    closure of x and that point (a matroid that is not simple).
     """
     for combo in combinations(through, n):
-        star = _star(x, (line_points[i] for i in combo))
-        if len(star) == n + 1 and m.oracle(star):
+        star = {x}
+        for i in combo:
+            pts = line_points[i]
+            star.add(pts[1] if pts[0] == x else pts[0])
+        if len(star) == n + 1 and m.oracle(frozenset(star)):
             return combo
         union: frozenset = frozenset().union(*(line_points[i] for i in combo))
         if rank(m, union) >= n + 1:

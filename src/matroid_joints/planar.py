@@ -97,6 +97,11 @@ class Configuration(LineIndex):
         that share two points (``core._common_points``), or one line given
         twice, in any two forms that ``line`` puts in one canonical form.
 
+        ``by_point`` and ``meeting`` are built when first read.  Two
+        distinct lines of distinct canonical directions share at most one
+        point, so only when two given directions canonicalise alike is the
+        meeting map built here, to name two lines sharing two points.
+
         ``line_points``, when given, is each line's ascending point
         indices, the incidence of a checked configuration's lines over
         its points (``prune_lines`` passes the kept ones), and is taken
@@ -105,7 +110,11 @@ class Configuration(LineIndex):
             self.points, self.lines = tuple(points), tuple(lines)
             super().__init__(len(self.points), tuple(line_points))
             return
-        self.points: tuple[Point, ...] = tuple((_exact_int(a), _exact_int(b)) for a, b in points)
+        self.points: tuple[Point, ...] = tuple(points)
+        # a pair of ints passes one type check; anything else is read
+        # through ``_exact_int``, which raises on a coordinate that is no int
+        if not all(type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is int for p in self.points):
+            self.points = tuple((_exact_int(a), _exact_int(b)) for a, b in self.points)
         self.lines: tuple[IntLine, ...] = tuple(lines)
         if len(set(self.points)) != len(self.points):
             raise MatroidError("duplicate points in configuration")
@@ -126,12 +135,11 @@ class Configuration(LineIndex):
                 if li is not None:
                     found[li].append(pi)
         super().__init__(len(self.points), tuple(map(tuple, found)))
-        # the meeting map is built here, so two lines sharing two points
-        # raise; a line given in two forms lies in two directions of one
-        # canonical direction, checked after it, so a repeat that holds two
-        # points is named as two lines sharing them
-        self.meeting
+        # a line given in two forms lies in two directions of one canonical
+        # direction; the meeting map is built first, so a repeat that holds
+        # two points is named as two lines sharing them
         if len({line(a, b, 0) for a, b in by_direction}) < len(by_direction):
+            self.meeting
             if len({line(*l) for l in self.lines}) < len(self.lines):
                 raise MatroidError("duplicate lines in configuration")
 
@@ -184,9 +192,10 @@ def find_triangles(cfg: Configuration, limit: Optional[int] = None) -> list[Tria
         raise MatroidError(f"limit must be at least 1, got {limit}")
     out: list[Triangle] = []
     for found in _triangles_at(cfg.meeting, len(cfg.lines), enumerate(cfg.by_point)):
-        out += sorted(found, key=lambda t: t.points)
-        if limit is not None and len(out) >= limit:
-            return out[:limit]
+        if found:
+            out += sorted(found, key=lambda t: t.points)
+            if limit is not None and len(out) >= limit:
+                return out[:limit]
     return out
 
 
@@ -197,21 +206,31 @@ def _triangles_at(
 ) -> Iterator[list[Triangle]]:
     """For each point x with its ascending lines, the triangles whose
     smallest vertex is x; ``angle`` maps each pair of lines a < b that
-    meet to their meeting point, and two lines through x meet there.
+    meet to their meeting point, and must hold every pair of lines through
+    each x, meeting there (a meeting map does).
 
     A line l3 that meets two lines l1 < l2 through x (the bitmasks
     ``meets``) but not at x closes a triangle, since two lines share at
-    most one point.
+    most one point.  The other d - 2 lines through x meet both l1 and l2
+    at x and neither line is in its own mask, so such an l3 exists iff
+    ``meets[l1] & meets[l2]`` has more than d - 2 bits; only then are the
+    lines through x masked off and the l3 enumerated.
     """
     meets = [0] * n_lines
     for a, b in angle:
         meets[a] |= 1 << b
         meets[b] |= 1 << a
     for x, ls in by_point:
-        through = sum(1 << l for l in ls)
         found = []
+        others = len(ls) - 2
+        through = 0
         for l1, l2 in combinations(ls, 2):
-            third = meets[l1] & meets[l2] & ~through
+            common = meets[l1] & meets[l2]
+            if common.bit_count() <= others:
+                continue
+            if not through:
+                through = sum(1 << l for l in ls)
+            third = common & ~through
             while third:
                 l3 = third.bit_length() - 1
                 third ^= 1 << l3

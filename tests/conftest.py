@@ -71,6 +71,21 @@ def doubled_grid():
 
 
 @pytest.fixture(scope="session")
+def adjacency():
+    """The adjacency sets of an ``analysis.IntersectionGraph``, one per
+    line, for the tests' triple-loop references."""
+
+    def adjacency_of(g) -> list[set[int]]:
+        adj: list[set[int]] = [set() for _ in range(g.n)]
+        for i, j in g.edges:
+            adj[i].add(j)
+            adj[j].add(i)
+        return adj
+
+    return adjacency_of
+
+
+@pytest.fixture(scope="session")
 def package_env():
     """Environment for subprocesses that import the package from src/."""
     env = dict(os.environ)

@@ -295,7 +295,7 @@ def test_criterion_7b_superlinear_onset(acceptance_log, sweep_rows):
     )
 
 
-def test_criterion_8_harness(acceptance_log, builds):
+def test_criterion_8_harness(acceptance_log, builds, adjacency):
     build = builds[100]
     m = build.matroid.to_matroid()
     lines = build.matroid.matroid_lines()
@@ -310,7 +310,7 @@ def test_criterion_8_harness(acceptance_log, builds):
     stats = analysis.triangle_stats(g)
     degen_ok = stats.degenerate <= math.comb(8, 3) * len(e2)
     witness_edges: dict[int, set] = {}
-    adj = g.adjacency()
+    adj = adjacency(g)
     for i in range(g.n):
         for j in sorted(adj[i]):
             if j <= i:

@@ -33,7 +33,7 @@ from matroid_joints.construct import (
     grid_lines,
 )
 from matroid_joints.core import MatroidError, make_flat
-from matroid_joints.planar import Configuration, prune_lines
+from matroid_joints.planar import Configuration, prune_lines, triple_points
 
 
 @pytest.fixture(scope="module")
@@ -471,10 +471,10 @@ def test_each_degree3_joint_contributes_triangle(matroid200):
         assert count <= math.comb(degrees[x], 3)
 
 
-def reference_triangle_stats(g):
-    """The adjacency-set triple loop: every i < j < k pairwise adjacent,
-    degenerate when its three witnesses are one point."""
-    adj = g.adjacency()
+def reference_triangle_stats(g, adj):
+    """The adjacency-set triple loop over ``adj``, the graph's adjacency
+    sets: every i < j < k pairwise adjacent, degenerate when its three
+    witnesses are one point."""
     total = degenerate = 0
     per_witness = {}
     for i in range(g.n):
@@ -493,17 +493,17 @@ def reference_triangle_stats(g):
 
 
 @pytest.mark.parametrize("prune_subject", PRUNE_SUBJECTS, indirect=True)
-def test_triangle_stats_matches_reference(prune_subject):
+def test_triangle_stats_matches_reference(prune_subject, adjacency):
     m, lines = prune_subject
     for eps in (Fraction(1, 20), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), 1):
         survivors, _ = heavy_plane_prune(m, lines, eps)
         for subset in (lines, survivors):
             _, e2, _ = degree_partition(m, subset, eps)
             g = intersection_graph(m, subset, e2)
-            assert triangle_stats(g) == reference_triangle_stats(g), eps
+            assert triangle_stats(g) == reference_triangle_stats(g, adjacency(g)), eps
 
 
-def test_triangle_stats_counts_crossing_triangles():
+def test_triangle_stats_counts_crossing_triangles(adjacency):
     # after the 1/4 prune, the 13-direction grid k = 3 keeps triangles
     # whose three witnesses are distinct points
     m, lines = thirteen_direction_grid(3)
@@ -512,15 +512,15 @@ def test_triangle_stats_counts_crossing_triangles():
     _, e2, _ = degree_partition(m, survivors, eps)
     g = intersection_graph(m, survivors, e2)
     stats = triangle_stats(g)
-    assert stats == reference_triangle_stats(g)
+    assert stats == reference_triangle_stats(g, adjacency(g))
     assert stats.total - stats.degenerate == 20
 
 
-def test_degenerate_triangles_are_edge_disjoint(matroid200):
+def test_degenerate_triangles_are_edge_disjoint(matroid200, adjacency):
     m, lines = matroid200
     _, e2, _ = degree_partition(m, lines, Fraction(1, 2))
     g = intersection_graph(m, lines, e2)
-    adj = g.adjacency()
+    adj = adjacency(g)
     witness_edges = {}
     for i in range(g.n):
         for j in sorted(adj[i]):
@@ -652,6 +652,31 @@ def test_sweep_row_runs_the_gate_once(monkeypatch, eps):
     rows = joints_sweep([200], eps)
     assert rows[0].get("error") is None and rows[0]["L"] > 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("path", ["counting-matroid", "own-oracle"])
+def test_oracle_calls_on_build250_are_pinned(monkeypatch, path):
+    # one oracle call per triple point (its star) in count_joints and one
+    # per meeting pair (its star) in the prune at epsilon = 1/2; a fast path
+    # that drops either call must change these counts here, openly
+    tfm = build_construction(250).matroid
+    calls = []
+    if path == "counting-matroid":
+        # span closes the prune's planes with no oracle call, so only the
+        # stars are counted, as on the union path
+        m = core.Matroid(tfm.config.points, lambda s: calls.append(s) or tfm.is_independent(s), tfm.span)
+    else:
+        original = TriangleFreeMatroid.is_independent
+        counted = lambda self, s: calls.append(s) or original(self, s)
+        monkeypatch.setattr(TriangleFreeMatroid, "is_independent", counted)
+        m = tfm.to_matroid()
+    index = tfm.line_index()
+    assert (len(triple_points(tfm.config)), len(index.meeting)) == (98, 350)
+    assert core.count_joints(m, index) == 98
+    assert len(calls) == 98 and all(len(s) == 4 for s in calls)
+    calls.clear()
+    heavy_plane_prune(m, index, Fraction(1, 2))
+    assert len(calls) == 350 and all(len(s) == 3 for s in calls)
 
 
 def test_line_index_is_the_configurations_incidence(build200, base3_grid):

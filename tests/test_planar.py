@@ -196,6 +196,33 @@ def test_non_integer_coordinates_rejected(bad):
         Configuration([(5, 2), bad], [horizontal(2)])
 
 
+@pytest.mark.parametrize(
+    "points, lines",
+    [
+        ([(1, 1), (1, 2), (2, 2)], [vertical(1), horizontal(2), diagonal(0)]),
+        ([(0, 0), (1, 2), (2, 1), (3, 3)], [line(2, -1, 0), line(1, -2, 0), line(1, 1, 3), horizontal(3)]),
+    ],
+    ids=["grid", "four-directions"],
+)
+def test_incidence_maps_are_built_when_read(points, lines):
+    # no two directions canonicalise alike, so no two lines share two points
+    # and neither map is needed to build the configuration
+    cfg = Configuration(points, lines)
+    assert "by_point" not in vars(cfg) and "meeting" not in vars(cfg)
+    cfg.by_point
+    assert "by_point" in vars(cfg) and "meeting" not in vars(cfg)
+    cfg.meeting
+    assert "meeting" in vars(cfg)
+
+
+def test_meeting_map_is_built_when_two_directions_canonicalise_alike():
+    # x = 1 and 2x = 4 are distinct lines of one canonical direction, so the
+    # map is built up front, where two lines sharing two points would raise
+    cfg = Configuration([(1, 0), (2, 0)], [IntLine(1, 0, 1), IntLine(2, 0, 4), horizontal(0)])
+    assert "meeting" in vars(cfg)
+    assert cfg.meeting == {(0, 2): 0, (1, 2): 1}
+
+
 def test_triangle_free_triple_line_property(build200):
     # three pairwise-meeting lines whose intersections all land in E would
     # form a triangle; in a triangle-free configuration at least one of the
@@ -296,6 +323,70 @@ def test_triangle_search_matches_definition(points, coefficients, joins):
             coefficients.append((y2 - y1, x1 - x2, (y2 - y1) * x1 + (x1 - x2) * y1))
     lines = list(dict.fromkeys(line(*t) for t in coefficients))
     assert_search_matches_definition(Configuration(points, lines))
+
+
+def mask_subtraction_gate(angle, n_lines, by_point):
+    """``planar._triangles_at`` without its popcount test: every pair of
+    lines through x masks off the lines through x and walks the rest of
+    the lines meeting both."""
+    meets = [0] * n_lines
+    for a, b in angle:
+        meets[a] |= 1 << b
+        meets[b] |= 1 << a
+    for x, ls in by_point:
+        through = sum(1 << l for l in ls)
+        found = []
+        for l1, l2 in combinations(ls, 2):
+            third = meets[l1] & meets[l2] & ~through
+            while third:
+                l3 = third.bit_length() - 1
+                third ^= 1 << l3
+                p = angle[min(l1, l3), max(l1, l3)]
+                q = angle[min(l2, l3), max(l2, l3)]
+                if x < p < q:
+                    found.append(Triangle((x, p, q), (l1, l2, l3)))
+                elif x < q < p:
+                    found.append(Triangle((x, q, p), (l2, l1, l3)))
+        yield found
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1)]),
+        min_size=4,
+        max_size=8,
+        unique=True,
+    ),
+    st.integers(1, 3),
+    st.integers(-3, -1),
+    st.lists(st.tuples(coords, coords), max_size=15),
+    st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)), max_size=10),
+    st.sets(st.integers(0, 20)),
+)
+def test_popcount_gate_equals_mask_subtraction(normals, t1, t2, extra, joins, witnesses):
+    # (0, 0) lies on the lines A x + B y = 0 of four or more directions, and
+    # a point on each of the first two with the line through them closes a
+    # triangle there: a point of degree d >= 4, so the gate's d - 2 is not 1
+    hub = [line(a, b, 0) for a, b in normals]
+    (a1, b1), (a2, b2) = normals[:2]
+    p1, p2 = (b1 * t1, -a1 * t1), (b2 * t2, -a2 * t2)
+    points = list(dict.fromkeys([(0, 0), p1, p2, *extra]))
+    pairs = [(1, 2)] + [(i % len(points), j % len(points)) for i, j in joins]
+    lines = hub + [
+        line(y2 - y1, x1 - x2, (y2 - y1) * x1 + (x1 - x2) * y1)
+        for (x1, y1), (x2, y2) in ((points[i], points[j]) for i, j in pairs if i != j)
+    ]
+    cfg = Configuration(points, list(dict.fromkeys(lines)))
+    assert len(cfg.by_point[0]) >= 4
+    assert any(t.points[0] == 0 for t in find_triangles(cfg))
+    # the whole meeting map, and the part of it at some witnesses, as
+    # ``analysis.triangle_stats`` walks it
+    kept = {pair: x for pair, x in cfg.meeting.items() if x in witnesses or x == 0}
+    at = [(x, ls) for x, ls in enumerate(cfg.by_point) if x in witnesses or x == 0]
+    for angle, by_point in ((cfg.meeting, list(enumerate(cfg.by_point))), (kept, at)):
+        expected = list(mask_subtraction_gate(angle, len(cfg.lines), by_point))
+        assert list(planar._triangles_at(angle, len(cfg.lines), by_point)) == expected
 
 
 @settings(max_examples=60, deadline=None)
