@@ -3,13 +3,18 @@
 All rank decisions use exact arithmetic.  ``affine_matroid`` scales its
 points once, at build, onto one integer lattice (every coordinate times
 the lcm of all coordinate denominators); scaling is an affine bijection,
-so independence is unchanged, and each oracle call is a fraction-free
-(Bareiss) integer rank of difference rows.  The matroid also supplies
-``span``: the integer normals of an independent set's affine hull, from
-an exact null space, decide membership in its closure column by column,
-each normal's non-zero components summed over the lattice's coordinate
-columns, and each normal after the first scans only the points the
-earlier ones kept.  Floating point never touches an incidence decision.
+so independence is unchanged and duplicates are found on the lattice.
+With duplicates rejected, a set of at most two points is independent,
+and the oracle answers it with no rank; every larger set costs one
+fraction-free (Bareiss) integer rank of difference rows.  The matroid
+also supplies ``span``: the primitive integer normals of an independent
+set's affine hull, from an exact null space, decide membership in its
+closure.  They depend only on the hull's direction space, and one slot
+keeps the last of them with their member table, from the normals'
+values to points, built in one pass over the coordinate columns: each
+hull of that direction (a parallel class, such as the grid's lines of
+one axis) is one lookup, and new normals replace the slot's table.
+Floating point never touches an incidence decision.
 """
 
 from __future__ import annotations
@@ -130,6 +135,22 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
+def _primitive(v: Sequence[int]) -> tuple[int, ...]:
+    """The non-zero integer vector v divided by the gcd of its entries."""
+    g = gcd(*v)
+    return tuple(a // g for a in v)
+
+
+def _levels(normal: Sequence[int], columns: Sequence[Sequence[int]]) -> list[int]:
+    """normal . e for every point e of the columns, one column term per
+    non-zero component of the (non-zero) normal."""
+    (c0, col0), *terms = [(c, col) for c, col in zip(normal, columns) if c]
+    values = [c0 * x for x in col0]
+    for c, col in terms:
+        values = [v + c * x for v, x in zip(values, col)]
+    return values
+
+
 def affine_independent(points: Sequence[RationalPoint]) -> bool:
     """True iff the affine span of the points has dimension len(points) - 1."""
     pts = list(points)
@@ -140,43 +161,65 @@ def affine_independent(points: Sequence[RationalPoint]) -> bool:
 def affine_matroid(points: Sequence[RationalPoint]) -> Matroid:
     """The matroid of affinely independent subsets of a finite point set.
 
-    ``span`` maps an independent B to the points of its affine hull: with
-    b0 in B, e is on the hull iff n . e = n . b0 for every integer normal
-    n (a null vector of B's difference rows).  The values n . e of the
-    points still in play are summed from whole coordinate columns, one
-    term per non-zero component of n, and the points off n's level drop
-    out before the next normal.
+    The oracle checks the index range, then answers every set of at most
+    two points True with no rank: duplicates are rejected here, on the
+    lattice (scaling is a bijection, so lattice points repeat iff the
+    given points do), and two distinct points are affinely independent.
+
+    ``span`` maps an independent B to the points of its affine hull.  Let
+    b0 be B's first point and N the hull's primitive integer normals (the
+    null vectors of B's difference rows, each divided by the gcd of its
+    entries).  A point e is on the hull iff n . e = n . b0 for every n in
+    N, so the hulls with normals N partition the points by their values
+    (n . e for n in N), and b0's values name B's part.  One slot holds
+    the N of the last span with its member table from values to
+    ascending point indices, the values summed from whole coordinate
+    columns, one term per non-zero component of each n.  A span whose N
+    differs from the slot's builds the table for its N and replaces the
+    slot's; either way the closure is one lookup of b0's values, exact
+    because the table's parts are exactly the solution sets of those
+    equations.  So the matroid holds at most one table of E entries.
+    The slot pays off because N depends only on the hull's direction
+    space: the null space is read off the reduced echelon form of the
+    difference rows, which the direction space fixes, and each vector is
+    made primitive with its free entry positive.  Parallel hulls, such as
+    the grid's lines along one axis, share their N.
     """
     pts = tuple(points)
-    if len(set(pts)) != len(pts):
-        raise MatroidError("duplicate points")
     _require_one_dimension(pts)
     lattice = _to_lattice(pts)
+    if len(set(lattice)) != len(lattice):
+        raise MatroidError("duplicate points")
+    size = len(lattice)
     columns = list(zip(*lattice))
+    # (normals, member table) of the last span; always replaced whole,
+    # so a table is never read under other normals
+    slot: tuple = (None, None)
 
     def oracle(subset: frozenset) -> bool:
-        if subset and (min(subset) < 0 or max(subset) >= len(lattice)):
-            bad = next(i for i in sorted(subset) if not 0 <= i < len(lattice))
+        if subset and (min(subset) < 0 or max(subset) >= size):
+            bad = next(i for i in sorted(subset) if not 0 <= i < size)
             raise MatroidError(f"unknown point index {bad}")
+        if len(subset) <= 2:
+            return True
         return _lattice_independent([lattice[i] for i in sorted(subset)])
 
     def span(basis: frozenset) -> frozenset:
+        nonlocal slot
         if not basis:
             return frozenset()
         first, *rest = (lattice[i] for i in sorted(basis))
         diffs = [[a - b for a, b in zip(p, first)] for p in rest]
-        members = range(len(lattice))
-        cols = columns
-        for normal in integer_null_space(diffs, len(first)):
-            level = _dot(normal, first)
-            (c0, col0), *terms = [(c, col) for c, col in zip(normal, cols) if c]
-            values = [c0 * x for x in col0]
-            for c, col in terms:
-                values = [v + c * x for v, x in zip(values, col)]
-            keep = [j for j, v in enumerate(values) if v == level]
-            members = [members[j] for j in keep]
-            cols = [[col[j] for j in keep] for col in cols]
-        return frozenset(members)
+        normals = tuple(_primitive(n) for n in integer_null_space(diffs, len(first)))
+        if not normals:  # a full-rank hull holds every point
+            return frozenset(range(size))
+        seen, table = slot
+        if seen != normals:
+            table = {}
+            for j, levels in enumerate(zip(*(_levels(n, columns) for n in normals))):
+                table.setdefault(levels, []).append(j)
+            slot = (normals, table)
+        return frozenset(table[tuple(_dot(n, first) for n in normals)])
 
     return Matroid(labels=pts, oracle=oracle, span=span)
 
@@ -191,7 +234,8 @@ def grid3d(k: int) -> tuple[tuple[RationalPoint, ...], list[tuple[int, ...]]]:
         raise MatroidError("grid3d requires k >= 2")
     coords = range(1, k + 1)
     triples = [(x, y, z) for x in coords for y in coords for z in coords]
-    pts = tuple(point(*t) for t in triples)
+    value = [Fraction(c) for c in range(k + 1)]  # one Fraction per coordinate value
+    pts = tuple(RationalPoint((value[x], value[y], value[z])) for x, y, z in triples)
     index = {t: i for i, t in enumerate(triples)}
 
     def at(x: int, y: int, z: int) -> int:

@@ -1,14 +1,17 @@
 """Exact affine independence and the 3D grid of joints."""
 
 import dataclasses
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from matroid_joints import affine
 from matroid_joints.affine import (
     affine_independent,
     affine_matroid,
@@ -128,16 +131,38 @@ def test_affine_matroid_is_simple():
 
 
 def test_affine_oracle_rejects_unknown_index():
-    # -1 is not the last point, and 99 is a domain error, at every size
+    # -1 is not the last point, and 8 and 99 are domain errors, at every
+    # size: the range check comes before the pair rule
     m = affine_matroid(grid3d(2)[0])
-    for subset in ({-1}, {-1, 7}, {99}, {0, 99}, {0, 1, 99}, {0, 1, 2, 99}, {0, 1, 2, 3, 99}):
+    assert m.size == 8
+    for subset in (
+        {-1}, {8}, {-1, 7}, {3, 8}, {-2, 3}, {99}, {0, 99}, {0, 1, 99}, {0, 1, 2, 99}, {0, 1, 2, 3, 99}
+    ):
         with pytest.raises(MatroidError, match="unknown point index"):
             m.oracle(frozenset(subset))
 
 
+def test_oracle_answers_pairs_without_a_rank(monkeypatch):
+    calls = []
+    monkeypatch.setattr(affine, "integer_rank", lambda rows: calls.append(rows) or integer_rank(rows))
+    m = affine_matroid([point(0, 0), point(Fraction(1, 2), 0), point(1, 0), point(0, Fraction(1, 3))])
+    small = [frozenset(s) for k in range(3) for s in combinations(range(m.size), k)]
+    assert all(m.oracle(s) for s in small)
+    assert calls == []
+    assert not m.oracle(frozenset({0, 1, 2}))
+    assert len(calls) == 1
+
+
 def test_affine_matroid_rejects_duplicates():
-    with pytest.raises(MatroidError):
+    with pytest.raises(MatroidError, match="duplicate"):
         affine_matroid([point(0, 0), point(0, 0)])
+    # a duplicate among non-integer points, found on the lattice
+    with pytest.raises(MatroidError, match="duplicate"):
+        affine_matroid([point(Fraction(1, 3), 2), point(1, Fraction(5, 6)), point(Fraction(2, 6), 2)])
+    with pytest.raises(MatroidError, match="mixed dimension"):
+        affine_matroid([point(0, 0), point(0, 0, 0)])
+    # distinct rational points stay distinct on the lattice
+    assert affine_matroid([point(Fraction(1, 2), 0), point(1, 0), point(Fraction(1, 4), 0)]).size == 3
 
 
 def test_point_rejects_coordinates_it_would_coerce():
@@ -147,6 +172,14 @@ def test_point_rejects_coordinates_it_would_coerce():
         with pytest.raises(MatroidError, match="not an int or a Fraction"):
             point(0, bad)
     assert point(-2, Fraction(1, 3)).coords == (Fraction(-2), Fraction(1, 3))
+
+
+def test_grid3d_points_share_exact_coordinates():
+    for k in (2, 4):
+        pts, _ = grid3d(k)
+        r = range(1, k + 1)
+        assert pts == tuple(point(x, y, z) for x in r for y in r for z in r)
+        assert all(type(c) is Fraction for p in pts for c in p.coords)
 
 
 def test_grid3d_counts():
@@ -236,3 +269,103 @@ def test_descriptor_flats_spend_two_oracle_calls_per_line():
     # span costs no oracle call
     assert len(calls) == 2 * len(desc)
     assert lines == descriptor_flats(dataclasses.replace(m, span=None), desc)
+
+
+def lattice_walk(dim):
+    """Points a + sum x_i u_i for lattice coordinates x in a patch of
+    {0, 1, 2}^dim, with rational a and u_i (denominators up to 6), and
+    walks of bases given as lattice steps from a start: lines and planes
+    of a few lattice directions, so parallel classes repeat."""
+    lines = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 1)]
+    planes = [((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 0, 1)), ((1, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 1))]
+    shapes = [[d[:dim]] for d in lines] + [[u[:dim], v[:dim]] for u, v in planes]
+    coord = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+    vector = st.tuples(*[coord] * dim)
+    cell = st.tuples(*[st.integers(0, 2)] * dim)
+    step = st.tuples(st.integers(0, len(shapes) - 1), cell)
+    return st.tuples(vector, st.lists(vector, min_size=dim, max_size=dim), st.sets(cell, min_size=1),
+                     st.lists(step, min_size=2, max_size=12)).map(lambda t: (shapes, *t))
+
+
+def walk_bases(shapes, a, us, cells, steps):
+    """The deduplicated points, and the walk as index sets: each drawn
+    step, then every step again in alternation with the first, then the
+    empty set and the whole set."""
+    by_coords = {}
+    for x in sorted(cells):
+        p = tuple(a[c] + sum(t * u[c] for t, u in zip(x, us)) for c in range(len(a)))
+        by_coords.setdefault(p, []).append(x)
+    pts = [point(*p) for p in by_coords]
+    index = {x: i for i, xs in enumerate(by_coords.values()) for x in xs}
+
+    def basis(shape, x):
+        ends = [x] + [tuple(a + d for a, d in zip(x, v)) for v in shapes[shape]]
+        return frozenset(index[e] for e in ends if e in index)
+
+    walk = [basis(*s) for s in steps]
+    walk += [b for s in walk for b in (walk[0], s)]
+    return pts, walk + [frozenset(), frozenset(range(len(pts)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(lattice_walk))
+def test_span_slot_matches_oracle_closure_along_walks(case):
+    pts, walk = walk_bases(*case)
+    assume(any(c.denominator > 1 for p in pts for c in p.coords))
+    m = affine_matroid(pts)
+    reference = dataclasses.replace(m, span=None)
+    for s in walk:
+        assert closure(m, s) == closure(reference, s)
+
+
+def test_span_slot_serves_other_bases_of_one_direction(monkeypatch):
+    # three planes z = const of grid3d(3), each from a different basis of
+    # the same direction space: the first builds the member table, one
+    # pass over the 27 points, and the other two are lookups in it
+    pts, _ = grid3d(3)
+    at = {tuple(int(c) for c in p.coords): i for i, p in enumerate(pts)}
+    bases = [
+        [(1, 1, 1), (2, 1, 1), (1, 2, 1)],
+        [(1, 1, 2), (3, 2, 2), (2, 3, 2)],
+        [(3, 3, 3), (1, 3, 3), (3, 1, 3)],
+    ]
+    m = affine_matroid(pts)
+    reference = dataclasses.replace(m, span=None)
+    passes = []
+    levels = affine._levels
+    monkeypatch.setattr(affine, "_levels", lambda n, cols: passes.append(len(cols[0])) or levels(n, cols))
+    for b, z in zip(bases, (1, 2, 3)):
+        s = frozenset(at[t] for t in b)
+        assert closure(m, s) == closure(reference, s) == frozenset(i for t, i in at.items() if t[2] == z)
+    assert passes == [27]
+
+
+def retained_bytes(m, subsets):
+    """Bytes still allocated after closing each subset in turn, the
+    closures themselves dropped."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for s in subsets:
+            closure(m, s)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_span_retains_at_most_one_member_table():
+    # every pair of a generic set opens a new direction, and its table
+    # holds about 250 bytes per point (a key of two normal values, a
+    # one-point list, a dict slot); one table per direction seen would
+    # hold 1,770 of them.  A table of grid3d(8) holds about 41 bytes per
+    # point; one per direction would hold three
+    rng = random.Random(60)
+    generic = list({tuple(rng.randint(-10**6, 10**6) for _ in range(3)) for _ in range(60)})
+    m = affine_matroid([point(*t) for t in generic])
+    assert m.size == 60
+    assert retained_bytes(m, combinations(range(m.size), 2)) <= 320 * m.size
+    pts, desc = grid3d(8)
+    m = affine_matroid(pts)
+    assert retained_bytes(m, (members[:2] for members in desc)) <= 64 * m.size
