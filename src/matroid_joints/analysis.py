@@ -38,7 +38,9 @@ def heavy_plane_prune(
 
     The lines are a simple matroid's: two lines sharing two points raise
     MatroidError (``core._common_points``) before any plane is closed, and
-    so does a meeting pair whose star is dependent (``_meeting_planes``).
+    on the closure rule so does a meeting pair whose star is dependent
+    (``_meeting_planes``); the union rule's stars are independent by its
+    lemma, and are not checked.
 
     Candidate planes are the planes cl(l_i | l_j) of the line pairs that
     meet at a point and hold at least 2/epsilon lines (``_meeting_planes``:
@@ -95,27 +97,31 @@ def _meeting_planes(
     never be pruned.
 
     The meeting pairs and the lines' ascending points come from the lines'
-    ``core.LineIndex``.  A pair meeting at x is checked by one oracle call
-    on its star {x, a_i, a_j}, a_i the smallest member of l_i other than
-    x, read inline from its two smallest members as in
-    ``core.count_joints``: a dependent star means the matroid is not
-    simple or a line is not a rank-2 flat, and raises MatroidError; an
-    independent one is a basis of the pair's plane.
+    ``core.LineIndex``.
 
     When ``m``'s oracle is that of a ``TriangleFreeMatroid`` whose
     configuration is the index itself, and the configuration's gate
     verdict (``planar.Configuration.triangle_free``, cached) says it has
     no triangle, the plane of (i, j) is l_i | l_j and holds l_i and l_j
-    alone, so nothing is closed.  The lemma needs a triangle-free
-    configuration whose lines each hold two or more points and share at
-    most one: in span({x, a_i, a_j}), a line through a_j that meets l_i
-    off x closes a triangle with l_i and l_j, and so does a line through
-    a_i and a_j, so the span is l_i | l_j; a third line in it would hold
-    one point of l_i - {x} and one of l_j - {x}, again a triangle.  At a
-    threshold of 3 or more no such plane is kept.
+    alone: each such pair is its own plane below a threshold of 3, and at
+    3 or more no plane is kept.  Nothing is closed and the oracle is not
+    called.  The lemma needs a triangle-free configuration whose lines
+    each hold two or more points (``TriangleFreeMatroid``) and share at
+    most one (the meeting map raises otherwise).  Then x, a_i and a_j
+    (a_i a point of l_i other than x) are three distinct points on no
+    common line, so the star {x, a_i, a_j} is independent; in its span a
+    line through a_j that meets l_i off x closes a triangle with l_i and
+    l_j, and so does a line through a_i and a_j, so the span is l_i | l_j;
+    a third line in it would hold one point of l_i - {x} and one of
+    l_j - {x}, again a triangle.
 
-    Otherwise (any other matroid, or a plain list of lines) each plane is
-    closed through ``core._closure_of``, the reference.  The held line
+    Otherwise (any other matroid, or a plain list of lines) a pair meeting
+    at x is checked by one oracle call on its star {x, a_i, a_j}, a_i the
+    smallest member of l_i other than x, read inline from its two smallest
+    members as in ``core.count_joints``: a dependent star means the
+    matroid is not simple or a line is not a rank-2 flat, and raises
+    MatroidError; an independent one is a basis of the pair's plane, which
+    is closed through ``core._closure_of``, the reference.  The held line
     pairs of each plane of three or more lines are indexed, so that plane
     is closed once.  A plane's lines are found by their ends: a line whose
     two smallest members lie in the plane is tested for containment.  At
@@ -125,22 +131,20 @@ def _meeting_planes(
     index = core._require_lines(m, lines)
     line_points = index.line_points
     tfm = getattr(m.oracle, "__self__", None)
-    unions = isinstance(tfm, TriangleFreeMatroid) and tfm.config is index and index.triangle_free
+    if isinstance(tfm, TriangleFreeMatroid) and tfm.config is index and index.triangle_free:
+        if threshold >= 3:
+            return {}
+        return {(i, j): (tuple(sorted({*line_points[i], *line_points[j]})), [(i, j)]) for i, j in index.meeting}
     by_min: dict[int, list[int]] = {}
-    if not unions:
-        for i, pts in enumerate(line_points):
-            by_min.setdefault(pts[0], []).append(i)
+    for i, pts in enumerate(line_points):
+        by_min.setdefault(pts[0], []).append(i)
     plane_of: dict[tuple[int, int], tuple[int, ...]] = {}  # held pair -> the plane's lines
     planes: dict[tuple[int, ...], tuple[tuple[int, ...], list[tuple[int, int]]]] = {}
     for (i, j), x in index.meeting.items():
         li, lj = line_points[i], line_points[j]
         star = frozenset((x, li[1] if li[0] == x else li[0], lj[1] if lj[0] == x else lj[0]))
-        if len(star) < 3 or not m.oracle(star):
+        if not m.oracle(star):
             raise MatroidError(f"lines {i} and {j} meet at {x} in a dependent star")
-        if unions:
-            if threshold <= 2:
-                planes[i, j] = (tuple(sorted({*li, *lj})), [(i, j)])
-            continue
         held = plane_of.get((i, j))
         if held is None:
             plane = core._closure_of(m, star, star)

@@ -75,6 +75,12 @@ def sphere_shells(n: int, s: int) -> dict[int, list[tuple[int, ...]]]:
 
 def behrend_params(N: int) -> BehrendParams:
     """Construction parameters for N: dimension, digit bound, best shell."""
+    return _params_and_shells(N)[0]
+
+
+def _params_and_shells(N: int) -> tuple[BehrendParams, dict[int, list[tuple[int, ...]]]]:
+    """``behrend_params(N)`` and the nonzero shells its k was picked from,
+    so that ``behrend_set`` enumerates the cube once."""
     if N < 4:
         raise MatroidError("behrend_params requires N >= 4; use optimal_3ap_free for tiny N")
     n = _dimension(N)
@@ -85,7 +91,7 @@ def behrend_params(N: int) -> BehrendParams:
         k = max(shells, key=lambda k: (len(shells[k]), -k))
     else:
         k = 1
-    return BehrendParams(N=N, n=n, s=s, k=k)
+    return BehrendParams(N=N, n=n, s=s, k=k), shells
 
 
 def encode(digits: tuple[int, ...], radix: int) -> int:
@@ -122,14 +128,13 @@ def behrend_set(N: int) -> BehrendSet:
     if N < 1:
         raise MatroidError("behrend_set requires N >= 1")
     if N < 4:
-        params = BehrendParams(N=N, n=1, s=_digit_bound(N, 1), k=0)
+        params, shells = BehrendParams(N=N, n=1, s=_digit_bound(N, 1), k=0), {}
     else:
-        params = behrend_params(N)
+        params, shells = _params_and_shells(N)
     if params.n <= 1:
         members = tuple(sorted(optimal_3ap_free(N)))
         return BehrendSet(members=members, params=params, via_fallback=True)
-    shell = sphere_shells(params.n, params.s)[params.k]
-    return _verified_shell_set(shell, params)
+    return _verified_shell_set(shells[params.k], params)
 
 
 def _verified_shell_set(shell, params: BehrendParams) -> BehrendSet:

@@ -297,18 +297,27 @@ def progression_free(draws):
 )
 def test_configuration_index_matches_the_closures_on_random_grids(subject):
     # a random 3-AP-free set of sums filters the n x n grid; each threshold
-    # 1..5 is ceil(2 / epsilon) at epsilon = 2 / threshold
+    # 1..5 is ceil(2 / epsilon) at epsilon = 2 / threshold; the index side
+    # takes the union rule, which calls no oracle
     n, draws = subject
     pts = behrend_points(n, progression_free(draws))
     cfg = Configuration(pts, grid_lines(n).populated_lines(pts))
     assume(planar.is_triangle_free(cfg))
     tfm = TriangleFreeMatroid(cfg)
     m, lines = tfm.to_matroid(), tfm.matroid_lines()
+    calls = []
+    original = TriangleFreeMatroid.is_independent
+    counted = lambda self, s: calls.append(s) or original(self, s)
     for threshold in range(1, 6):
         eps = Fraction(2, threshold)
         planes = analysis._meeting_planes(m, lines, threshold)
-        assert analysis._meeting_planes(m, tfm.line_index(), threshold) == planes, threshold
-        assert heavy_plane_prune(m, tfm.line_index(), eps) == heavy_plane_prune(m, lines, eps), threshold
+        pruned = heavy_plane_prune(m, lines, eps)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(TriangleFreeMatroid, "is_independent", counted)
+            own = tfm.to_matroid()  # its oracle is bound to the counted method
+            assert analysis._meeting_planes(own, tfm.line_index(), threshold) == planes, threshold
+            assert heavy_plane_prune(own, tfm.line_index(), eps) == pruned, threshold
+        assert calls == [], threshold
 
 
 def test_a_seeded_index_under_another_matroid_closes_its_planes(monkeypatch, build200):
@@ -656,14 +665,16 @@ def test_sweep_row_runs_the_gate_once(monkeypatch, eps):
 
 @pytest.mark.parametrize("path", ["counting-matroid", "own-oracle"])
 def test_oracle_calls_on_build250_are_pinned(monkeypatch, path):
-    # one oracle call per triple point (its star) in count_joints and one
-    # per meeting pair (its star) in the prune at epsilon = 1/2; a fast path
-    # that drops either call must change these counts here, openly
+    # one oracle call per triple point (its star) in count_joints; in the
+    # prune at epsilon = 1/2, one per meeting pair (its star) on the closure
+    # rule and none on the union rule, whose stars are independent by the
+    # lemma in _meeting_planes; a fast path that drops a call must change
+    # these counts here, openly
     tfm = build_construction(250).matroid
     calls = []
     if path == "counting-matroid":
-        # span closes the prune's planes with no oracle call, so only the
-        # stars are counted, as on the union path
+        # not the matroid's own oracle, so the prune takes the closure rule;
+        # span closes its planes with no oracle call, so only the stars count
         m = core.Matroid(tfm.config.points, lambda s: calls.append(s) or tfm.is_independent(s), tfm.span)
     else:
         original = TriangleFreeMatroid.is_independent
@@ -676,7 +687,7 @@ def test_oracle_calls_on_build250_are_pinned(monkeypatch, path):
     assert len(calls) == 98 and all(len(s) == 4 for s in calls)
     calls.clear()
     heavy_plane_prune(m, index, Fraction(1, 2))
-    assert len(calls) == 350 and all(len(s) == 3 for s in calls)
+    assert len(calls) == (350 if path == "counting-matroid" else 0) and all(len(s) == 3 for s in calls)
 
 
 def test_line_index_is_the_configurations_incidence(build200, base3_grid):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matroid_joints import behrend
 from matroid_joints.behrend import (
     BehrendParams,
     behrend_params,
@@ -88,6 +89,17 @@ def test_behrend_set_n16():
 def test_behrend_set_is_3ap_free():
     for n in (16, 100, 1000, 12345):
         assert not has_3ap(behrend_set(n).members)
+
+
+@pytest.mark.parametrize("N", [16, 250, 2**16, 2**20])
+def test_behrend_set_enumerates_its_shells_once(monkeypatch, N):
+    # the shells that pick k are the ones the set is read from
+    calls = []
+    original = behrend.sphere_shells
+    monkeypatch.setattr(behrend, "sphere_shells", lambda n, s: calls.append((n, s)) or original(n, s))
+    b = behrend_set(N)
+    assert calls == [(b.params.n, b.params.s)]
+    assert b.params == behrend_params(N)
 
 
 def test_behrend_set_size_matches_shell():
