@@ -100,14 +100,13 @@ def _meeting_planes(
     ``core.LineIndex``.
 
     When ``m``'s oracle is that of a ``TriangleFreeMatroid`` whose
-    configuration is the index itself, and the configuration's gate
-    verdict (``planar.Configuration.triangle_free``, cached) says it has
-    no triangle, the plane of (i, j) is l_i | l_j and holds l_i and l_j
-    alone: each such pair is its own plane below a threshold of 3, and at
-    3 or more no plane is kept.  Nothing is closed and the oracle is not
-    called.  The lemma needs a triangle-free configuration whose lines
-    each hold two or more points (``TriangleFreeMatroid``) and share at
-    most one (the meeting map raises otherwise).  Then x, a_i and a_j
+    configuration is the index itself, the plane of (i, j) is l_i | l_j
+    and holds l_i and l_j alone: each such pair is its own plane below a
+    threshold of 3, and at 3 or more no plane is kept.  Nothing is closed
+    and the oracle is not called.  The lemma needs a triangle-free
+    configuration whose lines each hold two or more points, which the
+    ``TriangleFreeMatroid`` constructor guarantees, and that share at most
+    one (the meeting map raises otherwise).  Then x, a_i and a_j
     (a_i a point of l_i other than x) are three distinct points on no
     common line, so the star {x, a_i, a_j} is independent; in its span a
     line through a_j that meets l_i off x closes a triangle with l_i and
@@ -131,7 +130,7 @@ def _meeting_planes(
     index = core._require_lines(m, lines)
     line_points = index.line_points
     tfm = getattr(m.oracle, "__self__", None)
-    if isinstance(tfm, TriangleFreeMatroid) and tfm.config is index and index.triangle_free:
+    if isinstance(tfm, TriangleFreeMatroid) and tfm.config is index:
         if threshold >= 3:
             return {}
         return {(i, j): (tuple(sorted({*line_points[i], *line_points[j]})), [(i, j)]) for i, j in index.meeting}

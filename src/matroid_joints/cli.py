@@ -8,6 +8,7 @@ output is byte-deterministic for a fixed command line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -161,7 +162,10 @@ def cmd_verify(args) -> int:
     return 0 if obj["axioms_ok"] and obj["properties_ok"] else VERIFY_ERROR
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: each subcommand binds its ``cmd_*``,
+    which looks its own callees up when it runs."""
     parser = argparse.ArgumentParser(prog="matroid-joints")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -92,11 +92,19 @@ def behrend_points(N: int, sums: Iterable[int]) -> list[Point]:
 
 class TriangleFreeMatroid:
     """Independence oracle over a pruned triangle-free configuration, read
-    off the configuration's own incidence: the matroid holds no copy of it."""
+    off the configuration's own incidence: the matroid holds no copy of it.
+
+    The oracle's rules are a matroid's on a triangle-free configuration,
+    and a triangle can break the exchange axiom, so the constructor
+    refuses one through the configuration's cached gate verdict
+    (``Configuration.triangle_free``).
+    """
 
     def __init__(self, config: Configuration):
         if any(len(pts) < 2 for pts in config.line_points):
             raise MatroidError("every line must contain at least two points (prune first)")
+        if not config.triangle_free:
+            raise MatroidError("the configuration has a triangle: its oracle would not be a matroid")
         self.config = config
 
     def is_independent(self, subset: frozenset) -> bool:

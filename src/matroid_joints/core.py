@@ -117,6 +117,8 @@ def make_flat(m: Matroid, subset: Iterable[int]) -> Flat:
 def flats_of_rank(m: Matroid, k: int, *, allow_large: bool = False) -> list[Flat]:
     """All flats of rank exactly k, as closures of independent k-subsets.
 
+    One oracle call per k-subset: an independent one is its own greedy
+    basis (its subsets are independent), so it is closed from itself.
     The enumeration cost grows as size**k, so k > 3 requires
     ``allow_large=True``.
     """
@@ -129,7 +131,7 @@ def flats_of_rank(m: Matroid, k: int, *, allow_large: bool = False) -> list[Flat
         s = frozenset(combo)
         if not m.oracle(s):
             continue
-        cl = closure(m, s)
+        cl = _closure_of(m, s, s)
         key = tuple(sorted(cl))
         if key not in seen:
             seen[key] = Flat(cl, k)
@@ -170,12 +172,12 @@ class LineIndex:
 def _require_lines(m: Matroid, lines: Iterable[Flat] | LineIndex) -> LineIndex:
     """The index of ``lines``, each checked to be a ``Flat`` of rank 2 with
     two or more members of the ground set (rank 2 needs two), with no
-    oracle call, and sorted once; an index already built for a ground set
-    of this size is returned as it is."""
+    oracle call, and sorted once; an index is returned as it is, and one
+    built for a ground set of another size raises MatroidError."""
     if isinstance(lines, LineIndex):
-        if lines.size == m.size:
-            return lines
-        lines = lines.flats
+        if lines.size != m.size:
+            raise MatroidError(f"line index over {lines.size} elements, ground set of size {m.size}")
+        return lines
     line_points = []
     for f in lines:
         if not isinstance(f, Flat) or f.rank != 2 or len(f.members) < 2:
@@ -213,30 +215,6 @@ def _common_points(by_point: Sequence[Sequence[int]]) -> dict[tuple[int, int], i
                 i, j = min(p for p, k in shared.items() if k > 1)
                 raise MatroidError(f"lines {i} and {j} share {shared[i, j]} points")
     return common
-
-
-def _unrank_subset(n: int, k: int, r: int) -> tuple[int, ...]:
-    """The k-subset of range(n) at index r of ``combinations(range(n), k)``.
-
-    Of the k-subsets of range(low, n), C(n - low, k) - C(n - a, k) start
-    below a, so the first member is the largest a for which that count is
-    at most r; the rest is the same search on range(a + 1, n).
-    """
-    out: list[int] = []
-    low = 0
-    for size in range(k, 0, -1):
-        total = math.comb(n - low, size)
-        lo, hi = low, n - size
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if total - math.comb(n - mid, size) <= r:
-                lo = mid
-            else:
-                hi = mid - 1
-        r -= total - math.comb(n - lo, size)
-        out.append(lo)
-        low = lo + 1
-    return tuple(out)
 
 
 def _joint_search(
@@ -503,9 +481,10 @@ def check_incidence_properties(m: Matroid, rng_seed: int = 0, samples: int = 100
     not simple.  Properties over pairs/triples are checked exhaustively
     when their count is at most ``samples`` (at least 1), otherwise on a
     seeded sample; the flats through a point come from ``_lines_by_point``.
-    A sampled pair or triple of points is unranked from its index
-    (``_unrank_subset``), and a sampled meeting line pair is read from the
-    sorted pair keys, so no whole list of them is built.
+    A sampled pair or triple of points is read off ``combinations`` as its
+    index comes up, at most the C(n, 3) steps that enumerating the planes
+    has already taken in oracle calls, and a sampled meeting line pair is
+    read from the sorted pair keys, so no whole list of them is built.
     """
     if samples < 1:
         raise MatroidError(f"samples must be at least 1, got {samples}")
@@ -533,7 +512,8 @@ def check_incidence_properties(m: Matroid, rng_seed: int = 0, samples: int = 100
 
     def pick_subsets(k: int) -> Iterable[tuple[int, ...]]:
         """The sampled k-subsets of the ground set, in ``combinations`` order."""
-        return (_unrank_subset(m.size, k, r) for r in sample_or_all(math.comb(m.size, k)))
+        picked = set(sample_or_all(math.comb(m.size, k)))
+        return (s for r, s in enumerate(combinations(range(m.size), k)) if r in picked)
 
     # (1) any two points lie in exactly one line
     r1 = CheckResult(PASS)

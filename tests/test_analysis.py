@@ -8,6 +8,7 @@ import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -703,38 +704,57 @@ def test_line_index_is_the_configurations_incidence(build200, base3_grid):
         assert list(index.meeting.items()) == list(built.meeting.items())
 
 
+def test_an_index_over_another_ground_set_is_refused(build200):
+    # the configuration indexes 176 points, grid3d(2) has 8: the index is
+    # read as it is or refused, never re-validated as a list of lines
+    m = affine_matroid(grid3d(2)[0])
+    with pytest.raises(MatroidError, match="line index over 176 elements, ground set of size 8"):
+        core.count_joints(m, build200.config)
+    with pytest.raises(MatroidError, match="line index over 176 elements, ground set of size 8"):
+        heavy_plane_prune(m, build200.config, Fraction(1, 2))
+
+
 def test_the_matroid_and_its_index_hold_no_copy_of_the_incidence():
     # N = 400, window rule: the matroid and its index allocate next to
     # nothing beside the configuration they read (7.5 MB beside its 9.7 MB
-    # when the matroid held its lines and points as frozensets)
+    # when the matroid held its lines and points as frozensets); the gate
+    # verdict that the matroid's constructor reads is taken first, so the
+    # triangle search's own allocations are not counted as held
     pts = window_points(400, -571)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         cfg = Configuration(pts, grid_lines(400).populated_lines(pts))
         built = tracemalloc.get_traced_memory()[0]
+        assert cfg.triangle_free
+        gated = tracemalloc.get_traced_memory()[0]
         tfm = TriangleFreeMatroid(cfg)
         index = tfm.line_index()
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert (len(cfg.points), len(cfg.lines)) == (17824, 1593)
-    assert held - built < 0.02 * (built - start)
+    assert held - gated < 0.02 * (built - start)
     assert index is tfm.config
 
 
 @pytest.mark.parametrize("threshold", [1, 2, 3])
 def test_the_union_rule_waits_for_the_gate(threshold):
-    # y = 0, x = 0 and x + y = 2 close a triangle, so a matroid over them
-    # is read by closing its planes: its index and its lines agree
+    # y = 0, x = 0 and x + y = 2 close a triangle: the union rule's lemma
+    # fails there, and so does the exchange axiom, so no matroid is built;
+    # the oracle's rules, run through a stand-in that is no
+    # TriangleFreeMatroid, have their planes closed: index and lines agree
     lines = [planar.horizontal(0), planar.vertical(0), planar.line(1, 1, 2)]
     cfg = Configuration([(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (1, 1)], lines)
     assert not planar.is_triangle_free(cfg)
-    tfm = TriangleFreeMatroid(cfg)
-    m, lines, eps = tfm.to_matroid(), tfm.matroid_lines(), Fraction(2, threshold)
+    with pytest.raises(MatroidError, match="triangle"):
+        TriangleFreeMatroid(cfg)
+    stand_in = SimpleNamespace(config=cfg)
+    m = core.Matroid(cfg.points, lambda s: TriangleFreeMatroid.is_independent(stand_in, s))
+    lines, eps = list(cfg.flats), Fraction(2, threshold)
     planes = analysis._meeting_planes(m, lines, threshold)
-    assert analysis._meeting_planes(m, tfm.line_index(), threshold) == planes
-    assert heavy_plane_prune(m, tfm.line_index(), eps) == heavy_plane_prune(m, lines, eps)
+    assert analysis._meeting_planes(m, cfg, threshold) == planes
+    assert heavy_plane_prune(m, cfg, eps) == heavy_plane_prune(m, lines, eps)
 
 
 @pytest.mark.parametrize(

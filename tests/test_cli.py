@@ -126,6 +126,13 @@ def test_construct_gate_failure_exits_3(capsys, monkeypatch):
     assert err == "error: triangle found in pruned configuration for N=50\n"
 
 
+def test_one_parser_per_process():
+    # the parser is built once; its subcommands look their callees up at
+    # call time, so test_construct_gate_failure_exits_3's monkeypatch of
+    # cli.build_construction still takes effect
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_no_exhaustive_option(capsys, tmp_path):
     # the axiom check follows the point count; there is no option to pick it
     dump = tmp_path / "n5.json"

@@ -3,6 +3,7 @@
 import copy
 import random
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -426,13 +427,18 @@ def test_triangle_gate_catches_bad_filter(monkeypatch, sums):
 
 def test_triangle_in_ground_set_breaks_axioms():
     # a configuration with a triangle admits no consistent matroid: the
-    # exchange axiom fails on the triangle's vertices
+    # exchange axiom fails on the triangle's vertices, so the constructor
+    # refuses it, and the oracle's rules run through a stand-in that holds
+    # only the configuration, all that ``is_independent`` reads
     pts = [(1, 1), (2, 1), (1, 0), (3, 1), (4, 1), (1, 2), (3, 2)]
     lines = [horizontal(1), vertical(1), diagonal(1)]
     cfg = Configuration(pts, lines)
     assert not is_triangle_free(cfg)
-    tfm = TriangleFreeMatroid(cfg)
-    report = core.check_axioms(tfm.to_matroid())
+    with pytest.raises(MatroidError, match="triangle"):
+        TriangleFreeMatroid(cfg)
+    stand_in = SimpleNamespace(config=cfg)
+    m = core.Matroid(cfg.points, lambda s: TriangleFreeMatroid.is_independent(stand_in, s))
+    report = core.check_axioms(m)
     assert not report.ok
     assert report.axiom3.status == core.FAIL
     assert report.axiom3.counterexample == ((0, 1, 2), (0, 3, 5, 6))  # minimal in (size, lex) order

@@ -1,6 +1,7 @@
 """Matroid engine: rank, closure, flats, joints, and the checkers."""
 
 import dataclasses
+import math
 import random
 from itertools import combinations
 
@@ -234,6 +235,22 @@ def test_flats_of_rank_guard():
     with pytest.raises(MatroidError):
         flats_of_rank(m, 4)
     assert flats_of_rank(m, 4, allow_large=True)
+
+
+@pytest.mark.parametrize("subject", ["grid3d3", "base3_n8"])
+def test_flats_of_rank_asks_one_oracle_call_per_subset(subject, base3_grid):
+    # an independent k-subset is its own greedy basis, and the matroid's
+    # span closes it: each k-subset costs its one independence call
+    m = {
+        "grid3d3": lambda: affine_matroid(grid3d(3)[0]),
+        "base3_n8": lambda: TriangleFreeMatroid(prune_lines(base3_grid)).to_matroid(),
+    }[subject]()
+    for k in (1, 2, 3):
+        calls = []
+        counting = dataclasses.replace(m, oracle=lambda s: calls.append(s) or m.oracle(s))
+        assert flats_of_rank(counting, k) == flats_of_rank(m, k)
+        assert len(calls) == math.comb(m.size, k)
+        assert all(len(s) == k for s in calls)
 
 
 def test_coplanar_single_line(square):
@@ -622,15 +639,6 @@ def test_incidence_reports_match_scanning_reference(subject, build5, base3_grid,
     # the flipped oracle fails on most of its cases: the comparison covers
     # failing reports and their counterexamples, not only passes
     assert (failing > 0) == (subject == "grid3d3_flipped")
-
-
-def test_unrank_subset_follows_combinations_order():
-    for n in range(9):
-        for k in range(1, 5):
-            subsets = list(combinations(range(n), k))
-            assert [core._unrank_subset(n, k, r) for r in range(len(subsets))] == subsets
-    # the last triple of 17,824 points, without listing the 9.4e11 before it
-    assert core._unrank_subset(17824, 3, 17824 * 17823 * 17822 // 6 - 1) == (17821, 17822, 17823)
 
 
 @pytest.mark.parametrize("samples", [0, -3])
