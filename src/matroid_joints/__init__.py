@@ -19,12 +19,10 @@ from .core import (
     check_incidence_properties,
     check_submodularity,
     closure,
-    coplanar,
     count_joints,
     flats_of_rank,
     is_flat,
     is_joint,
-    is_n_joint,
     rank,
 )
 from .planar import (
@@ -57,7 +55,6 @@ __all__ = [
     "check_incidence_properties",
     "check_submodularity",
     "closure",
-    "coplanar",
     "count_joints",
     "descriptor_flats",
     "find_triangles",
@@ -69,7 +66,6 @@ __all__ = [
     "intersect",
     "is_flat",
     "is_joint",
-    "is_n_joint",
     "is_triangle_free",
     "line",
     "optimal_3ap_free",

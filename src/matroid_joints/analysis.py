@@ -14,10 +14,10 @@ import heapq
 import json
 import math
 from bisect import bisect_left, insort
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
 
 from . import core
 from .core import Flat, Matroid, MatroidError
@@ -32,7 +32,7 @@ class PruneStep:
 
 
 def heavy_plane_prune(
-    m: Matroid, lines: list[Flat] | core.LineIndex, epsilon: Fraction
+    m: Matroid, lines: Sequence[Flat], epsilon: Fraction
 ) -> tuple[list[Flat], list[PruneStep]]:
     """Repeatedly remove all lines lying in a plane with >= 2/epsilon of them.
 
@@ -64,7 +64,7 @@ def heavy_plane_prune(
     # member lists are distinct, so an entry never compares past its key
     heap = [(-len(held), key, held, pairs) for held, (key, pairs) in planes.items()]
     heapq.heapify(heap)
-    alive = [True] * len(index.line_points)
+    alive = [True] * len(index)
     dead: list[int] = []  # ascending
     trace: list[PruneStep] = []
     while heap:
@@ -83,7 +83,7 @@ def heavy_plane_prune(
 
 
 def _meeting_planes(
-    m: Matroid, lines: list[Flat] | core.LineIndex, threshold: int
+    m: Matroid, lines: Sequence[Flat], threshold: int
 ) -> dict[tuple[int, ...], tuple[tuple[int, ...], list[tuple[int, int]]]]:
     """Each distinct plane cl(l_i | l_j) of a pair of lines meeting at a
     point that holds at least ``threshold`` lines, keyed by the ascending
@@ -114,7 +114,7 @@ def _meeting_planes(
     a third line in it would hold one point of l_i - {x} and one of
     l_j - {x}, again a triangle.
 
-    Otherwise (any other matroid, or a plain list of lines) a pair meeting
+    Otherwise (any other matroid, or any other lines) a pair meeting
     at x is checked by one oracle call on its star {x, a_i, a_j}, a_i the
     smallest member of l_i other than x, read inline from its two smallest
     members as in ``core.count_joints``: a dependent star means the
@@ -167,7 +167,7 @@ def _meeting_planes(
 
 
 def degree_partition(
-    m: Matroid, lines: list[Flat] | core.LineIndex, epsilon: Fraction
+    m: Matroid, lines: Sequence[Flat], epsilon: Fraction
 ) -> tuple[set[int], set[int], dict[int, int]]:
     """Line-degree of each point; E1 = the points of degree >= 4/epsilon,
     E2 = the points of degree in [3, ceil(4/epsilon)).
@@ -191,13 +191,13 @@ class IntersectionGraph:
     edges: dict[tuple[int, int], int]  # (i, j) with i < j -> witness point
 
 
-def intersection_graph(m: Matroid, lines: list[Flat] | core.LineIndex, e2: set[int]) -> IntersectionGraph:
+def intersection_graph(m: Matroid, lines: Sequence[Flat], e2: set[int]) -> IntersectionGraph:
     """Edge per line pair meeting in a point of e2, labeled by the witness:
     the meeting map ``core._common_points`` filtered to e2, which raises
     MatroidError on two lines that share two or more points."""
     index = core._require_lines(m, lines)
     return IntersectionGraph(
-        n=len(index.line_points), edges={pair: x for pair, x in index.meeting.items() if x in e2}
+        n=len(index), edges={pair: x for pair, x in index.meeting.items() if x in e2}
     )
 
 
@@ -243,7 +243,7 @@ class AnalysisReport:
     degenerate_triples: int
 
 
-def analyze(m: Matroid, lines: list[Flat] | core.LineIndex, epsilon: Fraction) -> AnalysisReport:
+def analyze(m: Matroid, lines: Sequence[Flat], epsilon: Fraction) -> AnalysisReport:
     """Run the full pipeline on one instance and record every statistic.
 
     The lines are validated and indexed once (``core.LineIndex``; an index
@@ -263,7 +263,7 @@ def analyze(m: Matroid, lines: list[Flat] | core.LineIndex, epsilon: Fraction) -
     stats = triangle_stats(g)
     return AnalysisReport(
         epsilon=epsilon,
-        L_initial=len(index.line_points),
+        L_initial=len(index),
         L_after_prune=len(survivors),
         planes_pruned=len(trace),
         joints_initial=joints_initial,
@@ -296,8 +296,9 @@ SWEEP_COLUMNS = [
 def joints_sweep(ns: Iterable[int], epsilon_report: Fraction) -> list[dict]:
     """Build the construction for each N and tabulate joints against lines.
 
-    ``analyze`` reads the configuration itself as the lines' index
-    (``TriangleFreeMatroid.line_index``), through that matroid's oracle.
+    ``analyze`` reads the matroid's lines, the configuration itself
+    (``TriangleFreeMatroid.matroid_lines``), as their index, through that
+    matroid's oracle.
     Per-N failures become rows with an "error" field; a failure other than
     MatroidError or ConstructionError, a bug rather than bad input, also
     writes its traceback to stderr.  Degenerate rows (no surviving lines) carry a
@@ -311,7 +312,7 @@ def joints_sweep(ns: Iterable[int], epsilon_report: Fraction) -> list[dict]:
         try:
             build = build_construction(n)
             m = build.matroid.to_matroid()
-            report = analyze(m, build.matroid.line_index(), epsilon_report)
+            report = analyze(m, build.matroid.matroid_lines(), epsilon_report)
             joints = report.joints_initial
             big_l = report.L_initial
             row.update(

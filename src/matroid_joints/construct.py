@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from . import core
 from .behrend import BehrendSet, behrend_set
-from .core import CheckResult, Flat, Matroid, MatroidError, PASS, FAIL
+from .core import CheckResult, Matroid, MatroidError, PASS, FAIL
 from .planar import (
     Configuration,
     IntLine,
@@ -194,19 +194,15 @@ class TriangleFreeMatroid:
     def to_matroid(self) -> Matroid:
         return Matroid(labels=self.config.points, oracle=self.is_independent, span=self.span)
 
-    def matroid_lines(self) -> list[Flat]:
-        """One rank-2 flat per configuration line: its point set.
+    def matroid_lines(self) -> Configuration:
+        """The matroid's lines: the configuration itself, a ``core.LineIndex``
+        whose flats are the configuration lines' point sets, each of rank 2.
 
         The closure of two points of a line is that line's point set
         (``span``), so the flats are read from the configuration with no
         oracle call; ``verify_construction_properties`` checks the same
         equality through the oracle alone.
         """
-        return list(self.config.flats)
-
-    def line_index(self) -> core.LineIndex:
-        """The ``core.LineIndex`` of ``matroid_lines`` over ``to_matroid``'s
-        ground set: the configuration itself, whose lines are those."""
         return self.config
 
 

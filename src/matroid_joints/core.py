@@ -15,10 +15,11 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional
 
 
 class MatroidError(ValueError):
@@ -138,23 +139,31 @@ def flats_of_rank(m: Matroid, k: int, *, allow_large: bool = False) -> list[Flat
     return [seen[key] for key in sorted(seen)]
 
 
-class LineIndex:
-    """Lines over a ground set of ``size`` elements, each the ascending
-    tuple of its members (``line_points``), with the incidence read from
-    them at most once each: the point -> line index (``by_point``), the
-    meeting map (``meeting``, ``_common_points``) and the lines as rank-2
-    flats (``flats``), each built when first read.  The two smallest
-    members of line i are ``line_points[i][:2]``.
+class LineIndex(Sequence[Flat]):
+    """A read-only sequence of lines over a ground set of ``size`` elements:
+    line i is the rank-2 flat ``self[i]`` (the cached ``flats``, built when
+    first read) and the ascending tuple of its members ``line_points[i]``,
+    whose first two are its two smallest.  The incidence is read from the
+    members at most once each: the point -> line index (``by_point``) and
+    the meeting map (``meeting``, ``_common_points``), each built when
+    first read.
 
-    ``_require_lines`` builds one from a list of flats; every function
-    that takes a list of lines also takes an index and then reads it as it
-    is, so a caller that hands one family of lines to several stages pays
-    for each piece of its incidence once.  ``planar.Configuration`` is one.
+    Every function that takes a sequence of lines reads an index as it is
+    and builds one (``_require_lines``) from any other, so a caller that
+    hands one family of lines to several stages pays for each piece of its
+    incidence once.  ``planar.Configuration`` is one, and is the
+    construction's family of lines.
     """
 
     def __init__(self, size: int, line_points: Sequence[tuple[int, ...]]):
         self.size = size
         self.line_points = line_points
+
+    def __len__(self) -> int:
+        return len(self.line_points)
+
+    def __getitem__(self, i):
+        return self.flats[i]
 
     @cached_property
     def by_point(self) -> tuple[tuple[int, ...], ...]:
@@ -169,11 +178,12 @@ class LineIndex:
         return [Flat(frozenset(pts), 2) for pts in self.line_points]
 
 
-def _require_lines(m: Matroid, lines: Iterable[Flat] | LineIndex) -> LineIndex:
-    """The index of ``lines``, each checked to be a ``Flat`` of rank 2 with
-    two or more members of the ground set (rank 2 needs two), with no
-    oracle call, and sorted once; an index is returned as it is, and one
-    built for a ground set of another size raises MatroidError."""
+def _require_lines(m: Matroid, lines: Sequence[Flat]) -> LineIndex:
+    """The index of ``lines``.  An index is returned as it is, and one built
+    for a ground set of another size raises MatroidError.  Any other
+    sequence is input from outside the program: each line is checked to be
+    a ``Flat`` of rank 2 with two or more members of the ground set (rank 2
+    needs two), with no oracle call, and sorted once into a new index."""
     if isinstance(lines, LineIndex):
         if lines.size != m.size:
             raise MatroidError(f"line index over {lines.size} elements, ground set of size {m.size}")
@@ -185,11 +195,6 @@ def _require_lines(m: Matroid, lines: Iterable[Flat] | LineIndex) -> LineIndex:
         m._subset(f.members)
         line_points.append(tuple(sorted(f.members)))
     return LineIndex(m.size, line_points)
-
-
-def coplanar(m: Matroid, lines: list[Flat]) -> bool:
-    """True iff the union of the given lines lies in a plane (rank <= 3)."""
-    return rank(m, frozenset().union(*_require_lines(m, lines).line_points)) <= 3
 
 
 def _lines_by_point(size: int, lines: Iterable[Iterable[int]]) -> list[list[int]]:
@@ -218,67 +223,57 @@ def _common_points(by_point: Sequence[Sequence[int]]) -> dict[tuple[int, int], i
 
 
 def _joint_search(
-    m: Matroid, x: int, through: Sequence[int], line_points: Sequence[tuple[int, ...]], n: int
-) -> Optional[tuple[int, ...]]:
-    """The first n of the lines ``through`` x (ascending indices into
-    ``line_points``, in combinations order) whose union has rank >= n + 1,
-    or None.
+    m: Matroid, x: int, through: Sequence[int], line_points: Sequence[tuple[int, ...]]
+) -> Optional[tuple[int, int, int]]:
+    """The first three of the lines ``through`` x (ascending indices into
+    ``line_points``, in combinations order) whose union has rank >= 4, or
+    None.
 
-    The star of x over the n lines -- x plus the smallest other member of
-    each line, read from its first two ascending points -- lies in their
-    union and has at most n + 1 points, so one oracle call on it decides
-    when it is independent with n + 1 points; otherwise the union itself
-    is ranked, which keeps the answer exact where a line is not the
-    closure of x and that point (a matroid that is not simple).
+    The star of x over the three lines -- x plus the smallest other member
+    of each line, read from its first two ascending points -- lies in their
+    union and has at most 4 points, so one oracle call on it decides when
+    it is independent with 4 points; otherwise the union itself is ranked,
+    which keeps the answer exact where a line is not the closure of x and
+    that point (a matroid that is not simple).
     """
-    for combo in combinations(through, n):
+    for combo in combinations(through, 3):
         star = {x}
         for i in combo:
             pts = line_points[i]
             star.add(pts[1] if pts[0] == x else pts[0])
-        if len(star) == n + 1 and m.oracle(frozenset(star)):
+        if len(star) == 4 and m.oracle(frozenset(star)):
             return combo
         union: frozenset = frozenset().union(*(line_points[i] for i in combo))
-        if rank(m, union) >= n + 1:
+        if rank(m, union) >= 4:
             return combo
     return None
 
 
-def is_joint(m: Matroid, x: int, lines: list[Flat]) -> bool:
+def is_joint(m: Matroid, x: int, lines: Sequence[Flat]) -> bool:
     """x is a joint iff it lies on three lines whose union has rank >= 4."""
     return joint_witness(m, x, lines) is not None
 
 
-def joint_witness(m: Matroid, x: int, lines: list[Flat]) -> Optional[tuple[int, int, int]]:
-    """Indices into ``lines`` of a witnessing non-coplanar triple, or None."""
-    return _n_joint_witness(m, x, lines, 3)
+def joint_witness(m: Matroid, x: int, lines: Sequence[Flat]) -> Optional[tuple[int, int, int]]:
+    """Indices into ``lines`` of the first three lines through x whose
+    union has rank >= 4 (``_joint_search``), or None."""
+    index = _require_lines(m, lines)
+    m._subset({x})
+    return _joint_search(m, x, index.by_point[x], index.line_points)
 
 
-def count_joints(m: Matroid, lines: list[Flat] | LineIndex) -> int:
+def count_joints(m: Matroid, lines: Sequence[Flat]) -> int:
     """The number of joints of ``lines``: each point with three or more
     lines through it is decided by ``_joint_search`` from the lines' two
-    smallest members, one oracle call on its star when the star is
-    independent."""
+    smallest members, one oracle call on the star of three lines when the
+    star is independent."""
     index = _require_lines(m, lines)
     line_points = index.line_points
     return sum(
         1
         for x, through in enumerate(index.by_point)
-        if len(through) >= 3 and _joint_search(m, x, through, line_points, 3) is not None
+        if len(through) >= 3 and _joint_search(m, x, through, line_points) is not None
     )
-
-
-def is_n_joint(m: Matroid, x: int, lines: list[Flat], n: int) -> bool:
-    """x lies on n lines of ``lines`` whose union has rank >= n + 1."""
-    if n < 2:
-        raise MatroidError("n must be >= 2")
-    return _n_joint_witness(m, x, lines, n) is not None
-
-
-def _n_joint_witness(m: Matroid, x: int, lines: list[Flat], n: int) -> Optional[tuple[int, ...]]:
-    index = _require_lines(m, lines)
-    m._subset({x})
-    return _joint_search(m, x, index.by_point[x], index.line_points, n)
 
 
 # ---------------------------------------------------------------------------

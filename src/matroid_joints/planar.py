@@ -86,8 +86,8 @@ class Triangle:
 class Configuration(LineIndex):
     """Immutable incidence structure over distinct points and lines: the
     ``core.LineIndex`` of the lines' point sets (``line_points``,
-    ``by_point``, ``meeting``), with the ``points`` and the ``IntLine``s
-    (``lines``) it was read from."""
+    ``by_point``, ``meeting``; item i is line i's rank-2 flat), with the
+    ``points`` and the ``IntLine``s (``lines``) it was read from."""
 
     def __init__(
         self, points: Iterable[Point], lines: Iterable[IntLine], line_points: Optional[Iterable[tuple]] = None

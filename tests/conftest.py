@@ -48,7 +48,8 @@ def base3_grid():
 @pytest.fixture(scope="session")
 def matroid200(build200):
     m = build200.matroid.to_matroid()
-    lines = build200.matroid.matroid_lines()
+    # a plain list, validated and indexed afresh by each stage it is handed to
+    lines = list(build200.matroid.matroid_lines())
     return m, lines
 
 

@@ -144,8 +144,10 @@ def grid3d3_twice():
 def prune_subject(request):
     name = request.param
     if name.startswith("build"):
+        # a plain list, as the references are handed; the configuration's
+        # own index is compared with it in test_configuration_index_*
         b = build_construction(int(name[5:]))
-        return b.matroid.to_matroid(), b.matroid.matroid_lines()
+        return b.matroid.to_matroid(), list(b.matroid.matroid_lines())
     if name == "q3":
         # the 3 x 3 x 2 grid with every line: most lines hold two points
         m = affine_matroid([point(a, b, c) for a in range(3) for b in range(3) for c in range(2)])
@@ -252,12 +254,13 @@ def test_heavy_plane_prune_at_scale(form):
     # N = 400, t = -571: 17,824 points and 1,593 lines, each plane of two
     # meeting lines holding just those two; at epsilon = 1 every such plane
     # is a candidate and the prune takes 714 of them, two lines at a time;
-    # the lines close each plane, the configuration's index reads it
+    # the lines as a plain list close each plane, the matroid's own lines
+    # (its configuration, an index) read it
     tfm = base3_window(400, -571)
     m = tfm.to_matroid()
-    lines = tfm.matroid_lines() if form == "lines" else tfm.line_index()
+    lines = list(tfm.matroid_lines()) if form == "lines" else tfm.matroid_lines()
     assert (m.size, len(tfm.config.line_points)) == (17824, 1593)
-    assert heavy_plane_prune(m, lines, Fraction(1, 2)) == (tfm.matroid_lines(), [])
+    assert heavy_plane_prune(m, lines, Fraction(1, 2)) == (list(tfm.matroid_lines()), [])
     survivors, trace = heavy_plane_prune(m, lines, Fraction(1))
     assert (len(trace), len(survivors)) == (714, 165)
     digest = hashlib.sha256(repr([(s.plane, s.removed) for s in trace]).encode()).hexdigest()
@@ -269,16 +272,17 @@ BUILD_SUBJECTS = [name for name in PRUNE_SUBJECTS if name.startswith("build")]
 
 @pytest.mark.parametrize("name", BUILD_SUBJECTS)
 def test_configuration_index_matches_the_closures(name):
-    # a build's own index reads each plane as the union of its two lines;
-    # the same lines as a plain list close each plane through the oracle
+    # a build's own lines, its configuration, read each plane as the union
+    # of its two lines; the same lines as a plain list close each plane
+    # through the oracle
     tfm = build_construction(int(name[5:])).matroid
-    m, lines = tfm.to_matroid(), tfm.matroid_lines()
+    m, index, lines = tfm.to_matroid(), tfm.matroid_lines(), list(tfm.matroid_lines())
     for eps in PRUNE_EPSILONS:
         threshold = math.ceil(2 / Fraction(eps))
         planes = analysis._meeting_planes(m, lines, threshold)
-        assert analysis._meeting_planes(m, tfm.line_index(), threshold) == planes, eps
-        assert heavy_plane_prune(m, tfm.line_index(), eps) == heavy_plane_prune(m, lines, eps), eps
-        assert analyze(m, tfm.line_index(), eps) == analyze(m, lines, eps), eps
+        assert analysis._meeting_planes(m, index, threshold) == planes, eps
+        assert heavy_plane_prune(m, index, eps) == heavy_plane_prune(m, lines, eps), eps
+        assert analyze(m, index, eps) == analyze(m, lines, eps), eps
 
 
 def progression_free(draws):
@@ -305,7 +309,7 @@ def test_configuration_index_matches_the_closures_on_random_grids(subject):
     cfg = Configuration(pts, grid_lines(n).populated_lines(pts))
     assume(planar.is_triangle_free(cfg))
     tfm = TriangleFreeMatroid(cfg)
-    m, lines = tfm.to_matroid(), tfm.matroid_lines()
+    m, lines = tfm.to_matroid(), list(tfm.matroid_lines())
     calls = []
     original = TriangleFreeMatroid.is_independent
     counted = lambda self, s: calls.append(s) or original(self, s)
@@ -316,8 +320,8 @@ def test_configuration_index_matches_the_closures_on_random_grids(subject):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(TriangleFreeMatroid, "is_independent", counted)
             own = tfm.to_matroid()  # its oracle is bound to the counted method
-            assert analysis._meeting_planes(own, tfm.line_index(), threshold) == planes, threshold
-            assert heavy_plane_prune(own, tfm.line_index(), eps) == pruned, threshold
+            assert analysis._meeting_planes(own, tfm.matroid_lines(), threshold) == planes, threshold
+            assert heavy_plane_prune(own, tfm.matroid_lines(), eps) == pruned, threshold
         assert calls == [], threshold
 
 
@@ -336,10 +340,10 @@ def test_a_seeded_index_under_another_matroid_closes_its_planes(monkeypatch, bui
     counts, results = [], []
     for m in (own, same_answers, twin):
         closed.clear()
-        results.append(heavy_plane_prune(m, tfm.line_index(), Fraction(1, 2)))
+        results.append(heavy_plane_prune(m, tfm.matroid_lines(), Fraction(1, 2)))
         counts.append(len(closed))
     assert counts == [0, 350, 0]
-    assert results == [(tfm.matroid_lines(), [])] * 3
+    assert results == [(list(tfm.matroid_lines()), [])] * 3
 
 
 @pytest.mark.parametrize("partition", [True, False], ids=["degree_partition", "intersection_graph"])
@@ -682,7 +686,7 @@ def test_oracle_calls_on_build250_are_pinned(monkeypatch, path):
         counted = lambda self, s: calls.append(s) or original(self, s)
         monkeypatch.setattr(TriangleFreeMatroid, "is_independent", counted)
         m = tfm.to_matroid()
-    index = tfm.line_index()
+    index = tfm.matroid_lines()
     assert (len(triple_points(tfm.config)), len(index.meeting)) == (98, 350)
     assert core.count_joints(m, index) == 98
     assert len(calls) == 98 and all(len(s) == 4 for s in calls)
@@ -692,16 +696,44 @@ def test_oracle_calls_on_build250_are_pinned(monkeypatch, path):
 
 
 def test_line_index_is_the_configurations_incidence(build200, base3_grid):
-    # the matroid's index is its configuration, equal to the one core
-    # builds from the lines
+    # the matroid's lines are its configuration, an index equal to the one
+    # core builds from the same lines as a plain list
     for tfm in (build200.matroid, TriangleFreeMatroid(prune_lines(base3_grid))):
-        index = tfm.line_index()
-        built = core._require_lines(tfm.to_matroid(), tfm.matroid_lines())
+        index = tfm.matroid_lines()
+        built = core._require_lines(tfm.to_matroid(), list(tfm.matroid_lines()))
         assert index is tfm.config
         assert index.size == built.size and index.flats == built.flats
         assert index.line_points == tuple(built.line_points)
         assert index.by_point == built.by_point
         assert list(index.meeting.items()) == list(built.meeting.items())
+
+
+def test_matroid_lines_are_the_configuration(monkeypatch, build200):
+    # the matroid's lines are its configuration, a sequence of its rank-2
+    # flats; the build's gate has indexed its incidence, so the joint count
+    # and the harness read it as it is and index nothing again
+    tfm = build200.matroid
+    lines, flats = tfm.matroid_lines(), list(tfm.config.flats)
+    assert lines is tfm.config and tfm.config.triangle_free
+    assert len(lines) == len(flats) == 165
+    assert [lines[i] for i in range(len(lines))] == list(lines) == flats
+    assert lines[-1] == flats[-1] and lines[1:3] == flats[1:3]
+    counted = {"_lines_by_point": [], "_common_points": []}
+    for name, calls in counted.items():
+        original = getattr(core, name)
+        monkeypatch.setattr(core, name, lambda *a, _f=original, _c=calls: _c.append(1) or _f(*a))
+    m = tfm.to_matroid()
+    assert core.count_joints(m, tfm.matroid_lines()) == len(triple_points(build200.config))
+    assert analyze(m, tfm.matroid_lines(), Fraction(1, 2)).L_initial == len(flats)
+    assert counted == {"_lines_by_point": [], "_common_points": []}
+
+
+def test_a_degenerate_build_has_no_lines():
+    build = build_construction(16)
+    assert build.degenerate
+    lines = build.matroid.matroid_lines()
+    assert lines is build.config and len(lines) == 0 and list(lines) == []
+    assert core.count_joints(build.matroid.to_matroid(), lines) == 0
 
 
 def test_an_index_over_another_ground_set_is_refused(build200):
@@ -729,7 +761,7 @@ def test_the_matroid_and_its_index_hold_no_copy_of_the_incidence():
         assert cfg.triangle_free
         gated = tracemalloc.get_traced_memory()[0]
         tfm = TriangleFreeMatroid(cfg)
-        index = tfm.line_index()
+        index = tfm.matroid_lines()
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

@@ -22,12 +22,10 @@ from matroid_joints.core import (
     check_incidence_properties,
     check_submodularity,
     closure,
-    coplanar,
     count_joints,
     flats_of_rank,
     is_flat,
     is_joint,
-    is_n_joint,
     joint_witness,
     make_flat,
     rank,
@@ -253,29 +251,13 @@ def test_flats_of_rank_asks_one_oracle_call_per_subset(subject, base3_grid):
         assert all(len(s) == k for s in calls)
 
 
-def test_coplanar_single_line(square):
-    l = make_flat(square, {0, 1})
-    assert coplanar(square, [l])
-
-
-def test_coplanar_two_meeting_lines(square):
-    l1 = make_flat(square, {0, 1})
-    l2 = make_flat(square, {0, 2})
-    assert coplanar(square, [l1, l2])
-
-
-def test_coplanar_rejects_non_lines(square):
-    with pytest.raises(MatroidError):
-        coplanar(square, [Flat(frozenset({0}), 1)])
-
-
 def test_grid_axis_lines_not_coplanar():
     pts, desc = grid3d(2)
     m = affine_matroid(pts)
     lines = descriptor_flats(m, desc)
     through0 = [f for f in lines if 0 in f.members]
     assert len(through0) == 3
-    assert not coplanar(m, through0)
+    assert rank(m, frozenset().union(*(f.members for f in through0))) == 4
     assert is_joint(m, 0, lines)
 
 
@@ -298,12 +280,12 @@ def test_joint_witness_validates_like_is_joint():
         count_joints(m, [Flat(frozenset(), 2)])
 
 
-def union_witness(m, x, lines, n):
-    # the definition: the first n lines through x, in combinations order,
-    # whose union has rank >= n + 1
+def union_witness(m, x, lines):
+    # the definition: the first three lines through x, in combinations
+    # order, whose union has rank >= 4
     through = [i for i, f in enumerate(lines) if x in f.members]
-    for combo in combinations(through, n):
-        if rank(m, frozenset().union(*(lines[i].members for i in combo))) >= n + 1:
+    for combo in combinations(through, 3):
+        if rank(m, frozenset().union(*(lines[i].members for i in combo))) >= 4:
             return combo
     return None
 
@@ -330,13 +312,11 @@ def test_joints_match_full_union_rank(case, build5, matroid200, doubled_grid):
         m, lines = matroid200
     else:
         m, lines = doubled_grid
-    witnesses = [union_witness(m, x, lines, 3) for x in range(m.size)]
+    witnesses = [union_witness(m, x, lines) for x in range(m.size)]
     assert count_joints(m, lines) == sum(w is not None for w in witnesses)
     for x in range(m.size):
         assert joint_witness(m, x, lines) == witnesses[x]
         assert is_joint(m, x, lines) == (witnesses[x] is not None)
-        for n in (2, 4):
-            assert is_n_joint(m, x, lines, n) == (union_witness(m, x, lines, n) is not None)
 
 
 def test_doubled_point_is_a_joint(doubled_grid):
@@ -374,22 +354,6 @@ def test_count_joints_asks_one_oracle_call_per_joint(case, calls, matroid200):
     joints = count_joints(counting, lines)
     assert len(asked) == calls == joints
     assert all(len(s) == 4 for s in asked)
-
-
-def test_is_n_joint():
-    pts, desc = grid3d(2)
-    m = affine_matroid(pts)
-    lines = descriptor_flats(m, desc)
-    assert is_n_joint(m, 0, lines, 3) == is_joint(m, 0, lines)
-    assert is_n_joint(m, 0, lines, 2)  # two meeting lines span rank 3
-    with pytest.raises(MatroidError):
-        is_n_joint(m, 0, lines, 1)
-
-
-def test_n_joint_impossible_beyond_matroid_rank(build5):
-    m = build5.matroid.to_matroid()
-    lines = build5.matroid.matroid_lines()
-    assert all(not is_n_joint(m, x, lines, 4) for x in range(m.size))
 
 
 def test_axioms_pass_for_free_matroid():
