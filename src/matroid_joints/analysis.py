@@ -38,19 +38,21 @@ def heavy_plane_prune(
 
     The lines are a simple matroid's: two lines sharing two points raise
     MatroidError (``core._common_points``) before any plane is closed, and
-    on the closure rule so does a meeting pair whose star is dependent
-    (``_meeting_planes``); the union rule's stars are independent by its
-    lemma, and are not checked.
+    on the closure rule so does a meeting pair whose star is dependent or
+    whose plane does not hold both its lines (``_meeting_planes``); the
+    union rule's stars are independent by its lemma, and are not checked.
 
     Candidate planes are the planes cl(l_i | l_j) of the line pairs that
     meet at a point and hold at least 2/epsilon lines (``_meeting_planes``:
     on a triangle-free configuration read through a ``TriangleFreeMatroid``
     of it such a plane is l_i | l_j, holding those two lines alone, and is
-    not closed; on any other input each plane is closed once).  A plane does
+    not closed; on any other input each plane is closed once).  Two
+    meeting lines lie in exactly one plane, so the pairs that generate a
+    plane are the meeting pairs among the lines it holds.  A plane does
     not change as lines go, and its live count only falls, so the steps
-    come from a lazy heap of (-live count, member list): a popped plane is
-    dropped when it holds too few live lines or no meeting pair of two
-    live lines still generates it, pushed back when its count is stale,
+    come from a lazy heap of (-live count, member list, held lines): a
+    popped plane is dropped when it holds too few live lines or no two of
+    them meet (``index.meeting``), pushed back when its count is stale,
     and taken otherwise.  The heaviest plane goes first, ties broken
     lexicographically on the plane's member list; ``removed`` indexes the
     line list as it was before the step.
@@ -60,20 +62,20 @@ def heavy_plane_prune(
         raise MatroidError("epsilon must be positive")
     threshold = math.ceil(2 / epsilon)  # an int count is >= 2/epsilon iff >= this
     index = core._require_lines(m, lines)
-    planes = _meeting_planes(m, index, threshold)
+    meeting = index.meeting
     # member lists are distinct, so an entry never compares past its key
-    heap = [(-len(held), key, held, pairs) for held, (key, pairs) in planes.items()]
+    heap = [(-len(held), key, held) for held, key in _meeting_planes(m, index, threshold).items()]
     heapq.heapify(heap)
     alive = [True] * len(index)
     dead: list[int] = []  # ascending
     trace: list[PruneStep] = []
     while heap:
-        count, key, held, pairs = heapq.heappop(heap)
+        count, key, held = heapq.heappop(heap)
         live = [i for i in held if alive[i]]
-        if len(live) < threshold or not any(alive[i] and alive[j] for i, j in pairs):
+        if len(live) < threshold or not any(pair in meeting for pair in combinations(live, 2)):
             continue
         if len(live) < -count:
-            heapq.heappush(heap, (-len(live), key, held, pairs))
+            heapq.heappush(heap, (-len(live), key, held))
             continue
         trace.append(PruneStep(plane=key, removed=tuple(i - bisect_left(dead, i) for i in live)))
         for i in live:
@@ -84,20 +86,21 @@ def heavy_plane_prune(
 
 def _meeting_planes(
     m: Matroid, lines: Sequence[Flat], threshold: int
-) -> dict[tuple[int, ...], tuple[tuple[int, ...], list[tuple[int, int]]]]:
+) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Each distinct plane cl(l_i | l_j) of a pair of lines meeting at a
     point that holds at least ``threshold`` lines, keyed by the ascending
-    indices of the lines it holds, with its ascending member list and the
-    meeting pairs (i, j) that generate it.
+    indices of the lines it holds, with its ascending member list.
 
     The held lines name the plane: a plane is cl(l_i | l_j) of two lines it
-    holds, so two planes holding the same lines contain each other.  Its
-    point set is dropped once they are found, and a plane holding fewer
-    than ``threshold`` lines is not kept: lines only die, so it could
-    never be pruned.
+    holds, so two planes holding the same lines contain each other.  Two
+    meeting lines lie in exactly one plane, since two distinct rank-3
+    flats meet in a flat of rank at most 2; so the pairs that generate a
+    plane are the meeting pairs among the lines it holds, and no list of
+    them is kept.  A plane holding fewer than ``threshold`` lines is not
+    kept: lines only die, so it could never be pruned.
 
-    The meeting pairs and the lines' ascending points come from the lines'
-    ``core.LineIndex``.
+    The meeting pairs, the lines' ascending points and the lines through
+    each point come from the lines' ``core.LineIndex``.
 
     When ``m``'s oracle is that of a ``TriangleFreeMatroid`` whose
     configuration is the index itself, the plane of (i, j) is l_i | l_j
@@ -120,12 +123,13 @@ def _meeting_planes(
     members as in ``core.count_joints``: a dependent star means the
     matroid is not simple or a line is not a rank-2 flat, and raises
     MatroidError; an independent one is a basis of the pair's plane, which
-    is closed through ``core._closure_of``, the reference.  The held line
-    pairs of each plane of three or more lines are indexed, so that plane
-    is closed once.  A plane's lines are found by their ends: a line whose
-    two smallest members lie in the plane is tested for containment.  At
-    a threshold of 3 or more, a plane holding only l_i and l_j is dropped
-    before its lines are sorted: no other pair generates it.
+    is closed through ``core._closure_of``, the reference.  A closed plane
+    that does not hold both lines of its pair means a line is not a rank-2
+    flat (the span of x and a point of each line holds both lines when
+    they are), and raises MatroidError too.  A line lies in the plane when
+    it is found at its smallest point, a plane point, and the plane holds
+    all its points.  The held pairs of each plane of three or more lines
+    are remembered, so that plane is closed once.
     """
     index = core._require_lines(m, lines)
     line_points = index.line_points
@@ -133,36 +137,26 @@ def _meeting_planes(
     if isinstance(tfm, TriangleFreeMatroid) and tfm.config is index:
         if threshold >= 3:
             return {}
-        return {(i, j): (tuple(sorted({*line_points[i], *line_points[j]})), [(i, j)]) for i, j in index.meeting}
-    by_min: dict[int, list[int]] = {}
-    for i, pts in enumerate(line_points):
-        by_min.setdefault(pts[0], []).append(i)
-    plane_of: dict[tuple[int, int], tuple[int, ...]] = {}  # held pair -> the plane's lines
-    planes: dict[tuple[int, ...], tuple[tuple[int, ...], list[tuple[int, int]]]] = {}
+        return {(i, j): tuple(sorted({*line_points[i], *line_points[j]})) for i, j in index.meeting}
+    by_point = index.by_point
+    closed: set[tuple[int, int]] = set()  # the held pairs of each plane of three or more lines
+    planes: dict[tuple[int, ...], tuple[int, ...]] = {}
     for (i, j), x in index.meeting.items():
         li, lj = line_points[i], line_points[j]
         star = frozenset((x, li[1] if li[0] == x else li[0], lj[1] if lj[0] == x else lj[0]))
         if not m.oracle(star):
             raise MatroidError(f"lines {i} and {j} meet at {x} in a dependent star")
-        held = plane_of.get((i, j))
-        if held is None:
-            plane = core._closure_of(m, star, star)
-            found = [
-                k
-                for p in plane
-                if p in by_min
-                for k in by_min[p]
-                if line_points[k][1] in plane and plane.issuperset(line_points[k])
-            ]
-            if len(found) == 2 and threshold >= 3:
-                continue
-            held = tuple(sorted(found))
-            if len(held) >= 3:
-                plane_of.update(dict.fromkeys(combinations(held, 2), held))
-            if len(held) >= threshold and held not in planes:
-                planes[held] = (tuple(sorted(plane)), [])
-        if held in planes:
-            planes[held][1].append((i, j))
+        if (i, j) in closed:
+            continue
+        plane = core._closure_of(m, star, star)
+        if not plane.issuperset(li + lj):
+            raise MatroidError(f"lines {i} and {j} meet at {x} in a plane that does not hold them both")
+        found = (k for p in plane for k in by_point[p] if line_points[k][0] == p)
+        held = tuple(sorted(k for k in found if plane.issuperset(line_points[k])))
+        if len(held) >= 3:
+            closed.update(combinations(held, 2))
+        if len(held) >= threshold:
+            planes[held] = tuple(sorted(plane))
     return planes
 
 
@@ -178,6 +172,7 @@ def degree_partition(
     if epsilon <= 0:
         raise MatroidError("epsilon must be positive")
     index = core._require_lines(m, lines)
+    index.meeting  # two lines sharing two points raise, as in the other stages
     heavy = math.ceil(4 / epsilon)  # an int degree is >= 4/epsilon iff >= this
     degrees = {x: len(through) for x, through in enumerate(index.by_point)}
     e1 = {x for x, d in degrees.items() if d >= heavy}

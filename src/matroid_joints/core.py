@@ -45,9 +45,6 @@ class Matroid:
     def size(self) -> int:
         return len(self.labels)
 
-    def is_independent(self, subset: Iterable[int]) -> bool:
-        return self.oracle(self._subset(subset))
-
     def _subset(self, subset: Iterable[int]) -> frozenset:
         s = frozenset(subset)
         for e in s:

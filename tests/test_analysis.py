@@ -187,11 +187,10 @@ def test_meeting_planes_keeps_the_planes_that_can_be_pruned(matroid200):
     m, lines = grid3d_subject(6)
     planes = analysis._meeting_planes(m, lines, 4)
     assert len(planes) == 18
-    for held, (key, pairs) in planes.items():
+    for held, key in planes.items():
         assert len(held) == 12
         assert key == tuple(sorted(core.closure(m, lines[held[0]].members | lines[held[-1]].members)))
         assert held == tuple(i for i, f in enumerate(lines) if f.members <= set(key))
-        assert pairs and all(i in held and j in held for i, j in pairs)
 
 
 @lru_cache(maxsize=None)
@@ -423,10 +422,22 @@ def test_intersection_graph_rejects_lines_sharing_two_points():
         intersection_graph(*lines_sharing_two_points(), set())
 
 
-@pytest.mark.parametrize("call", [heavy_plane_prune, analyze])
+@pytest.mark.parametrize("call", [heavy_plane_prune, analyze, degree_partition])
 def test_prune_and_analyze_raise_the_same_error(call):
     with pytest.raises(MatroidError, match="lines 0 and 2 share 2 points"):
         call(*lines_sharing_two_points(), 1)
+
+
+@pytest.mark.parametrize("call", [heavy_plane_prune, analyze])
+def test_a_line_that_is_not_a_flat_is_refused(call):
+    # U(4, 6): {0, 1, 2} has rank 3 but is labelled 2; the star of it and
+    # {0, 3} is independent, and their plane {0, 1, 3} holds only {0, 3},
+    # so the closure rule refuses the pair rather than prune {0, 3} and
+    # {0, 4} into the plane {0, 3, 4}
+    m = core.Matroid(tuple(range(6)), lambda s: len(s) <= 4)
+    lines = [core.Flat(frozenset(xs), 2) for xs in ((0, 1, 2), (0, 3), (0, 4))]
+    with pytest.raises(MatroidError, match="lines 0 and 1 meet at 0 in a plane that does not hold them both"):
+        call(m, lines, 1)
 
 
 def test_heavy_plane_prune_rejects_a_dependent_star():
