@@ -10,6 +10,7 @@ joint.
 """
 
 from matroid_joints import (
+    Matroid,
     build_construction,
     count_joints,
     find_triangles,
@@ -30,14 +31,17 @@ print(f"  kept points |E|: {len(cfg.points)}")
 print(f"  kept lines  |L|: {len(cfg.lines)}")
 print(f"  triangles:       {len(find_triangles(cfg, limit=1))} (must be 0)")
 
+# the matroid's own oracle over its own lines: the joint rule reads the
+# joints off the incidence; an oracle that wraps it asks each star
 joints = count_joints(m, lines)
+asked = count_joints(Matroid(m.labels, lambda s: m.oracle(s)), lines)
 triples = triple_points(cfg)
 print(f"  triple points:   {len(triples)}")
-print(f"  matroid joints:  {joints}")
+print(f"  matroid joints:  {joints} (asked of the oracle: {asked})")
 print(f"  ground rank:     {rank(m, range(m.size))} (at most 4 by construction)")
 
 assert not find_triangles(cfg, limit=1)
-assert joints == len(triples)
+assert joints == asked == len(triples)
 print()
 print("Every point on three configuration lines is a joint of the matroid:")
 print("the three lines span rank 4, and no plane contains them all.")

@@ -21,7 +21,7 @@ from itertools import combinations
 
 from . import core
 from .core import Flat, Matroid, MatroidError
-from .construct import ConstructionError, TriangleFreeMatroid, build_construction
+from .construct import ConstructionError, _reads_own_configuration, build_construction
 from .planar import _triangles_at, triple_points
 
 
@@ -103,9 +103,11 @@ def _meeting_planes(
     each point come from the lines' ``core.LineIndex``.
 
     When ``m``'s oracle is that of a ``TriangleFreeMatroid`` whose
-    configuration is the index itself, the plane of (i, j) is l_i | l_j
-    and holds l_i and l_j alone: each such pair is its own plane below a
-    threshold of 3, and at 3 or more no plane is kept.  Nothing is closed
+    configuration is the index itself (the key
+    ``construct._reads_own_configuration``, which ``core.count_joints``'
+    joint rule reads too), the plane of (i, j) is l_i | l_j and holds l_i
+    and l_j alone: each such pair is its own plane below a threshold of 3,
+    and at 3 or more no plane is kept.  Nothing is closed
     and the oracle is not called.  The lemma needs a triangle-free
     configuration whose lines each hold two or more points, which the
     ``TriangleFreeMatroid`` constructor guarantees, and that share at most
@@ -133,8 +135,7 @@ def _meeting_planes(
     """
     index = core._require_lines(m, lines)
     line_points = index.line_points
-    tfm = getattr(m.oracle, "__self__", None)
-    if isinstance(tfm, TriangleFreeMatroid) and tfm.config is index:
+    if _reads_own_configuration(m, index):
         if threshold >= 3:
             return {}
         return {(i, j): tuple(sorted({*line_points[i], *line_points[j]})) for i, j in index.meeting}

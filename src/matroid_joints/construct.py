@@ -206,6 +206,20 @@ class TriangleFreeMatroid:
         return self.config
 
 
+def _reads_own_configuration(m: Matroid, lines: Sequence) -> bool:
+    """The key of the construction's structural rules: ``m``'s oracle is a
+    ``TriangleFreeMatroid``'s own ``is_independent``, and ``lines`` is that
+    matroid's configuration itself.  Then the constructor has refused a
+    configuration with a triangle or a line of fewer than two points, and
+    the union rule (``analysis._meeting_planes``) and the joint rule
+    (``core.count_joints``) read their answers off the configuration's
+    incidence.  An oracle that wraps the method, or another index over the
+    same lines, does not take the key and is answered through the oracle.
+    """
+    tfm = getattr(m.oracle, "__self__", None)
+    return isinstance(tfm, TriangleFreeMatroid) and tfm.config is lines
+
+
 def _line_through(p: Sequence[int], q: Sequence[int]) -> int | None:
     """The line through two points, given the lines through each, or None:
     two lines share at most one point, so there is at most one."""
@@ -281,11 +295,15 @@ def verify_construction_properties(tfm: TriangleFreeMatroid) -> ConstructionRepo
     (2) every triple point is a joint: a joint lies on three lines, so
     ``core.count_joints`` over the configuration lines equals the number of
     triple points exactly when each one is; (3) the whole ground set has
-    rank at most 4.  The
-    matroid here has no ``span``, so every answer comes from the oracle;
-    the work is about one oracle call per point per line.
+    rank at most 4.  The matroid here has no ``span``, and its oracle wraps
+    ``tfm.is_independent`` rather than being that bound method, so it does
+    not take the structural rules' key (``_reads_own_configuration``):
+    ``count_joints`` decides each triple point by its 4-point star, and
+    property (2) checks, through the oracle, the lemma that the joint rule
+    stands on.  Every answer comes from the oracle; the work is about one
+    oracle call per point per line.
     """
-    m = Matroid(tfm.config.points, tfm.is_independent)
+    m = Matroid(tfm.config.points, lambda s: tfm.is_independent(s))
 
     r1 = CheckResult(PASS)
     for li, pts in enumerate(tfm.config.line_points):

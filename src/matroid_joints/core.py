@@ -263,8 +263,27 @@ def count_joints(m: Matroid, lines: Sequence[Flat]) -> int:
     """The number of joints of ``lines``: each point with three or more
     lines through it is decided by ``_joint_search`` from the lines' two
     smallest members, one oracle call on the star of three lines when the
-    star is independent."""
+    star is independent.  That path is the reference.
+
+    The joint rule: when ``m``'s oracle is a ``TriangleFreeMatroid``'s own
+    and ``lines`` is its configuration (``construct._reads_own_configuration``,
+    the key of the prune's union rule too), the joints are the points on
+    three or more lines, counted from ``by_point`` with no oracle call.  The
+    matroid's constructor has refused a triangle and a line of fewer than
+    two points, and on such a configuration every point x on three lines is
+    a joint: x and one other point of each line form a 4-set in the union
+    of the three lines, and no line joins two of the other points, since it
+    would close a triangle with their two lines.  So no line holds three of
+    the four points and no angle covers them (one of its lines would hold
+    two of the other points), and the 4-set is independent.  ``construct``
+    imports this module, so the key is imported here, when the function
+    runs, not at module load.
+    """
+    from .construct import _reads_own_configuration
+
     index = _require_lines(m, lines)
+    if _reads_own_configuration(m, index):
+        return sum(len(through) >= 3 for through in index.by_point)
     line_points = index.line_points
     return sum(
         1

@@ -1,12 +1,13 @@
 import os
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from matroid_joints.affine import affine_matroid, grid3d
-from matroid_joints.construct import behrend_points, build_construction, grid_lines
+from matroid_joints.construct import TriangleFreeMatroid, behrend_points, build_construction, grid_lines
 from matroid_joints.core import Matroid, make_flat
-from matroid_joints.planar import Configuration
+from matroid_joints.planar import Configuration, is_triangle_free, prune_lines
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -43,6 +44,17 @@ def base3_grid():
     a Salem-Spencer set, before pruning: 28 points, 25 lines after it."""
     sums = [2 + x for x in (0, 1, 3, 4, 9, 10, 12, 13)]
     return Configuration(behrend_points(8, sums), grid_lines(8).lines)
+
+
+@pytest.fixture(scope="session")
+def small_triangle_free():
+    """Every Behrend build N <= 80 with a line, and a shifted Salem-Spencer
+    set (sums of distinct powers of 3, plus 1: 3-AP-free) at N = 20."""
+    builds = [build_construction(n).matroid for n in range(4, 81)]
+    shifted = {1 + sum(c) for k in range(5) for c in combinations((1, 3, 9, 27), k)}
+    cfg = prune_lines(Configuration(behrend_points(20, shifted), grid_lines(20).lines))
+    assert is_triangle_free(cfg)
+    return [tfm for tfm in builds if tfm.config.line_points] + [TriangleFreeMatroid(cfg)]
 
 
 @pytest.fixture(scope="session")

@@ -29,6 +29,7 @@ from matroid_joints.analysis import (
 from matroid_joints.construct import (
     ConstructionError,
     TriangleFreeMatroid,
+    _reads_own_configuration,
     behrend_points,
     build_construction,
     grid_lines,
@@ -681,11 +682,12 @@ def test_sweep_row_runs_the_gate_once(monkeypatch, eps):
 
 @pytest.mark.parametrize("path", ["counting-matroid", "own-oracle"])
 def test_oracle_calls_on_build250_are_pinned(monkeypatch, path):
-    # one oracle call per triple point (its star) in count_joints; in the
-    # prune at epsilon = 1/2, one per meeting pair (its star) on the closure
-    # rule and none on the union rule, whose stars are independent by the
-    # lemma in _meeting_planes; a fast path that drops a call must change
-    # these counts here, openly
+    # in count_joints, one oracle call per triple point (its star) on the
+    # reference path and none on the joint rule, whose stars are independent
+    # by the lemma in count_joints; in the prune at epsilon = 1/2, one per
+    # meeting pair (its star) on the closure rule and none on the union
+    # rule, by the lemma in _meeting_planes; a fast path that drops a call
+    # must change these counts here, openly
     tfm = build_construction(250).matroid
     calls = []
     if path == "counting-matroid":
@@ -700,10 +702,32 @@ def test_oracle_calls_on_build250_are_pinned(monkeypatch, path):
     index = tfm.matroid_lines()
     assert (len(triple_points(tfm.config)), len(index.meeting)) == (98, 350)
     assert core.count_joints(m, index) == 98
-    assert len(calls) == 98 and all(len(s) == 4 for s in calls)
+    assert len(calls) == (98 if path == "counting-matroid" else 0) and all(len(s) == 4 for s in calls)
     calls.clear()
     heavy_plane_prune(m, index, Fraction(1, 2))
     assert len(calls) == (350 if path == "counting-matroid" else 0) and all(len(s) == 3 for s in calls)
+
+
+def test_the_joint_rule_matches_the_oracle(base3_grid, small_triangle_free):
+    # the joint rule's count, the engine's count through an oracle that
+    # wraps the matroid's own (the reference path), and is_joint point by
+    # point agree on every paper-rule build with a line, the fixtures and
+    # the N = 20 window build
+    builds = (build_construction(n).matroid for n in range(4, 301))
+    subjects = [
+        *(tfm for tfm in builds if tfm.config.line_points),
+        TriangleFreeMatroid(prune_lines(base3_grid)),
+        *small_triangle_free,
+        base3_window(20, -70),
+    ]
+    for tfm in subjects:
+        m, index = tfm.to_matroid(), tfm.matroid_lines()
+        assert _reads_own_configuration(m, index)
+        wrapped = core.Matroid(tfm.config.points, lambda s, tfm=tfm: tfm.is_independent(s))
+        assert not _reads_own_configuration(wrapped, index)
+        fast = core.count_joints(m, index)
+        assert fast == core.count_joints(wrapped, index) == sum(core.is_joint(m, x, index) for x in range(m.size))
+        assert fast == len(triple_points(tfm.config))
 
 
 def test_line_index_is_the_configurations_incidence(build200, base3_grid):

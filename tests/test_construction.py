@@ -264,17 +264,6 @@ def test_closure_of_line_pair_is_line(build5):
     assert core.closure(m, pair) == frozenset(build5.config.line_points[li])
 
 
-@pytest.fixture(scope="module")
-def small_triangle_free():
-    """Every Behrend build N <= 80 with a line, and a shifted Salem-Spencer
-    set (sums of distinct powers of 3, plus 1: 3-AP-free) at N = 20."""
-    builds = [build_construction(n).matroid for n in range(4, 81)]
-    shifted = {1 + sum(c) for k in range(5) for c in combinations((1, 3, 9, 27), k)}
-    cfg = prune_lines(Configuration(behrend_points(20, shifted), grid_lines(20).lines))
-    assert is_triangle_free(cfg)
-    return [tfm for tfm in builds if tfm.config.line_points] + [TriangleFreeMatroid(cfg)]
-
-
 def test_matroid_lines_equal_oracle_only_closures(small_triangle_free, build200):
     # matroid_lines reads each line's point set off the configuration; the
     # oracle-only closure of its two smallest points must give the same flat
@@ -352,9 +341,11 @@ def test_full_rank_matches_brute_force(build5):
 
 
 def test_joints_equal_triple_points(build200):
-    m = build200.matroid.to_matroid()
-    lines = build200.matroid.matroid_lines()
-    assert core.count_joints(m, lines) == len(triple_points(build200.config))
+    # the reference path: an oracle that wraps the matroid's own does not
+    # take the joint rule's key, so each triple point's star is asked
+    tfm = build200.matroid
+    m = core.Matroid(tfm.config.points, lambda s: tfm.is_independent(s))
+    assert core.count_joints(m, tfm.matroid_lines()) == len(triple_points(build200.config))
 
 
 def test_verify_properties_n5(build5):
@@ -383,6 +374,17 @@ def test_verify_properties_catch_each_mutant(build200, failing):
     assert not report.ok
     statuses = {name: getattr(report, name).status for name in ("line_flats", "joint_independence", "rank_bound")}
     assert statuses == {name: core.FAIL if name == failing else core.PASS for name in statuses}
+
+
+def test_verify_properties_ask_the_oracle_under_a_class_level_mutant(monkeypatch, build200):
+    # a mutant patched onto the class reaches the bound method itself, which
+    # the joint rule's key would trust; property (2) wraps the oracle, so it
+    # still asks each triple point's star and sees every 4-set dependent
+    original = TriangleFreeMatroid.is_independent
+    monkeypatch.setattr(TriangleFreeMatroid, "is_independent", lambda self, s: len(s) != 4 and original(self, s))
+    report = verify_construction_properties(build200.matroid)
+    statuses = {name: getattr(report, name).status for name in ("line_flats", "joint_independence", "rank_bound")}
+    assert statuses == {"line_flats": core.PASS, "joint_independence": core.FAIL, "rank_bound": core.PASS}
 
 
 def test_diagonal_triangles_come_from_3aps():
