@@ -11,7 +11,14 @@ statistic, then sweeps several N.
 from fractions import Fraction
 
 from matroid_joints import build_construction
-from matroid_joints.analysis import SWEEP_COLUMNS, analyze, joints_sweep
+from matroid_joints.analysis import (
+    SWEEP_COLUMNS,
+    analyze,
+    degree_partition,
+    intersection_graph,
+    joints_sweep,
+    triangle_stats,
+)
 
 build = build_construction(400)
 m = build.matroid.to_matroid()
@@ -25,8 +32,17 @@ print(f"  joints before/after:        {report.joints_initial} / {report.joints_a
 print(f"  heavy points |E1|:          {report.E1_size}")
 # E2 is every point of degree in [3, ceil(4/epsilon)) = [3, 8), with no rank test
 print(f"  degree 3..7 points |E2|:    {report.E2_size}")
-print(f"  intersection-graph edges:   {report.graph_edges}")
-print(f"  triangles / degenerate:     {report.triangles} / {report.degenerate_triples}")
+# on the matroid's own lines analyze reads these off the line degrees; the
+# reference stages, handed the same lines as a plain list, build the
+# intersection graph and walk its triangles (no plane is pruned here)
+plain = list(lines)
+_, e2, _ = degree_partition(m, plain, Fraction(1, 2))
+graph = intersection_graph(m, plain, e2)
+stats = triangle_stats(graph)
+print("                              analyze / reference stages")
+print(f"  intersection-graph edges:   {report.graph_edges} / {len(graph.edges)}")
+print(f"  triangles:                  {report.triangles} / {stats.total}")
+print(f"  degenerate triangles:       {report.degenerate_triples} / {stats.degenerate}")
 
 print()
 print("sweep over N (joints J vs lines L):")

@@ -105,10 +105,10 @@ def _meeting_planes(
     When ``m``'s oracle is that of a ``TriangleFreeMatroid`` whose
     configuration is the index itself (the key
     ``construct._reads_own_configuration``, which ``core.count_joints``'
-    joint rule reads too), the plane of (i, j) is l_i | l_j and holds l_i
-    and l_j alone: each such pair is its own plane below a threshold of 3,
-    and at 3 or more no plane is kept.  Nothing is closed
-    and the oracle is not called.  The lemma needs a triangle-free
+    joint rule and ``analyze``'s degree rule read too), the plane of (i, j)
+    is l_i | l_j and holds l_i and l_j alone: each such pair is its own
+    plane below a threshold of 3, and at 3 or more no plane is kept.
+    Nothing is closed and the oracle is not called.  The lemma needs a triangle-free
     configuration whose lines each hold two or more points, which the
     ``TriangleFreeMatroid`` constructor guarantees, and that share at most
     one (the meeting map raises otherwise).  Then x, a_i and a_j
@@ -212,7 +212,9 @@ def triangle_stats(g: IntersectionGraph) -> TriangleStats:
     triangle's three witnesses are all one point or three distinct ones.
     The d lines of a witness's edges pairwise meet there and give C(d, 3)
     degenerate triangles; the others come from ``planar._triangles_at``
-    walking the edges as a meeting map.
+    walking the edges as a meeting map.  This is the reference: ``analyze``
+    reads the same counts off the degrees on a construction's own lines,
+    whose gate has already found no triangle.
     """
     lines_at: dict[int, set[int]] = {}
     for pair, w in g.edges.items():
@@ -247,16 +249,37 @@ def analyze(m: Matroid, lines: Sequence[Flat], epsilon: Fraction) -> AnalysisRep
     prune, the joint count, the degree partition and the intersection
     graph.  The prune goes first, so lines it rejects raise before any
     count.  When it takes no step the survivors are the lines and keep
-    their index; otherwise the survivors are indexed once."""
+    their index; otherwise the survivors are indexed once.
+
+    The degree rule: when ``m``'s oracle is a ``TriangleFreeMatroid``'s own
+    and the lines are its configuration (``construct._reads_own_configuration``,
+    the key of the union rule and the joint rule too), the graph statistics
+    are read off the kept lines' degrees d_x, with no graph built and no
+    triangle walked: ``graph_edges`` is the sum over x in E2 of C(d_x, 2),
+    and ``triangles`` and ``degenerate_triples`` are both the sum over x in
+    E2 of C(d_x, 3).  Two kept lines share at most one point (the meeting
+    map raises otherwise) and every pair of lines through x meets there, so
+    x witnesses exactly C(d_x, 2) edges and C(d_x, 3) degenerate triangles.
+    A triangle that is not degenerate is three kept lines pairwise meeting
+    at three distinct points, a triangle of the configuration, which the
+    matroid's constructor has refused.  The kept lines are a subfamily of
+    the configuration's, so this holds after a prune step too, where they
+    are indexed afresh.  On any other input ``intersection_graph`` and
+    ``triangle_stats``, the reference, count them."""
     epsilon = Fraction(epsilon)
     index = core._require_lines(m, lines)
     survivors, trace = heavy_plane_prune(m, index, epsilon)
     joints_initial = core.count_joints(m, index)
     kept = core._require_lines(m, survivors) if trace else index
     joints_after = core.count_joints(m, kept) if trace else joints_initial
-    e1, e2, _ = degree_partition(m, kept, epsilon)
-    g = intersection_graph(m, kept, e2)
-    stats = triangle_stats(g)
+    e1, e2, degrees = degree_partition(m, kept, epsilon)
+    if _reads_own_configuration(m, index):
+        graph_edges = sum(math.comb(degrees[x], 2) for x in e2)
+        triangles = degenerate = sum(math.comb(degrees[x], 3) for x in e2)
+    else:
+        g = intersection_graph(m, kept, e2)
+        stats = triangle_stats(g)
+        graph_edges, triangles, degenerate = len(g.edges), stats.total, stats.degenerate
     return AnalysisReport(
         epsilon=epsilon,
         L_initial=len(index),
@@ -266,9 +289,9 @@ def analyze(m: Matroid, lines: Sequence[Flat], epsilon: Fraction) -> AnalysisRep
         joints_after_prune=joints_after,
         E1_size=len(e1),
         E2_size=len(e2),
-        graph_edges=len(g.edges),
-        triangles=stats.total,
-        degenerate_triples=stats.degenerate,
+        graph_edges=graph_edges,
+        triangles=triangles,
+        degenerate_triples=degenerate,
     )
 
 

@@ -211,10 +211,12 @@ def _reads_own_configuration(m: Matroid, lines: Sequence) -> bool:
     ``TriangleFreeMatroid``'s own ``is_independent``, and ``lines`` is that
     matroid's configuration itself.  Then the constructor has refused a
     configuration with a triangle or a line of fewer than two points, and
-    the union rule (``analysis._meeting_planes``) and the joint rule
-    (``core.count_joints``) read their answers off the configuration's
-    incidence.  An oracle that wraps the method, or another index over the
-    same lines, does not take the key and is answered through the oracle.
+    three rules read their answers off the configuration's incidence: the
+    union rule (``analysis._meeting_planes``), the joint rule
+    (``core.count_joints``) and the degree rule (``analysis.analyze``'s
+    graph statistics).  An oracle that wraps the method, or another index
+    over the same lines, does not take the key and is answered through the
+    oracle.
     """
     tfm = getattr(m.oracle, "__self__", None)
     return isinstance(tfm, TriangleFreeMatroid) and tfm.config is lines

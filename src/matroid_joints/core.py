@@ -267,7 +267,8 @@ def count_joints(m: Matroid, lines: Sequence[Flat]) -> int:
 
     The joint rule: when ``m``'s oracle is a ``TriangleFreeMatroid``'s own
     and ``lines`` is its configuration (``construct._reads_own_configuration``,
-    the key of the prune's union rule too), the joints are the points on
+    the key of the prune's union rule and ``analysis.analyze``'s degree
+    rule too), the joints are the points on
     three or more lines, counted from ``by_point`` with no oracle call.  The
     matroid's constructor has refused a triangle and a line of fewer than
     two points, and on such a configuration every point x on three lines is

@@ -593,6 +593,52 @@ def test_analyze_matches_public_stages(prune_subject):
         assert analyze(m, lines, eps) == reference_analyze(m, lines, eps), eps
 
 
+def wrapped_oracle(tfm):
+    """``tfm``'s matroid through an oracle that wraps its own, which does
+    not take the structural rules' key; its span closes planes with no
+    oracle call."""
+    return core.Matroid(tfm.config.points, lambda s: tfm.is_independent(s), tfm.span)
+
+
+@pytest.mark.parametrize("group", ["builds", "small", "window20", "window400"])
+def test_the_degree_rule_matches_the_reference(group, small_triangle_free):
+    # analyze on a construction's own lines reads its graph statistics off
+    # the degrees; the public stages through a wrapped oracle walk the
+    # intersection graph; at N = 400 epsilon >= 1 prunes, so the degree
+    # rule reads survivors that are indexed afresh
+    builds = (build_construction(n).matroid for n in range(4, 301))
+    subjects = {
+        "builds": lambda: (tfm for tfm in builds if tfm.config.line_points),
+        "small": lambda: small_triangle_free,
+        "window20": lambda: [base3_window(20, -70)],
+        "window400": lambda: [base3_window(400, -571)],
+    }[group]()
+    pruned = False
+    for tfm in subjects:
+        m, index = tfm.to_matroid(), tfm.matroid_lines()
+        wrapped, lines = wrapped_oracle(tfm), list(index)
+        for eps in PRUNE_EPSILONS:
+            report = analyze(m, index, eps)
+            assert report == reference_analyze(wrapped, lines, eps), (len(lines), eps)
+            pruned |= report.planes_pruned > 0
+    assert pruned or group == "window20"
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(1)])
+def test_the_degree_rule_builds_no_graph(monkeypatch, build200, eps):
+    # on the build's own lines analyze builds no intersection graph and
+    # walks no triangle; through a wrapped oracle it does each once
+    calls = {"intersection_graph": [], "triangle_stats": [], "_triangles_at": []}
+    for name, counted in calls.items():
+        original = getattr(analysis, name)
+        monkeypatch.setattr(analysis, name, lambda *a, _f=original, _c=counted: _c.append(1) or _f(*a))
+    tfm = build200.matroid
+    own = analyze(tfm.to_matroid(), tfm.matroid_lines(), eps)
+    assert all(counted == [] for counted in calls.values())
+    assert analyze(wrapped_oracle(tfm), tfm.matroid_lines(), eps) == own
+    assert all(len(counted) == 1 for counted in calls.values())
+
+
 @pytest.mark.parametrize("eps, builds", [(Fraction(1, 2), 1), (Fraction(1), 2)], ids=["reused", "rebuilt"])
 def test_analyze_indexes_each_line_family_once(monkeypatch, matroid200, eps, builds):
     # one index for the lines, and one more for the survivors only when the
