@@ -6,10 +6,11 @@ exact integer arithmetic through the generic matroid interface, not with
 coordinate geometry shortcuts: a joint is a point on three lines whose
 union has rank 4.  Each line is the closure of two of its points, taken
 with the affine matroid's ``span`` (the points on the affine hull, found
-with integer normals; the k^2 lines of one axis share their normals, so
-each is one lookup in a table of the points by their normals' values,
-built once per axis); tests check that span against the closure that
-asks the independence oracle about every point.
+with integer normals; the k^2 lines of one axis share their normals,
+computed once per axis with a table of the points by their values, so
+each other line of the axis is one lookup); tests check that span
+against the closure that asks the independence oracle about every
+point.
 """
 
 from matroid_joints import affine_matroid, count_joints, descriptor_flats, grid3d

@@ -11,9 +11,12 @@ also supplies ``span``: the primitive integer normals of an independent
 set's affine hull, from an exact null space, decide membership in its
 closure.  They depend only on the hull's direction space, and one slot
 keeps the last of them with their member table, from the normals'
-values to points, built in one pass over the coordinate columns: each
-hull of that direction (a parallel class, such as the grid's lines of
-one axis) is one lookup, and new normals replace the slot's table.
+values to points, built in one pass over the coordinate columns.  A
+basis whose difference rows the slot's normals annihilate, and whose
+size less one plus their number is the dimension, has their direction
+space and is one lookup with no null space, so a parallel class (such
+as the grid's lines of one axis) computes one null space; new normals
+replace the slot's table.
 Floating point never touches an incidence decision.
 """
 
@@ -22,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul, sub
 from typing import Iterable, Sequence
 
-from .core import Flat, Matroid, MatroidError, make_flat
+from .core import LineIndex, Matroid, MatroidError, make_flat
 
 
 @dataclass(frozen=True)
@@ -49,28 +53,28 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix by fraction-free Gaussian elimination.
 
     Bareiss one-step elimination: every division is exact, intermediate
-    entries stay bounded by minors of the input.
+    entries stay bounded by minors of the input.  The caller's rows are
+    only read: each step takes its pivot row out of the remaining rows and
+    builds each of the others anew, eliminated below the pivot.
     """
-    mat = [list(row) for row in rows]
-    if not mat:
+    rows = list(rows)
+    if not rows:
         return 0
-    ncols = len(mat[0])
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if piv is None:
+    rank, prev = 0, 1
+    for c in range(len(rows[0])):
+        for i, row in enumerate(rows):
+            if row[c]:
+                break
+        else:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        for i in range(r + 1, len(mat)):
-            for j in range(c + 1, ncols):
-                mat[i][j] = (mat[i][j] * mat[r][c] - mat[i][c] * mat[r][j]) // prev
-            mat[i][c] = 0
-        prev = mat[r][c]
-        r += 1
-        if r == len(mat):
+        top = rows.pop(i)
+        rank += 1
+        if not rows:
             break
-    return r
+        p = top[c]
+        rows = [[(a * p - row[c] * b) // prev for a, b in zip(row, top)] for row in rows]
+        prev = p
+    return rank
 
 
 def integer_null_space(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
@@ -127,12 +131,12 @@ def _lattice_independent(pts: Sequence[Sequence[int]]) -> bool:
     """True iff the integer points are affinely independent."""
     if len(pts) <= 1:
         return True
-    base = pts[0]
-    return integer_rank([[a - b for a, b in zip(p, base)] for p in pts[1:]]) == len(pts) - 1
+    base, *rest = pts
+    return integer_rank([list(map(sub, p, base)) for p in rest]) == len(rest)
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _primitive(v: Sequence[int]) -> tuple[int, ...]:
@@ -161,10 +165,12 @@ def affine_independent(points: Sequence[RationalPoint]) -> bool:
 def affine_matroid(points: Sequence[RationalPoint]) -> Matroid:
     """The matroid of affinely independent subsets of a finite point set.
 
-    The oracle checks the index range, then answers every set of at most
+    The oracle sorts the subset once and reads the index range check off
+    the ends of that sorted list.  It then answers every set of at most
     two points True with no rank: duplicates are rejected here, on the
     lattice (scaling is a bijection, so lattice points repeat iff the
     given points do), and two distinct points are affinely independent.
+    A larger set costs one integer rank (``_lattice_independent``).
 
     ``span`` maps an independent B to the points of its affine hull.  Let
     b0 be B's first point and N the hull's primitive integer normals (the
@@ -174,16 +180,21 @@ def affine_matroid(points: Sequence[RationalPoint]) -> Matroid:
     (n . e for n in N), and b0's values name B's part.  One slot holds
     the N of the last span with its member table from values to
     ascending point indices, the values summed from whole coordinate
-    columns, one term per non-zero component of each n.  A span whose N
-    differs from the slot's builds the table for its N and replaces the
-    slot's; either way the closure is one lookup of b0's values, exact
-    because the table's parts are exactly the solution sets of those
-    equations.  So the matroid holds at most one table of E entries.
-    The slot pays off because N depends only on the hull's direction
-    space: the null space is read off the reduced echelon form of the
-    difference rows, which the direction space fixes, and each vector is
-    made primitive with its free entry positive.  Parallel hulls, such as
-    the grid's lines along one axis, share their N.
+    columns, one term per non-zero component of each n.  The closure is
+    one lookup of b0's values, exact because the table's parts are
+    exactly the solution sets of those equations.  N depends only on the
+    hull's direction space: the null space is read off the reduced echelon
+    form of the difference rows, which the direction space fixes, and each
+    vector is made primitive with its free entry positive.  So parallel
+    hulls, such as the grid's lines along one axis, share their N, and a
+    span reuses the slot's N with no null space when they are B's: when
+    they annihilate every difference row of B and |N| + |B| - 1 = dim.
+    B is independent, so its direction space has dimension |B| - 1 and
+    lies in N's orthogonal complement, of dimension dim - |N|; equal
+    dimensions make the two spaces one.  Otherwise the span computes its
+    N, builds the table for it and replaces the slot's, so the matroid
+    holds at most one table of E entries and grid3d(k) computes three null
+    spaces, one per axis.
     """
     pts = tuple(points)
     _require_one_dimension(pts)
@@ -197,24 +208,29 @@ def affine_matroid(points: Sequence[RationalPoint]) -> Matroid:
     slot: tuple = (None, None)
 
     def oracle(subset: frozenset) -> bool:
-        if subset and (min(subset) < 0 or max(subset) >= size):
-            bad = next(i for i in sorted(subset) if not 0 <= i < size)
+        idx = sorted(subset)
+        if idx and (idx[0] < 0 or idx[-1] >= size):
+            bad = next(i for i in idx if not 0 <= i < size)
             raise MatroidError(f"unknown point index {bad}")
-        if len(subset) <= 2:
+        if len(idx) <= 2:
             return True
-        return _lattice_independent([lattice[i] for i in sorted(subset)])
+        return _lattice_independent([lattice[i] for i in idx])
 
     def span(basis: frozenset) -> frozenset:
         nonlocal slot
         if not basis:
             return frozenset()
         first, *rest = (lattice[i] for i in sorted(basis))
-        diffs = [[a - b for a, b in zip(p, first)] for p in rest]
-        normals = tuple(_primitive(n) for n in integer_null_space(diffs, len(first)))
-        if not normals:  # a full-rank hull holds every point
-            return frozenset(range(size))
-        seen, table = slot
-        if seen != normals:
+        diffs = [list(map(sub, p, first)) for p in rest]
+        normals, table = slot
+        if (
+            normals is None
+            or len(normals) + len(rest) != len(first)
+            or any(_dot(n, d) for n in normals for d in diffs)
+        ):
+            normals = tuple(_primitive(n) for n in integer_null_space(diffs, len(first)))
+            if not normals:  # a full-rank hull holds every point
+                return frozenset(range(size))
             table = {}
             for j, levels in enumerate(zip(*(_levels(n, columns) for n in normals))):
                 table.setdefault(levels, []).append(j)
@@ -247,7 +263,16 @@ def grid3d(k: int) -> tuple[tuple[RationalPoint, ...], list[tuple[int, ...]]]:
     return pts, lines
 
 
-def descriptor_flats(m: Matroid, lines: Iterable[Sequence[int]]) -> list[Flat]:
-    """Matroid lines for the member-index tuples: closures of a point pair
-    on each."""
-    return [make_flat(m, members[:2]) for members in lines]
+def descriptor_flats(m: Matroid, lines: Iterable[Sequence[int]]) -> LineIndex:
+    """Matroid lines for the member-index tuples, as one ``LineIndex`` whose
+    flats are the closures of a point pair on each, so that the stages it
+    is handed to read it as it is.  A pair that does not close to rank 2
+    raises MatroidError.  The index is a read-only sequence of flats with
+    no equality and no ``+``: compare or join ``list(...)`` of it."""
+    flats = [make_flat(m, members[:2]) for members in lines]
+    for i, f in enumerate(flats):
+        if f.rank != 2:
+            raise MatroidError(f"descriptor {i} closes to rank {f.rank}, not to a line")
+    index = LineIndex(m.size, [f.key() for f in flats])
+    index.flats = flats
+    return index

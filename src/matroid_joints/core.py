@@ -251,19 +251,40 @@ def is_joint(m: Matroid, x: int, lines: Sequence[Flat]) -> bool:
     return joint_witness(m, x, lines) is not None
 
 
+def _require_line_ranks(m: Matroid, index: LineIndex, which: Iterable[int]) -> None:
+    """Each line of ``index`` that ``which`` names must have a greedy basis
+    of two elements, or MatroidError.  The joint search reads each line as
+    the rank-2 flat its label says, and a rank-3 set labelled rank 2 would
+    lend it a fourth direction (in U(4, 6), the lines {0, 1, 2}, {0, 3}
+    and {0, 4} would make 0 a joint).  An index the caller handed over is
+    read as it is; this checks one built from a plain sequence, after
+    ``_require_lines`` has checked every line with no oracle call."""
+    for i in which:
+        r = len(_basis(m, frozenset(index.line_points[i])))
+        if r != 2:
+            raise MatroidError(f"line {i} has rank {r}, not 2")
+
+
 def joint_witness(m: Matroid, x: int, lines: Sequence[Flat]) -> Optional[tuple[int, int, int]]:
     """Indices into ``lines`` of the first three lines through x whose
-    union has rank >= 4 (``_joint_search``), or None."""
+    union has rank >= 4 (``_joint_search``), or None.  Of a plain sequence
+    of lines, those through x must have rank 2 (``_require_line_ranks``),
+    one greedy basis each; the others cannot change x's answer."""
     index = _require_lines(m, lines)
     m._subset({x})
-    return _joint_search(m, x, index.by_point[x], index.line_points)
+    through = index.by_point[x]
+    if index is not lines:
+        _require_line_ranks(m, index, through)
+    return _joint_search(m, x, through, index.line_points)
 
 
 def count_joints(m: Matroid, lines: Sequence[Flat]) -> int:
     """The number of joints of ``lines``: each point with three or more
     lines through it is decided by ``_joint_search`` from the lines' two
     smallest members, one oracle call on the star of three lines when the
-    star is independent.  That path is the reference.
+    star is independent.  That path is the reference.  A ``LineIndex`` is
+    read as it is; any other sequence first has each line's rank checked,
+    one greedy basis of its members (``_require_line_ranks``).
 
     The joint rule: when ``m``'s oracle is a ``TriangleFreeMatroid``'s own
     and ``lines`` is its configuration (``construct._reads_own_configuration``,
@@ -283,6 +304,8 @@ def count_joints(m: Matroid, lines: Sequence[Flat]) -> int:
     from .construct import _reads_own_configuration
 
     index = _require_lines(m, lines)
+    if index is not lines:
+        _require_line_ranks(m, index, range(len(index)))
     if _reads_own_configuration(m, index):
         return sum(len(through) >= 3 for through in index.by_point)
     line_points = index.line_points

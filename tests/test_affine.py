@@ -21,7 +21,7 @@ from matroid_joints.affine import (
     integer_rank,
     point,
 )
-from matroid_joints.core import MatroidError, check_axioms, closure, count_joints, rank
+from matroid_joints.core import LineIndex, MatroidError, check_axioms, closure, count_joints, rank
 
 
 def fraction_rank(rows):
@@ -68,6 +68,19 @@ def test_integer_rank():
     assert integer_rank([[1, 2], [2, 4]]) == 1
     assert integer_rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
     assert integer_rank([[2, 3], [5, 7], [1, 1]]) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda ncols: st.lists(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols), max_size=5)
+    )
+)
+def test_integer_rank_matches_fraction_rank(rows):
+    # small entries make many matrices rank-deficient; the rows are only read
+    before = [list(r) for r in rows]
+    assert integer_rank(rows) == fraction_rank([[Fraction(a) for a in r] for r in rows])
+    assert rows == before
 
 
 def test_integer_null_space():
@@ -205,6 +218,8 @@ def test_descriptor_flats_cover_descriptor_points():
     pts, desc = grid3d(3)
     m = affine_matroid(pts)
     lines = descriptor_flats(m, desc)
+    assert isinstance(lines, LineIndex) and lines.size == m.size
+    assert lines.line_points == [tuple(sorted(d)) for d in desc]
     for d, f in zip(desc, lines):
         assert frozenset(d) == f.members
         assert f.rank == 2
@@ -259,6 +274,49 @@ def test_span_matches_oracle_closure_off_the_axes():
         assert closure(m, s) == closure(reference, s)
 
 
+def test_descriptor_flats_refuse_a_pair_of_rank_one():
+    # a descriptor of one point, or whose first two members repeat one
+    # point, closes to rank 1
+    pts, desc = grid3d(3)
+    m = affine_matroid(pts)
+    for bad in ((4, 4, 5), (4,)):
+        with pytest.raises(MatroidError, match="descriptor 1 closes to rank 1, not to a line"):
+            descriptor_flats(m, [desc[0], bad])
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_descriptor_flats_compute_one_null_space_per_axis(monkeypatch, k):
+    # the lines of one axis share their normals, and the slot holds them
+    # from the axis's first line to its last
+    calls = []
+    null_space = affine.integer_null_space
+    monkeypatch.setattr(affine, "integer_null_space", lambda rows, n: calls.append(rows) or null_space(rows, n))
+    pts, desc = grid3d(k)
+    m = affine_matroid(pts)
+    lines = descriptor_flats(m, desc)
+    assert len(calls) == 3
+    assert list(lines) == list(descriptor_flats(dataclasses.replace(m, span=None), desc))
+
+
+def test_a_line_in_the_slot_plane_gets_its_own_normals(monkeypatch):
+    # the plane z = 1 of grid3d(3) fills the slot with its normal (0, 0, 1),
+    # which annihilates the difference of a line in that plane; the line's
+    # two points and one normal fall short of the three dimensions, so the
+    # line computes its own normals and closes to its three points
+    pts, _ = grid3d(3)
+    at = {tuple(int(c) for c in p.coords): i for i, p in enumerate(pts)}
+    m = affine_matroid(pts)
+    reference = dataclasses.replace(m, span=None)
+    calls = []
+    null_space = affine.integer_null_space
+    monkeypatch.setattr(affine, "integer_null_space", lambda rows, n: calls.append(rows) or null_space(rows, n))
+    plane = frozenset(at[t] for t in [(1, 1, 1), (2, 1, 1), (1, 2, 1)])
+    line = frozenset(at[t] for t in [(1, 1, 1), (2, 1, 1)])
+    assert closure(m, plane) == closure(reference, plane) == frozenset(i for t, i in at.items() if t[2] == 1)
+    assert closure(m, line) == closure(reference, line) == frozenset(at[x, 1, 1] for x in (1, 2, 3))
+    assert len(calls) == 2
+
+
 def test_descriptor_flats_spend_two_oracle_calls_per_line():
     pts, desc = grid3d(3)
     m = affine_matroid(pts)
@@ -268,7 +326,7 @@ def test_descriptor_flats_spend_two_oracle_calls_per_line():
     # one 2-point greedy basis gives both the closure and the rank; the
     # span costs no oracle call
     assert len(calls) == 2 * len(desc)
-    assert lines == descriptor_flats(dataclasses.replace(m, span=None), desc)
+    assert list(lines) == list(descriptor_flats(dataclasses.replace(m, span=None), desc))
 
 
 def lattice_walk(dim):

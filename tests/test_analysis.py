@@ -138,7 +138,7 @@ PRUNE_SUBJECTS = (
 def grid3d3_twice():
     """grid3d(3) with five of its lines given a second time."""
     m, lines = grid3d_subject(3)
-    return m, lines + [lines[i] for i in (0, 4, 9, 13, 26)]
+    return m, list(lines) + [lines[i] for i in (0, 4, 9, 13, 26)]
 
 
 @pytest.fixture(scope="module")
@@ -661,7 +661,7 @@ def test_one_member_line_is_rejected_without_an_oracle_call(stage):
     base, lines = grid3d_subject(3)
     calls = []
     m = core.Matroid(base.labels, lambda s: calls.append(s) or base.oracle(s), base.span)
-    lines = lines + [core.Flat(frozenset({0}), 2)]
+    lines = list(lines) + [core.Flat(frozenset({0}), 2)]
     with pytest.raises(MatroidError, match="expected a rank-2 flat"):
         {
             "prune": lambda: heavy_plane_prune(m, lines, 1),

@@ -280,6 +280,26 @@ def test_joint_witness_validates_like_is_joint():
         count_joints(m, [Flat(frozenset(), 2)])
 
 
+@pytest.mark.parametrize("call", ["count", "witness"])
+def test_a_rank_three_line_is_refused_by_the_joint_search(call):
+    # U(4, 6): {0, 1, 2} is labelled rank 2 but has rank 3; its star with
+    # {0, 3} and {0, 4} is independent, so 0 would count as a joint
+    m = Matroid(tuple(range(6)), lambda s: len(s) <= 4)
+    lines = [Flat(frozenset(xs), 2) for xs in ((0, 1, 2), (0, 3), (0, 4))]
+    with pytest.raises(MatroidError, match="line 0 has rank 3, not 2"):
+        count_joints(m, lines) if call == "count" else joint_witness(m, 0, lines)
+
+
+def test_joint_witness_ranks_only_the_lines_through_its_point():
+    # the rank-3 set {0, 1, 2} labelled rank 2 does not pass through 4, so
+    # asking about 4 ranks only the line {0, 4}: one greedy basis, two calls
+    asked = []
+    m = Matroid(tuple(range(6)), lambda s: asked.append(s) or len(s) <= 4)
+    lines = [Flat(frozenset(xs), 2) for xs in ((0, 1, 2), (0, 3), (0, 4))]
+    assert joint_witness(m, 4, lines) is None
+    assert sorted(map(len, asked)) == [1, 2]
+
+
 def union_witness(m, x, lines):
     # the definition: the first three lines through x, in combinations
     # order, whose union has rank >= 4
@@ -340,11 +360,13 @@ def test_count_joints_grid_k2():
 
 
 @pytest.mark.parametrize("case, calls", [("build200", 98), ("grid3d-3", 27)])
-def test_count_joints_asks_one_oracle_call_per_joint(case, calls, matroid200):
+def test_count_joints_asks_one_oracle_call_per_joint(case, calls, build200):
     # every triple point of these matroids is a joint, decided by one oracle
-    # call on its star of four points
+    # call on its star of four points; an index is read as it is, and the
+    # same lines as a plain list first cost one greedy basis each, one
+    # oracle call per member
     if case == "build200":
-        m, lines = matroid200
+        m, lines = build200.matroid.to_matroid(), build200.matroid.matroid_lines()
     else:
         pts, desc = grid3d(3)
         m = affine_matroid(pts)
@@ -354,6 +376,9 @@ def test_count_joints_asks_one_oracle_call_per_joint(case, calls, matroid200):
     joints = count_joints(counting, lines)
     assert len(asked) == calls == joints
     assert all(len(s) == 4 for s in asked)
+    asked.clear()
+    assert count_joints(counting, list(lines)) == joints
+    assert len(asked) == calls + sum(len(f.members) for f in lines)
 
 
 def test_axioms_pass_for_free_matroid():
