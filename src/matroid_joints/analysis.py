@@ -36,11 +36,24 @@ def heavy_plane_prune(
 ) -> tuple[list[Flat], list[PruneStep]]:
     """Repeatedly remove all lines lying in a plane with >= 2/epsilon of them.
 
+    Returns the surviving lines' flats and the steps (``_prune_steps``).
+    """
+    index = core._require_lines(m, lines)
+    alive, trace = _prune_steps(m, index, epsilon)
+    return [f for f, a in zip(index.flats, alive) if a], trace
+
+
+def _prune_steps(
+    m: Matroid, index: core.LineIndex, epsilon: Fraction
+) -> tuple[list[bool], list[PruneStep]]:
+    """The prune's steps on the lines of ``index``, and for each line
+    whether it survives them.
+
     The lines are a simple matroid's: two lines sharing two points raise
-    MatroidError (``core._common_points``) before any plane is closed, and
-    on the closure rule so does a meeting pair whose star is dependent or
-    whose plane does not hold both its lines (``_meeting_planes``); the
-    union rule's stars are independent by its lemma, and are not checked.
+    MatroidError (``index.meets``) before any plane is closed, and on the
+    closure rule so does a meeting pair whose star is dependent or whose
+    plane does not hold both its lines (``_meeting_planes``); the union
+    rule's stars are independent by its lemma, and are not checked.
 
     Candidate planes are the planes cl(l_i | l_j) of the line pairs that
     meet at a point and hold at least 2/epsilon lines (``_meeting_planes``:
@@ -52,7 +65,7 @@ def heavy_plane_prune(
     not change as lines go, and its live count only falls, so the steps
     come from a lazy heap of (-live count, member list, held lines): a
     popped plane is dropped when it holds too few live lines or no two of
-    them meet (``index.meeting``), pushed back when its count is stale,
+    them meet (``index.meets``), pushed back when its count is stale,
     and taken otherwise.  The heaviest plane goes first, ties broken
     lexicographically on the plane's member list; ``removed`` indexes the
     line list as it was before the step.
@@ -61,8 +74,7 @@ def heavy_plane_prune(
     if epsilon <= 0:
         raise MatroidError("epsilon must be positive")
     threshold = math.ceil(2 / epsilon)  # an int count is >= 2/epsilon iff >= this
-    index = core._require_lines(m, lines)
-    meeting = index.meeting
+    meets = index.meets
     # member lists are distinct, so an entry never compares past its key
     heap = [(-len(held), key, held) for held, key in _meeting_planes(m, index, threshold).items()]
     heapq.heapify(heap)
@@ -72,7 +84,10 @@ def heavy_plane_prune(
     while heap:
         count, key, held = heapq.heappop(heap)
         live = [i for i in held if alive[i]]
-        if len(live) < threshold or not any(pair in meeting for pair in combinations(live, 2)):
+        if len(live) < threshold:
+            continue
+        mask = sum(1 << i for i in live)
+        if not any(meets[i] & mask & ~(1 << i) for i in live):
             continue
         if len(live) < -count:
             heapq.heappush(heap, (-len(live), key, held))
@@ -81,7 +96,7 @@ def heavy_plane_prune(
         for i in live:
             alive[i] = False
             insort(dead, i)
-    return [f for f, a in zip(index.flats, alive) if a], trace
+    return alive, trace
 
 
 def _meeting_planes(
@@ -100,7 +115,10 @@ def _meeting_planes(
     kept: lines only die, so it could never be pruned.
 
     The meeting pairs, the lines' ascending points and the lines through
-    each point come from the lines' ``core.LineIndex``.
+    each point come from the lines' ``core.LineIndex``: on the union rule
+    each pair is read where it meets, from the lines through each point,
+    and on the closure rule from the meeting map, which gives the point its
+    star needs.
 
     When ``m``'s oracle is that of a ``TriangleFreeMatroid`` whose
     configuration is the index itself (the key
@@ -108,10 +126,11 @@ def _meeting_planes(
     joint rule and ``analyze``'s degree rule read too), the plane of (i, j)
     is l_i | l_j and holds l_i and l_j alone: each such pair is its own
     plane below a threshold of 3, and at 3 or more no plane is kept.
-    Nothing is closed and the oracle is not called.  The lemma needs a triangle-free
-    configuration whose lines each hold two or more points, which the
-    ``TriangleFreeMatroid`` constructor guarantees, and that share at most
-    one (the meeting map raises otherwise).  Then x, a_i and a_j
+    Nothing is closed and the oracle is not called.  The lemma needs a
+    triangle-free configuration whose lines each hold two or more points,
+    which the ``TriangleFreeMatroid`` constructor guarantees, and that
+    share at most one (the gate's meeting masks raise otherwise), so each
+    pair is read once, at its one meeting point.  Then x, a_i and a_j
     (a_i a point of l_i other than x) are three distinct points on no
     common line, so the star {x, a_i, a_j} is independent; in its span a
     line through a_j that meets l_i off x closes a triangle with l_i and
@@ -138,7 +157,11 @@ def _meeting_planes(
     if _reads_own_configuration(m, index):
         if threshold >= 3:
             return {}
-        return {(i, j): tuple(sorted({*line_points[i], *line_points[j]})) for i, j in index.meeting}
+        return {
+            (i, j): tuple(sorted({*line_points[i], *line_points[j]}))
+            for through in index.by_point
+            for i, j in combinations(through, 2)
+        }
     by_point = index.by_point
     closed: set[tuple[int, int]] = set()  # the held pairs of each plane of three or more lines
     planes: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -173,7 +196,7 @@ def degree_partition(
     if epsilon <= 0:
         raise MatroidError("epsilon must be positive")
     index = core._require_lines(m, lines)
-    index.meeting  # two lines sharing two points raise, as in the other stages
+    index.meets  # two lines sharing two points raise, as in the other stages
     heavy = math.ceil(4 / epsilon)  # an int degree is >= 4/epsilon iff >= this
     degrees = {x: len(through) for x, through in enumerate(index.by_point)}
     e1 = {x for x, d in degrees.items() if d >= heavy}
@@ -212,9 +235,10 @@ def triangle_stats(g: IntersectionGraph) -> TriangleStats:
     triangle's three witnesses are all one point or three distinct ones.
     The d lines of a witness's edges pairwise meet there and give C(d, 3)
     degenerate triangles; the others come from ``planar._triangles_at``
-    walking the edges as a meeting map.  This is the reference: ``analyze``
-    reads the same counts off the degrees on a construction's own lines,
-    whose gate has already found no triangle.
+    walking the witnesses' meeting masks (``core._meeting_masks`` of their
+    line lists), with the edges as its meeting map.  This is the
+    reference: ``analyze`` reads the same counts off the degrees on a
+    construction's own lines, whose gate has already found no triangle.
     """
     lines_at: dict[int, set[int]] = {}
     for pair, w in g.edges.items():
@@ -222,7 +246,8 @@ def triangle_stats(g: IntersectionGraph) -> TriangleStats:
     at = sorted((w, sorted(ls)) for w, ls in lines_at.items())
     per_witness = {w: math.comb(len(ls), 3) for w, ls in at if len(ls) >= 3}
     degenerate = sum(per_witness.values())
-    crossing = sum(len(found) for found in _triangles_at(g.edges, g.n, at))
+    meets = core._meeting_masks(g.n, (ls for _, ls in at))
+    crossing = sum(len(found) for found in _triangles_at(meets, lambda: g.edges, at))
     return TriangleStats(total=degenerate + crossing, degenerate=degenerate, per_witness=per_witness)
 
 
@@ -249,7 +274,8 @@ def analyze(m: Matroid, lines: Sequence[Flat], epsilon: Fraction) -> AnalysisRep
     prune, the joint count, the degree partition and the intersection
     graph.  The prune goes first, so lines it rejects raise before any
     count.  When it takes no step the survivors are the lines and keep
-    their index; otherwise the survivors are indexed once.
+    their index, and no flat is built; otherwise the survivors' points are
+    indexed once, in a new ``core.LineIndex``.
 
     The degree rule: when ``m``'s oracle is a ``TriangleFreeMatroid``'s own
     and the lines are its configuration (``construct._reads_own_configuration``,
@@ -258,7 +284,7 @@ def analyze(m: Matroid, lines: Sequence[Flat], epsilon: Fraction) -> AnalysisRep
     triangle walked: ``graph_edges`` is the sum over x in E2 of C(d_x, 2),
     and ``triangles`` and ``degenerate_triples`` are both the sum over x in
     E2 of C(d_x, 3).  Two kept lines share at most one point (the meeting
-    map raises otherwise) and every pair of lines through x meets there, so
+    masks raise otherwise) and every pair of lines through x meets there, so
     x witnesses exactly C(d_x, 2) edges and C(d_x, 3) degenerate triangles.
     A triangle that is not degenerate is three kept lines pairwise meeting
     at three distinct points, a triangle of the configuration, which the
@@ -268,9 +294,11 @@ def analyze(m: Matroid, lines: Sequence[Flat], epsilon: Fraction) -> AnalysisRep
     ``triangle_stats``, the reference, count them."""
     epsilon = Fraction(epsilon)
     index = core._require_lines(m, lines)
-    survivors, trace = heavy_plane_prune(m, index, epsilon)
+    alive, trace = _prune_steps(m, index, epsilon)
     joints_initial = core.count_joints(m, index)
-    kept = core._require_lines(m, survivors) if trace else index
+    kept = index
+    if trace:
+        kept = core.LineIndex(index.size, [pts for pts, a in zip(index.line_points, alive) if a])
     joints_after = core.count_joints(m, kept) if trace else joints_initial
     e1, e2, degrees = degree_partition(m, kept, epsilon)
     if _reads_own_configuration(m, index):
@@ -283,7 +311,7 @@ def analyze(m: Matroid, lines: Sequence[Flat], epsilon: Fraction) -> AnalysisRep
     return AnalysisReport(
         epsilon=epsilon,
         L_initial=len(index),
-        L_after_prune=len(survivors),
+        L_after_prune=len(kept),
         planes_pruned=len(trace),
         joints_initial=joints_initial,
         joints_after_prune=joints_after,

@@ -155,11 +155,13 @@ class TriangleFreeMatroid:
         for l in pc:
             if l in pd:
                 cd = l
-        meeting = self.config.meeting
+        # the two lines of a pair are distinct here, so a set bit of the
+        # meeting masks is another line that meets the first
+        meets = self.config.meets
         return not (
-            (ab is not None and cd is not None and ((ab, cd) if ab < cd else (cd, ab)) in meeting)
-            or (ac is not None and bd is not None and ((ac, bd) if ac < bd else (bd, ac)) in meeting)
-            or (ad is not None and bc is not None and ((ad, bc) if ad < bc else (bc, ad)) in meeting)
+            (ab is not None and cd is not None and meets[ab] >> cd & 1)
+            or (ac is not None and bd is not None and meets[ac] >> bd & 1)
+            or (ad is not None and bc is not None and meets[ad] >> bc & 1)
         )
 
     def span(self, basis: frozenset) -> frozenset:
@@ -171,13 +173,13 @@ class TriangleFreeMatroid:
         that line at a configuration point (an angle covering the 4-set).
         Two distinct lines share at most one point, so a pair lies on at
         most one line, and the lines through the third member that meet it
-        are those whose pair with it is a key of the meeting map.
+        are those set in its meeting mask (``meets``).
         """
         cfg = self.config
         if len(basis) >= 4:
             return frozenset(range(cfg.size))
         out = set(basis)
-        line_points, by_point, meeting = cfg.line_points, cfg.by_point, cfg.meeting
+        line_points, by_point, meets = cfg.line_points, cfg.by_point, cfg.meets
         for p, q in combinations(basis, 2):
             la = _line_through(by_point[p], by_point[q])
             if la is None:
@@ -187,7 +189,7 @@ class TriangleFreeMatroid:
                 if r == p or r == q:
                     continue
                 for lb in by_point[r]:
-                    if ((la, lb) if la < lb else (lb, la)) in meeting:
+                    if meets[la] >> lb & 1:
                         out.update(line_points[lb])
         return frozenset(out)
 

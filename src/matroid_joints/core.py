@@ -141,9 +141,11 @@ class LineIndex(Sequence[Flat]):
     line i is the rank-2 flat ``self[i]`` (the cached ``flats``, built when
     first read) and the ascending tuple of its members ``line_points[i]``,
     whose first two are its two smallest.  The incidence is read from the
-    members at most once each: the point -> line index (``by_point``) and
-    the meeting map (``meeting``, ``_common_points``), each built when
-    first read.
+    members at most once each: the point -> line index (``by_point``), the
+    meeting masks (``meets``: which lines each line meets) and the meeting
+    map (``meeting``, ``_common_points``: where two lines meet), each built
+    when first read.  A stage that asks only whether two lines meet reads
+    the masks, and the map is built only for a stage that asks where.
 
     Every function that takes a sequence of lines reads an index as it is
     and builds one (``_require_lines``) from any other, so a caller that
@@ -165,6 +167,23 @@ class LineIndex(Sequence[Flat]):
     @cached_property
     def by_point(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, _lines_by_point(self.size, self.line_points)))
+
+    @cached_property
+    def meets(self) -> list[int]:
+        """For each line i, the bitmask of the lines that meet it
+        (``_meeting_masks``), bit i included when line i has a point.
+
+        The two-point check: with d_x the number of lines through x, the
+        masks hold exactly sum over x of d_x (d_x - 1) ordered pairs of
+        distinct lines iff no two lines share two points, since a pair
+        sharing k points is counted k times by the sum and once by the
+        masks.  So one sum checks that lines meet at most once, and when it
+        fails ``_common_points`` raises its MatroidError naming the pair."""
+        meets = _meeting_masks(len(self), self.by_point)
+        met = sum(m.bit_count() for m in meets) - sum(1 for pts in self.line_points if pts)
+        if met != sum(len(through) * (len(through) - 1) for through in self.by_point):
+            _common_points(self.by_point)
+        return meets
 
     @cached_property
     def meeting(self) -> dict[tuple[int, int], int]:
@@ -202,6 +221,21 @@ def _lines_by_point(size: int, lines: Iterable[Iterable[int]]) -> list[list[int]
         for x in members:
             by_point[x].append(i)
     return by_point
+
+
+def _meeting_masks(n_lines: int, by_point: Iterable[Sequence[int]]) -> list[int]:
+    """For each of ``n_lines`` lines, the bitmask of the lines through the
+    points of ``by_point`` (each point's lines) that it passes through:
+    every line through a point gets the whole mask of that point, its own
+    bit included."""
+    meets = [0] * n_lines
+    for through in by_point:
+        mask = 0
+        for l in through:
+            mask |= 1 << l
+        for l in through:
+            meets[l] |= mask
+    return meets
 
 
 def _common_points(by_point: Sequence[Sequence[int]]) -> dict[tuple[int, int], int]:

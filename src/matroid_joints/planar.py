@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .core import LineIndex, MatroidError
 
@@ -86,8 +86,8 @@ class Triangle:
 class Configuration(LineIndex):
     """Immutable incidence structure over distinct points and lines: the
     ``core.LineIndex`` of the lines' point sets (``line_points``,
-    ``by_point``, ``meeting``; item i is line i's rank-2 flat), with the
-    ``points`` and the ``IntLine``s (``lines``) it was read from."""
+    ``by_point``, ``meets``, ``meeting``; item i is line i's rank-2 flat),
+    with the ``points`` and the ``IntLine``s (``lines``) it was read from."""
 
     def __init__(
         self, points: Iterable[Point], lines: Iterable[IntLine], line_points: Optional[Iterable[tuple]] = None
@@ -97,10 +97,10 @@ class Configuration(LineIndex):
         that share two points (``core._common_points``), or one line given
         twice, in any two forms that ``line`` puts in one canonical form.
 
-        ``by_point`` and ``meeting`` are built when first read.  Two
-        distinct lines of distinct canonical directions share at most one
-        point, so only when two given directions canonicalise alike is the
-        meeting map built here, to name two lines sharing two points.
+        ``by_point``, ``meets`` and ``meeting`` are built when first read.
+        Two distinct lines of distinct canonical directions share at most
+        one point, so only when two given directions canonicalise alike is
+        the meeting map built here, to name two lines sharing two points.
 
         ``line_points``, when given, is each line's ascending point
         indices, the incidence of a checked configuration's lines over
@@ -186,12 +186,15 @@ def find_triangles(cfg: Configuration, limit: Optional[int] = None) -> list[Tria
 
     A triangle is three distinct points and three distinct lines with each
     line incident to exactly two of the points.  ``limit`` (at least 1)
-    caps the number of records returned.
+    caps the number of records returned.  The walk reads the lines'
+    meeting masks (``cfg.meets``, which raise on two lines sharing two
+    points), and the meeting map only at a point where a triangle has a
+    vertex, so a triangle-free configuration builds none.
     """
     if limit is not None and limit < 1:
         raise MatroidError(f"limit must be at least 1, got {limit}")
     out: list[Triangle] = []
-    for found in _triangles_at(cfg.meeting, len(cfg.lines), enumerate(cfg.by_point)):
+    for found in _triangles_at(cfg.meets, lambda: cfg.meeting, enumerate(cfg.by_point)):
         if found:
             out += sorted(found, key=lambda t: t.points)
             if limit is not None and len(out) >= limit:
@@ -200,46 +203,55 @@ def find_triangles(cfg: Configuration, limit: Optional[int] = None) -> list[Tria
 
 
 def _triangles_at(
-    angle: dict[tuple[int, int], int],
-    n_lines: int,
+    meets: Sequence[int],
+    angle: Callable[[], Mapping[tuple[int, int], int]],
     by_point: Iterable[tuple[int, Sequence[int]]],
 ) -> Iterator[list[Triangle]]:
     """For each point x with its ascending lines, the triangles whose
-    smallest vertex is x; ``angle`` maps each pair of lines a < b that
-    meet to their meeting point, and must hold every pair of lines through
-    each x, meeting there (a meeting map does).
+    smallest vertex is x.  ``meets`` holds each line's bitmask of the lines
+    it meets at the points of ``by_point``, its own bit included
+    (``core._meeting_masks`` of their line lists); ``angle()`` returns the
+    map from each pair of lines a < b that meet there to their meeting
+    point, and is called only at a point that fails the test below.
 
-    A line l3 that meets two lines l1 < l2 through x (the bitmasks
-    ``meets``) but not at x closes a triangle, since two lines share at
-    most one point.  The other d - 2 lines through x meet both l1 and l2
-    at x and neither line is in its own mask, so such an l3 exists iff
-    ``meets[l1] & meets[l2]`` has more than d - 2 bits; only then are the
-    lines through x masked off and the l3 enumerated.
+    Disjoint outside-neighbourhoods: a line l3 not through x that meets
+    two lines l1 < l2 through x closes a triangle, since it meets them at
+    two points other than x, and distinct ones (two lines share at most one
+    point).  So a triangle has a vertex at x iff the sets of lines meeting
+    each line through x, less the d lines through x, are not pairwise
+    disjoint.  Each line through x meets all d of them there, so its mask
+    holds popcount(mask) - d lines outside them, and the union of the masks
+    holds popcount(OR of the masks) - d; the sets are disjoint iff that is
+    the sum of popcount(mask) - d^2.  This costs O(d) mask operations at x,
+    and only at a point that fails it are the pairs l1, l2 walked: a pair
+    whose common mask holds more than the d lines through x has such an
+    l3, found once the lines through x are masked off.
     """
-    meets = [0] * n_lines
-    for a, b in angle:
-        meets[a] |= 1 << b
-        meets[b] |= 1 << a
     for x, ls in by_point:
-        found = []
-        others = len(ls) - 2
-        through = 0
-        for l1, l2 in combinations(ls, 2):
-            common = meets[l1] & meets[l2]
-            if common.bit_count() <= others:
-                continue
-            if not through:
-                through = sum(1 << l for l in ls)
-            third = common & ~through
-            while third:
-                l3 = third.bit_length() - 1
-                third ^= 1 << l3
-                p = angle[min(l1, l3), max(l1, l3)]
-                q = angle[min(l2, l3), max(l2, l3)]
-                if x < p < q:
-                    found.append(Triangle((x, p, q), (l1, l2, l3)))
-                elif x < q < p:
-                    found.append(Triangle((x, q, p), (l2, l1, l3)))
+        found: list[Triangle] = []
+        d = len(ls)
+        union = total = 0
+        for l in ls:
+            mask = meets[l]
+            union |= mask
+            total += mask.bit_count()
+        if union.bit_count() - d != total - d * d:
+            meeting = angle()
+            through = sum(1 << l for l in ls)
+            for l1, l2 in combinations(ls, 2):
+                common = meets[l1] & meets[l2]
+                if common.bit_count() <= d:
+                    continue
+                third = common & ~through
+                while third:
+                    l3 = third.bit_length() - 1
+                    third ^= 1 << l3
+                    p = meeting[min(l1, l3), max(l1, l3)]
+                    q = meeting[min(l2, l3), max(l2, l3)]
+                    if x < p < q:
+                        found.append(Triangle((x, p, q), (l1, l2, l3)))
+                    elif x < q < p:
+                        found.append(Triangle((x, q, p), (l2, l1, l3)))
         yield found
 
 

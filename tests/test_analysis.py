@@ -702,16 +702,45 @@ def test_joints_sweep_counts_joints_once_per_row(monkeypatch):
 
 
 def test_sweep_row_builds_its_meeting_map_once(monkeypatch):
-    # the configuration's meeting map is the harness's, so a row
-    # at epsilon = 1/2 (no prune step) computes it once; 3 times before the
-    # build indexed only the populated lines and the harness read its index
+    # a row at epsilon = 1/2 (no prune step) asks only whether lines meet,
+    # which the configuration's meeting masks answer: the gate, the union
+    # rule and the degree partition read them, and no stage asks where two
+    # lines meet, so the meeting map is never built (once when the gate
+    # read it, 3 times before the build indexed only the populated lines
+    # and the harness read its index)
     calls = []
     original = core._common_points
     counted = lambda by_point: calls.append(1) or original(by_point)
     monkeypatch.setattr(core, "_common_points", counted)
     rows = joints_sweep([200], Fraction(1, 2))
     assert rows[0].get("error") is None and rows[0]["L"] > 0
-    assert len(calls) == 1
+    assert len(calls) == 0
+
+
+def test_the_dense_pipeline_builds_no_meeting_map(monkeypatch):
+    # the dense benchmark's pipeline on a Salem-Spencer set at N = 60:
+    # the gate reads the meeting masks, and the joint rule reads by_point
+    calls = []
+    original = core._common_points
+    monkeypatch.setattr(core, "_common_points", lambda by_point: calls.append(1) or original(by_point))
+    # the sums of distinct powers of 3 up to 81, a set with no 3-AP
+    sums = {sum(3**k for k in range(5) if bits >> k & 1) for bits in range(32)}
+    cfg = prune_lines(Configuration(behrend_points(60, sums), grid_lines(60).lines))
+    assert planar.is_triangle_free(cfg)
+    tfm = TriangleFreeMatroid(cfg)
+    assert core.count_joints(tfm.to_matroid(), tfm.matroid_lines()) == len(triple_points(cfg)) > 0
+    assert calls == [] and "meeting" not in vars(cfg)
+
+
+def test_analyze_on_the_builds_own_lines_builds_no_meeting_map_and_no_flats():
+    # a fresh build: no stage from the build to analyze at epsilon = 1/2
+    # asks where two lines meet, and with no prune step no survivor is a flat
+    build = build_construction(200)
+    tfm = build.matroid
+    report = analyze(tfm.to_matroid(), tfm.matroid_lines(), Fraction(1, 2))
+    assert report.planes_pruned == 0 and report.L_after_prune == report.L_initial == 165
+    assert "meets" in vars(build.config)
+    assert "flats" not in vars(build.config) and "meeting" not in vars(build.config)
 
 
 @pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(1)])

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matroid_joints import planar
+from matroid_joints import core, planar
 from matroid_joints.behrend import has_3ap
 from matroid_joints.construct import behrend_points, grid_lines
-from matroid_joints.core import MatroidError
+from matroid_joints.core import LineIndex, MatroidError
 from matroid_joints.planar import (
     Configuration,
     IntLine,
@@ -326,9 +326,9 @@ def test_triangle_search_matches_definition(points, coefficients, joins):
 
 
 def mask_subtraction_gate(angle, n_lines, by_point):
-    """``planar._triangles_at`` without its popcount test: every pair of
-    lines through x masks off the lines through x and walks the rest of
-    the lines meeting both."""
+    """``planar._triangles_at`` without its tests, with its masks read off
+    the meeting map: every pair of lines through x masks off the lines
+    through x and walks the rest of the lines meeting both."""
     meets = [0] * n_lines
     for a, b in angle:
         meets[a] |= 1 << b
@@ -381,12 +381,14 @@ def test_popcount_gate_equals_mask_subtraction(normals, t1, t2, extra, joins, wi
     assert len(cfg.by_point[0]) >= 4
     assert any(t.points[0] == 0 for t in find_triangles(cfg))
     # the whole meeting map, and the part of it at some witnesses, as
-    # ``analysis.triangle_stats`` walks it
+    # ``analysis.triangle_stats`` walks it, each with the masks of its
+    # points' line lists
     kept = {pair: x for pair, x in cfg.meeting.items() if x in witnesses or x == 0}
     at = [(x, ls) for x, ls in enumerate(cfg.by_point) if x in witnesses or x == 0]
     for angle, by_point in ((cfg.meeting, list(enumerate(cfg.by_point))), (kept, at)):
         expected = list(mask_subtraction_gate(angle, len(cfg.lines), by_point))
-        assert list(planar._triangles_at(angle, len(cfg.lines), by_point)) == expected
+        meets = core._meeting_masks(len(cfg.lines), (ls for _, ls in by_point))
+        assert list(planar._triangles_at(meets, lambda: angle, by_point)) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -401,3 +403,70 @@ def test_triangle_search_matches_definition_on_filtered_grids(grid, prune):
         cfg = prune_lines(cfg)
     assert_search_matches_definition(cfg)
     assert is_triangle_free(cfg) == (not has_3ap(sums))
+
+
+def assert_meets_are_the_meeting_keys(index):
+    # bit j of line i's mask is set iff the two lines meet: i itself when
+    # it has a point, another line when the pair is a key of the map
+    for i, mask in enumerate(index.meets):
+        expected = {j for j in range(len(index)) if j != i and (min(i, j), max(i, j)) in index.meeting}
+        if index.line_points[i]:
+            expected.add(i)
+        assert {j for j in range(mask.bit_length()) if mask >> j & 1} == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 8).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(2, 2 * n)))),
+    st.booleans(),
+    st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8)), max_size=6),
+)
+def test_meets_match_the_meeting_map_on_random_grids(grid, prune, extra):
+    # filtered grids, with or without their empty and one-point lines, and
+    # the same points under lines of other directions
+    n, sums = grid
+    pts = behrend_points(n, sums)
+    cfg = Configuration(pts, grid_lines(n).lines)
+    assert_meets_are_the_meeting_keys(prune_lines(cfg) if prune else cfg)
+    points = list(dict.fromkeys(pts + extra))
+    lines = list(dict.fromkeys(line(a, b, a * x + b * y) for a, b in ((1, 2), (2, -1)) for x, y in points))
+    assert_meets_are_the_meeting_keys(Configuration(points, lines))
+
+
+def test_meets_of_a_bare_index():
+    # a LineIndex over plain tuples, with a line of no point and one of one
+    index = LineIndex(7, ((0, 1, 2), (2, 3), (), (3, 4, 5), (6,), (0, 5)))
+    assert index.meets == [0b100011, 0b001011, 0, 0b101010, 0b010000, 0b101001]
+    assert_meets_are_the_meeting_keys(index)
+
+
+@pytest.mark.parametrize(
+    "line_points",
+    [((0, 1, 2), (3, 4), (0, 1), (3, 4, 5)), ((0, 1), (1, 2), (0, 1, 2), (2, 3))],
+)
+def test_meets_raise_the_meeting_maps_error(line_points):
+    # two lines sharing two points: the pair count tells, and the error is
+    # the one ``_common_points`` names, the least such pair
+    index = LineIndex(6, line_points)
+    with pytest.raises(MatroidError) as expected:
+        core._common_points(index.by_point)
+    with pytest.raises(MatroidError) as raised:
+        index.meets
+    assert str(raised.value) == str(expected.value)
+
+
+def test_the_gate_builds_no_meeting_map_on_a_triangle_free_input(base3_grid):
+    # the walk reads the masks; the map is built only where a triangle has
+    # a vertex, so a triangle-free input never builds it
+    cfg = prune_lines(base3_grid)
+    assert is_triangle_free(cfg) and not find_triangles(cfg)
+    assert "meets" in vars(cfg) and "meeting" not in vars(cfg)
+    triangle = Configuration([(1, 1), (1, 2), (2, 2)], [vertical(1), horizontal(2), diagonal(0)])
+    assert not is_triangle_free(triangle) and "meeting" in vars(triangle)
+
+
+def test_unfiltered_grid_triangles_are_unchanged():
+    # the full 5 x 5 grid's 60 triangles, in order, equal the definition's
+    cfg = Configuration([(x, y) for x in range(1, 6) for y in range(1, 6)], grid_lines(5).lines)
+    found = find_triangles(cfg)
+    assert len(found) == 60 and found == brute_triangles(cfg)
