@@ -20,9 +20,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import core
-from .core import Flat, Matroid, MatroidError
-from .construct import ConstructionError, _reads_own_configuration, build_construction
-from .planar import _triangles_at, triple_points
+from .core import Flat, Matroid, MatroidError, _reads_own_configuration, _triangles_at
+from .construct import ConstructionError, build_construction
 
 
 @dataclass
@@ -122,8 +121,8 @@ def _meeting_planes(
 
     When ``m``'s oracle is that of a ``TriangleFreeMatroid`` whose
     configuration is the index itself (the key
-    ``construct._reads_own_configuration``, which ``core.count_joints``'
-    joint rule and ``analyze``'s degree rule read too), the plane of (i, j)
+    ``core._reads_own_configuration``, which ``core.count_joints``' joint
+    rule and ``analyze``'s degree rule read too), the plane of (i, j)
     is l_i | l_j and holds l_i and l_j alone: each such pair is its own
     plane below a threshold of 3, and at 3 or more no plane is kept.
     Nothing is closed and the oracle is not called.  The lemma needs a
@@ -234,7 +233,7 @@ def triangle_stats(g: IntersectionGraph) -> TriangleStats:
     ``intersection_graph`` rejects two lines that share two points, so a
     triangle's three witnesses are all one point or three distinct ones.
     The d lines of a witness's edges pairwise meet there and give C(d, 3)
-    degenerate triangles; the others come from ``planar._triangles_at``
+    degenerate triangles; the others come from ``core._triangles_at``
     walking the witnesses' meeting masks (``core._meeting_masks`` of their
     line lists), with the edges as its meeting map.  This is the
     reference: ``analyze`` reads the same counts off the degrees on a
@@ -278,7 +277,7 @@ def analyze(m: Matroid, lines: Sequence[Flat], epsilon: Fraction) -> AnalysisRep
     indexed once, in a new ``core.LineIndex``.
 
     The degree rule: when ``m``'s oracle is a ``TriangleFreeMatroid``'s own
-    and the lines are its configuration (``construct._reads_own_configuration``,
+    and the lines are its configuration (``core._reads_own_configuration``,
     the key of the union rule and the joint rule too), the graph statistics
     are read off the kept lines' degrees d_x, with no graph built and no
     triangle walked: ``graph_edges`` is the sum over x in E2 of C(d_x, 2),

@@ -3,16 +3,10 @@ simple matroid they induce.
 
 The pipeline: grid lines (horizontal, vertical, diagonal) over {1..N}^2,
 points filtered by coordinate sum lying in a 3-AP-free set, and only the
-lines with at least two surviving points kept.  On the resulting
-triangle-free configuration, independence is decided by a collinearity
-rule for 3-sets and a collinearity-or-angle rule for 4-sets; every 5-set
-is dependent.  An angle is the union of two configuration lines meeting
-at a configuration point.  The oracle reads both rules off each point's
-set of lines: a 3-set is dependent iff the three sets share a line; a
-4-set {a, b, c, d} is dependent iff a line holds three of the points, or
-the lines of the two pairs of one pairing (ab|cd, ac|bd, ad|bc) meet at a
-configuration point -- once no line holds three points, an angle that
-covers all four points covers two disjoint pairs, one per line.
+lines with at least two surviving points kept.  The resulting
+configuration passes the exact triangle gate (``core.find_triangles``)
+and is read through ``core.TriangleFreeMatroid``, whose oracle reads only
+the incidence; this module re-exports it.
 """
 
 from __future__ import annotations
@@ -20,12 +14,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from . import core
 from .behrend import BehrendSet, behrend_set
-from .core import CheckResult, Matroid, MatroidError, PASS, FAIL
+from .core import CheckResult, Matroid, MatroidError, PASS, FAIL, TriangleFreeMatroid
 from .planar import (
     Configuration,
     IntLine,
@@ -90,149 +83,6 @@ def behrend_points(N: int, sums: Iterable[int]) -> list[Point]:
     return [(x, s - x) for x in range(1, N + 1) for s in sums if 1 <= s - x <= N]
 
 
-class TriangleFreeMatroid:
-    """Independence oracle over a pruned triangle-free configuration, read
-    off the configuration's own incidence: the matroid holds no copy of it.
-
-    The oracle's rules are a matroid's on a triangle-free configuration,
-    and a triangle can break the exchange axiom, so the constructor
-    refuses one through the configuration's cached gate verdict
-    (``Configuration.triangle_free``).
-    """
-
-    def __init__(self, config: Configuration):
-        if any(len(pts) < 2 for pts in config.line_points):
-            raise MatroidError("every line must contain at least two points (prune first)")
-        if not config.triangle_free:
-            raise MatroidError("the configuration has a triangle: its oracle would not be a matroid")
-        self.config = config
-
-    def is_independent(self, subset: frozenset) -> bool:
-        by_point = self.config.by_point
-        if subset and (min(subset) < 0 or max(subset) >= len(by_point)):
-            bad = next(p for p in sorted(subset) if not 0 <= p < len(by_point))
-            raise MatroidError(f"unknown point index {bad}")
-        n = len(subset)
-        if n <= 2:
-            return True
-        if n >= 5:
-            return False
-        if n == 3:
-            # dependent iff one line holds all three points; two points
-            # share at most one line
-            a, b, c = subset
-            pb, pc = by_point[b], by_point[c]
-            for l in by_point[a]:
-                if l in pb:
-                    return l not in pc
-            return True
-        # n == 4: dependent iff a line holds three of the points, or an
-        # angle covers all four; with no line on three points, each line of
-        # the angle holds two of them, so the angle is the lines of the two
-        # pairs of one pairing, meeting at a configuration point.  A line
-        # on three of the points holds a and two others, or b, c and d.
-        a, b, c, d = subset
-        pb, pc, pd = by_point[b], by_point[c], by_point[d]
-        ab = ac = ad = bc = bd = cd = None
-        for l in by_point[a]:
-            if l in pb:
-                if l in pc or l in pd:
-                    return False
-                ab = l
-            elif l in pc:
-                if l in pd:
-                    return False
-                ac = l
-            elif l in pd:
-                ad = l
-        for l in pb:
-            if l in pc:
-                if l in pd:
-                    return False
-                bc = l
-            elif l in pd:
-                bd = l
-        for l in pc:
-            if l in pd:
-                cd = l
-        # the two lines of a pair are distinct here, so a set bit of the
-        # meeting masks is another line that meets the first
-        meets = self.config.meets
-        return not (
-            (ab is not None and cd is not None and meets[ab] >> cd & 1)
-            or (ac is not None and bd is not None and meets[ac] >> bd & 1)
-            or (ad is not None and bc is not None and meets[ad] >> bc & 1)
-        )
-
-    def span(self, basis: frozenset) -> frozenset:
-        """cl(B) of an independent B, read off the incidence by the oracle's rules.
-
-        B + e is dependent iff |B| = 4, or e lies on a line through two
-        members of B (a collinear 3-set, or a line covering three of a
-        4-set), or e lies on a line through the third member that meets
-        that line at a configuration point (an angle covering the 4-set).
-        Two distinct lines share at most one point, so a pair lies on at
-        most one line, and the lines through the third member that meet it
-        are those set in its meeting mask (``meets``).
-        """
-        cfg = self.config
-        if len(basis) >= 4:
-            return frozenset(range(cfg.size))
-        out = set(basis)
-        line_points, by_point, meets = cfg.line_points, cfg.by_point, cfg.meets
-        for p, q in combinations(basis, 2):
-            la = _line_through(by_point[p], by_point[q])
-            if la is None:
-                continue
-            out.update(line_points[la])
-            for r in basis:
-                if r == p or r == q:
-                    continue
-                for lb in by_point[r]:
-                    if meets[la] >> lb & 1:
-                        out.update(line_points[lb])
-        return frozenset(out)
-
-    def to_matroid(self) -> Matroid:
-        return Matroid(labels=self.config.points, oracle=self.is_independent, span=self.span)
-
-    def matroid_lines(self) -> Configuration:
-        """The matroid's lines: the configuration itself, a ``core.LineIndex``
-        whose flats are the configuration lines' point sets, each of rank 2.
-
-        The closure of two points of a line is that line's point set
-        (``span``), so the flats are read from the configuration with no
-        oracle call; ``verify_construction_properties`` checks the same
-        equality through the oracle alone.
-        """
-        return self.config
-
-
-def _reads_own_configuration(m: Matroid, lines: Sequence) -> bool:
-    """The key of the construction's structural rules: ``m``'s oracle is a
-    ``TriangleFreeMatroid``'s own ``is_independent``, and ``lines`` is that
-    matroid's configuration itself.  Then the constructor has refused a
-    configuration with a triangle or a line of fewer than two points, and
-    three rules read their answers off the configuration's incidence: the
-    union rule (``analysis._meeting_planes``), the joint rule
-    (``core.count_joints``) and the degree rule (``analysis.analyze``'s
-    graph statistics).  An oracle that wraps the method, or another index
-    over the same lines, does not take the key and is answered through the
-    oracle.
-    """
-    tfm = getattr(m.oracle, "__self__", None)
-    return isinstance(tfm, TriangleFreeMatroid) and tfm.config is lines
-
-
-def _line_through(p: Sequence[int], q: Sequence[int]) -> int | None:
-    """The line through two points, given the lines through each, or None:
-    two lines share at most one point, so there is at most one."""
-    for l in p:
-        if l in q:
-            return l
-    return None
-
-
 @dataclass
 class ConstructionBuild:
     N: int
@@ -257,9 +107,11 @@ class ConstructionBuild:
 def build_construction(N: int) -> ConstructionBuild:
     """Run the full pipeline and gate on triangle-freeness.
 
-    The gate is the exact triangle search of ``planar.is_triangle_free``
-    at every N; a triangle at this point indicates a bug in the 3-AP-free
-    set or the incidence code and raises ConstructionError.
+    The gate is the exact triangle search of ``core.is_triangle_free``
+    at every N, whose verdict the configuration caches
+    (``core.LineIndex.triangle_free``) for the matroid's constructor; a
+    triangle at this point indicates a bug in the 3-AP-free set or the
+    incidence code and raises ConstructionError.
     """
     if N < 4:
         raise MatroidError("build_construction requires N >= 4")
@@ -301,13 +153,13 @@ def verify_construction_properties(tfm: TriangleFreeMatroid) -> ConstructionRepo
     triple points exactly when each one is; (3) the whole ground set has
     rank at most 4.  The matroid here has no ``span``, and its oracle wraps
     ``tfm.is_independent`` rather than being that bound method, so it does
-    not take the structural rules' key (``_reads_own_configuration``):
+    not take the structural rules' key (``core._reads_own_configuration``):
     ``count_joints`` decides each triple point by its 4-point star, and
     property (2) checks, through the oracle, the lemma that the joint rule
     stands on.  Every answer comes from the oracle; the work is about one
     oracle call per point per line.
     """
-    m = Matroid(tfm.config.points, lambda s: tfm.is_independent(s))
+    m = Matroid(tfm.to_matroid().labels, lambda s: tfm.is_independent(s))
 
     r1 = CheckResult(PASS)
     for li, pts in enumerate(tfm.config.line_points):

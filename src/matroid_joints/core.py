@@ -5,6 +5,10 @@ predicate on frozensets of element indices.  Everything else -- rank,
 closure, flats, lines, planes, joints -- is derived from the oracle; a
 matroid that knows its flats structurally may also supply ``span``, which
 closure then uses in place of the per-element oracle scan.
+The incidence of a family of lines (``LineIndex``) is read here too: its
+exact triangle gate (``find_triangles``, cached as
+``LineIndex.triangle_free``) and the oracle on a triangle-free incidence
+(``TriangleFreeMatroid``) read nothing but it.
 All operations are deterministic: subsets are canonicalized to sorted
 index tuples, greedy rank scans in ground order, and reports list
 counterexamples in (size, lex) order.
@@ -15,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -151,7 +155,15 @@ class LineIndex(Sequence[Flat]):
     and builds one (``_require_lines``) from any other, so a caller that
     hands one family of lines to several stages pays for each piece of its
     incidence once.  ``planar.Configuration`` is one, and is the
-    construction's family of lines.
+    construction's family of lines, with its points' coordinates; a bare
+    index, built from the lines' tuples alone, has none, and
+    ``TriangleFreeMatroid`` labels its points 0..size-1.
+
+    An index is trusted as it is: a hand-built one must give each line as
+    a strictly ascending tuple of indices into the ground set.  The
+    two-point check runs when ``meets`` is first read, and the triangle
+    gate's verdict (``triangle_free``) is cached here, on the incidence it
+    reads.
     """
 
     def __init__(self, size: int, line_points: Sequence[tuple[int, ...]]):
@@ -188,6 +200,12 @@ class LineIndex(Sequence[Flat]):
     @cached_property
     def meeting(self) -> dict[tuple[int, int], int]:
         return _common_points(self.by_point)
+
+    @cached_property
+    def triangle_free(self) -> bool:
+        """The exact gate's verdict, ``find_triangles(self, limit=1)``
+        finding none, reached once however many stages ask."""
+        return not find_triangles(self, limit=1)
 
     @cached_property
     def flats(self) -> list[Flat]:
@@ -251,6 +269,97 @@ def _common_points(by_point: Sequence[Sequence[int]]) -> dict[tuple[int, int], i
                 i, j = min(p for p, k in shared.items() if k > 1)
                 raise MatroidError(f"lines {i} and {j} share {shared[i, j]} points")
     return common
+
+
+@dataclass(frozen=True)
+class Triangle:
+    """Three points and three lines, each line through exactly two points.
+
+    ``points`` is sorted; ``lines[k]`` passes through the pair omitting
+    ``points[2 - k]`` (so lines[0] joins points[0],points[1], etc.).
+    """
+
+    points: tuple[int, int, int]
+    lines: tuple[int, int, int]
+
+
+def find_triangles(index: LineIndex, limit: Optional[int] = None) -> list[Triangle]:
+    """Enumerate triangles in lexicographic order of their point triples.
+
+    A triangle is three distinct points and three distinct lines with each
+    line incident to exactly two of the points.  ``limit`` (at least 1)
+    caps the number of records returned.  The walk reads the lines'
+    meeting masks (``index.meets``, which raise on two lines sharing two
+    points), and the meeting map only at a point where a triangle has a
+    vertex, so a triangle-free incidence builds none.
+    """
+    if limit is not None and limit < 1:
+        raise MatroidError(f"limit must be at least 1, got {limit}")
+    out: list[Triangle] = []
+    for found in _triangles_at(index.meets, lambda: index.meeting, enumerate(index.by_point)):
+        if found:
+            out += sorted(found, key=lambda t: t.points)
+            if limit is not None and len(out) >= limit:
+                return out[:limit]
+    return out
+
+
+def _triangles_at(
+    meets: Sequence[int],
+    angle: Callable[[], Mapping[tuple[int, int], int]],
+    by_point: Iterable[tuple[int, Sequence[int]]],
+) -> Iterator[list[Triangle]]:
+    """For each point x with its ascending lines, the triangles whose
+    smallest vertex is x.  ``meets`` holds each line's bitmask of the lines
+    it meets at the points of ``by_point``, its own bit included
+    (``_meeting_masks`` of their line lists); ``angle()`` returns the
+    map from each pair of lines a < b that meet there to their meeting
+    point, and is called only at a point that fails the test below.
+
+    Disjoint outside-neighbourhoods: a line l3 not through x that meets
+    two lines l1 < l2 through x closes a triangle, since it meets them at
+    two points other than x, and distinct ones (two lines share at most one
+    point).  So a triangle has a vertex at x iff the sets of lines meeting
+    each line through x, less the d lines through x, are not pairwise
+    disjoint.  Each line through x meets all d of them there, so its mask
+    holds popcount(mask) - d lines outside them, and the union of the masks
+    holds popcount(OR of the masks) - d; the sets are disjoint iff that is
+    the sum of popcount(mask) - d^2.  This costs O(d) mask operations at x,
+    and only at a point that fails it are the pairs l1, l2 walked: a pair
+    whose common mask holds more than the d lines through x has such an
+    l3, found once the lines through x are masked off.
+    """
+    for x, ls in by_point:
+        found: list[Triangle] = []
+        d = len(ls)
+        union = total = 0
+        for l in ls:
+            mask = meets[l]
+            union |= mask
+            total += mask.bit_count()
+        if union.bit_count() - d != total - d * d:
+            meeting = angle()
+            through = sum(1 << l for l in ls)
+            for l1, l2 in combinations(ls, 2):
+                common = meets[l1] & meets[l2]
+                if common.bit_count() <= d:
+                    continue
+                third = common & ~through
+                while third:
+                    l3 = third.bit_length() - 1
+                    third ^= 1 << l3
+                    p = meeting[min(l1, l3), max(l1, l3)]
+                    q = meeting[min(l2, l3), max(l2, l3)]
+                    if x < p < q:
+                        found.append(Triangle((x, p, q), (l1, l2, l3)))
+                    elif x < q < p:
+                        found.append(Triangle((x, q, p), (l2, l1, l3)))
+        yield found
+
+
+def is_triangle_free(index: LineIndex) -> bool:
+    """The index's cached gate verdict (``LineIndex.triangle_free``)."""
+    return index.triangle_free
 
 
 def _joint_search(
@@ -321,9 +430,9 @@ def count_joints(m: Matroid, lines: Sequence[Flat]) -> int:
     one greedy basis of its members (``_require_line_ranks``).
 
     The joint rule: when ``m``'s oracle is a ``TriangleFreeMatroid``'s own
-    and ``lines`` is its configuration (``construct._reads_own_configuration``,
-    the key of the prune's union rule and ``analysis.analyze``'s degree
-    rule too), the joints are the points on
+    and ``lines`` is its configuration (``_reads_own_configuration``, the
+    key of the prune's union rule and ``analysis.analyze``'s degree rule
+    too), the joints are the points on
     three or more lines, counted from ``by_point`` with no oracle call.  The
     matroid's constructor has refused a triangle and a line of fewer than
     two points, and on such a configuration every point x on three lines is
@@ -331,12 +440,8 @@ def count_joints(m: Matroid, lines: Sequence[Flat]) -> int:
     of the three lines, and no line joins two of the other points, since it
     would close a triangle with their two lines.  So no line holds three of
     the four points and no angle covers them (one of its lines would hold
-    two of the other points), and the 4-set is independent.  ``construct``
-    imports this module, so the key is imported here, when the function
-    runs, not at module load.
+    two of the other points), and the 4-set is independent.
     """
-    from .construct import _reads_own_configuration
-
     index = _require_lines(m, lines)
     if index is not lines:
         _require_line_ranks(m, index, range(len(index)))
@@ -348,6 +453,172 @@ def count_joints(m: Matroid, lines: Sequence[Flat]) -> int:
         for x, through in enumerate(index.by_point)
         if len(through) >= 3 and _joint_search(m, x, through, line_points) is not None
     )
+
+
+# ---------------------------------------------------------------------------
+# The matroid of a triangle-free incidence
+# ---------------------------------------------------------------------------
+
+
+class TriangleFreeMatroid:
+    """Independence oracle over a triangle-free incidence, any ``LineIndex``
+    (the construction's is a ``planar.Configuration``), read off the
+    index itself: the matroid holds no copy of it.
+
+    Independence is decided by a collinearity rule for 3-sets and a
+    collinearity-or-angle rule for 4-sets; every 5-set is dependent.  An
+    angle is the union of two lines meeting at a point.  The oracle reads
+    both rules off each point's set of lines: a 3-set is dependent iff the
+    three sets share a line; a 4-set {a, b, c, d} is dependent iff a line
+    holds three of the points, or the lines of the two pairs of one pairing
+    (ab|cd, ac|bd, ad|bc) meet at a point -- once no line holds three
+    points, an angle that covers all four points covers two disjoint pairs,
+    one per line.
+
+    The rules are a matroid's on a triangle-free incidence whose lines each
+    hold two or more points, and a triangle can break the exchange axiom,
+    so the constructor refuses one through the index's cached gate verdict
+    (``LineIndex.triangle_free``).  The lines are taken as they are (see
+    ``LineIndex``).
+    """
+
+    def __init__(self, config: LineIndex):
+        if any(len(pts) < 2 for pts in config.line_points):
+            raise MatroidError("every line must contain at least two points (prune first)")
+        if not config.triangle_free:
+            raise MatroidError("the configuration has a triangle: its oracle would not be a matroid")
+        self.config = config
+
+    def is_independent(self, subset: frozenset) -> bool:
+        by_point = self.config.by_point
+        if subset and (min(subset) < 0 or max(subset) >= len(by_point)):
+            bad = next(p for p in sorted(subset) if not 0 <= p < len(by_point))
+            raise MatroidError(f"unknown point index {bad}")
+        n = len(subset)
+        if n <= 2:
+            return True
+        if n >= 5:
+            return False
+        if n == 3:
+            # dependent iff one line holds all three points; two points
+            # share at most one line
+            a, b, c = subset
+            pb, pc = by_point[b], by_point[c]
+            for l in by_point[a]:
+                if l in pb:
+                    return l not in pc
+            return True
+        # n == 4: dependent iff a line holds three of the points, or an
+        # angle covers all four; with no line on three points, each line of
+        # the angle holds two of them, so the angle is the lines of the two
+        # pairs of one pairing, meeting at a configuration point.  A line
+        # on three of the points holds a and two others, or b, c and d.
+        a, b, c, d = subset
+        pb, pc, pd = by_point[b], by_point[c], by_point[d]
+        ab = ac = ad = bc = bd = cd = None
+        for l in by_point[a]:
+            if l in pb:
+                if l in pc or l in pd:
+                    return False
+                ab = l
+            elif l in pc:
+                if l in pd:
+                    return False
+                ac = l
+            elif l in pd:
+                ad = l
+        for l in pb:
+            if l in pc:
+                if l in pd:
+                    return False
+                bc = l
+            elif l in pd:
+                bd = l
+        for l in pc:
+            if l in pd:
+                cd = l
+        # the two lines of a pair are distinct here, so a set bit of the
+        # meeting masks is another line that meets the first
+        meets = self.config.meets
+        return not (
+            (ab is not None and cd is not None and meets[ab] >> cd & 1)
+            or (ac is not None and bd is not None and meets[ac] >> bd & 1)
+            or (ad is not None and bc is not None and meets[ad] >> bc & 1)
+        )
+
+    def span(self, basis: frozenset) -> frozenset:
+        """cl(B) of an independent B, read off the incidence by the oracle's rules.
+
+        B + e is dependent iff |B| = 4, or e lies on a line through two
+        members of B (a collinear 3-set, or a line covering three of a
+        4-set), or e lies on a line through the third member that meets
+        that line at a configuration point (an angle covering the 4-set).
+        Two distinct lines share at most one point, so a pair lies on at
+        most one line, and the lines through the third member that meet it
+        are those set in its meeting mask (``meets``).
+        """
+        cfg = self.config
+        if len(basis) >= 4:
+            return frozenset(range(cfg.size))
+        out = set(basis)
+        line_points, by_point, meets = cfg.line_points, cfg.by_point, cfg.meets
+        for p, q in combinations(basis, 2):
+            la = _line_through(by_point[p], by_point[q])
+            if la is None:
+                continue
+            out.update(line_points[la])
+            for r in basis:
+                if r == p or r == q:
+                    continue
+                for lb in by_point[r]:
+                    if meets[la] >> lb & 1:
+                        out.update(line_points[lb])
+        return frozenset(out)
+
+    def to_matroid(self) -> Matroid:
+        # a bare index labels its points 0..size-1
+        labels = getattr(self.config, "points", None) or tuple(range(self.config.size))
+        return Matroid(labels=labels, oracle=self.is_independent, span=self.span)
+
+    def matroid_lines(self) -> LineIndex:
+        """The matroid's lines: the configuration itself, a ``LineIndex``
+        whose flats are the configuration lines' point sets, each of rank 2.
+
+        The closure of two points of a line is that line's point set
+        (``span``), so the flats are read from the configuration with no
+        oracle call; ``construct.verify_construction_properties`` checks
+        the same equality through the oracle alone.
+        """
+        return self.config
+
+
+def _reads_own_configuration(m: Matroid, lines: Sequence) -> bool:
+    """The key of the structural rules: ``m``'s oracle is a
+    ``TriangleFreeMatroid``'s own ``is_independent``, and ``lines`` is that
+    matroid's index itself.  Then the constructor has refused an index with
+    a triangle or a line of fewer than two points, and three rules read
+    their answers off the index's incidence: the union rule
+    (``analysis._meeting_planes``), the joint rule (``count_joints``) and
+    the degree rule (``analysis.analyze``'s graph statistics).
+
+    An oracle that wraps the method (``lambda s: tfm.is_independent(s)``)
+    is no bound method of the matroid, and another index over the same
+    lines is not its index, so neither takes the key and both are answered
+    through the oracle, the reference path.  The differential tests and
+    ``construct.verify_construction_properties``' property (2) reach that
+    path this way.
+    """
+    tfm = getattr(m.oracle, "__self__", None)
+    return isinstance(tfm, TriangleFreeMatroid) and tfm.config is lines
+
+
+def _line_through(p: Sequence[int], q: Sequence[int]) -> int | None:
+    """The line through two points, given the lines through each, or None:
+    two lines share at most one point, so there is at most one."""
+    for l in p:
+        if l in q:
+            return l
+    return None
 
 
 # ---------------------------------------------------------------------------

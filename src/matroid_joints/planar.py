@@ -2,19 +2,19 @@
 
 Points are integer pairs (a, b); lines are canonical primitive triples
 (A, B, C) representing { (x, y) : A*x + B*y = C }.  A Configuration is
-the ``core.LineIndex`` of its lines' point sets, and answers triangle,
-triple point, and pruning queries exactly.
+the ``core.LineIndex`` of its lines' point sets, checked against their
+coordinates, and answers triple point and pruning queries exactly.  The
+triangle gate reads only the incidence, so it lives on the index
+(``core.find_triangles``, ``core.LineIndex.triangle_free``); this module
+re-exports it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
 from math import gcd
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
-from .core import LineIndex, MatroidError
+from .core import LineIndex, MatroidError, Triangle, find_triangles, is_triangle_free  # noqa: F401
 
 Point = tuple[int, int]
 
@@ -71,23 +71,12 @@ def intersect(l1: IntLine, l2: IntLine) -> Optional[Point]:
     return (xn // det, yn // det)
 
 
-@dataclass(frozen=True)
-class Triangle:
-    """Three points and three lines, each line through exactly two points.
-
-    ``points`` is sorted; ``lines[k]`` passes through the pair omitting
-    ``points[2 - k]`` (so lines[0] joins points[0],points[1], etc.).
-    """
-
-    points: tuple[int, int, int]
-    lines: tuple[int, int, int]
-
-
 class Configuration(LineIndex):
     """Immutable incidence structure over distinct points and lines: the
     ``core.LineIndex`` of the lines' point sets (``line_points``,
-    ``by_point``, ``meets``, ``meeting``; item i is line i's rank-2 flat),
-    with the ``points`` and the ``IntLine``s (``lines``) it was read from."""
+    ``by_point``, ``meets``, ``meeting``, the gate verdict
+    ``triangle_free``; item i is line i's rank-2 flat), with the ``points``
+    and the ``IntLine``s (``lines``) it was read from."""
 
     def __init__(
         self, points: Iterable[Point], lines: Iterable[IntLine], line_points: Optional[Iterable[tuple]] = None
@@ -143,12 +132,6 @@ class Configuration(LineIndex):
             if len({line(*l) for l in self.lines}) < len(self.lines):
                 raise MatroidError("duplicate lines in configuration")
 
-    @cached_property
-    def triangle_free(self) -> bool:
-        """The exact gate's verdict, ``find_triangles(self, limit=1)``
-        finding none, reached once however many stages ask."""
-        return not find_triangles(self, limit=1)
-
     def to_json(self) -> dict:
         return {
             "points": [[a, b] for a, b in self.points],
@@ -179,85 +162,6 @@ def _exact_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise MatroidError(f"value {value!r} is not an integer")
     return value
-
-
-def find_triangles(cfg: Configuration, limit: Optional[int] = None) -> list[Triangle]:
-    """Enumerate triangles in lexicographic order of their point triples.
-
-    A triangle is three distinct points and three distinct lines with each
-    line incident to exactly two of the points.  ``limit`` (at least 1)
-    caps the number of records returned.  The walk reads the lines'
-    meeting masks (``cfg.meets``, which raise on two lines sharing two
-    points), and the meeting map only at a point where a triangle has a
-    vertex, so a triangle-free configuration builds none.
-    """
-    if limit is not None and limit < 1:
-        raise MatroidError(f"limit must be at least 1, got {limit}")
-    out: list[Triangle] = []
-    for found in _triangles_at(cfg.meets, lambda: cfg.meeting, enumerate(cfg.by_point)):
-        if found:
-            out += sorted(found, key=lambda t: t.points)
-            if limit is not None and len(out) >= limit:
-                return out[:limit]
-    return out
-
-
-def _triangles_at(
-    meets: Sequence[int],
-    angle: Callable[[], Mapping[tuple[int, int], int]],
-    by_point: Iterable[tuple[int, Sequence[int]]],
-) -> Iterator[list[Triangle]]:
-    """For each point x with its ascending lines, the triangles whose
-    smallest vertex is x.  ``meets`` holds each line's bitmask of the lines
-    it meets at the points of ``by_point``, its own bit included
-    (``core._meeting_masks`` of their line lists); ``angle()`` returns the
-    map from each pair of lines a < b that meet there to their meeting
-    point, and is called only at a point that fails the test below.
-
-    Disjoint outside-neighbourhoods: a line l3 not through x that meets
-    two lines l1 < l2 through x closes a triangle, since it meets them at
-    two points other than x, and distinct ones (two lines share at most one
-    point).  So a triangle has a vertex at x iff the sets of lines meeting
-    each line through x, less the d lines through x, are not pairwise
-    disjoint.  Each line through x meets all d of them there, so its mask
-    holds popcount(mask) - d lines outside them, and the union of the masks
-    holds popcount(OR of the masks) - d; the sets are disjoint iff that is
-    the sum of popcount(mask) - d^2.  This costs O(d) mask operations at x,
-    and only at a point that fails it are the pairs l1, l2 walked: a pair
-    whose common mask holds more than the d lines through x has such an
-    l3, found once the lines through x are masked off.
-    """
-    for x, ls in by_point:
-        found: list[Triangle] = []
-        d = len(ls)
-        union = total = 0
-        for l in ls:
-            mask = meets[l]
-            union |= mask
-            total += mask.bit_count()
-        if union.bit_count() - d != total - d * d:
-            meeting = angle()
-            through = sum(1 << l for l in ls)
-            for l1, l2 in combinations(ls, 2):
-                common = meets[l1] & meets[l2]
-                if common.bit_count() <= d:
-                    continue
-                third = common & ~through
-                while third:
-                    l3 = third.bit_length() - 1
-                    third ^= 1 << l3
-                    p = meeting[min(l1, l3), max(l1, l3)]
-                    q = meeting[min(l2, l3), max(l2, l3)]
-                    if x < p < q:
-                        found.append(Triangle((x, p, q), (l1, l2, l3)))
-                    elif x < q < p:
-                        found.append(Triangle((x, q, p), (l2, l1, l3)))
-        yield found
-
-
-def is_triangle_free(cfg: Configuration) -> bool:
-    """The configuration's cached gate verdict (``Configuration.triangle_free``)."""
-    return cfg.triangle_free
 
 
 def triple_points(cfg: Configuration) -> list[int]:

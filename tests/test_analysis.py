@@ -29,12 +29,12 @@ from matroid_joints.analysis import (
 from matroid_joints.construct import (
     ConstructionError,
     TriangleFreeMatroid,
-    _reads_own_configuration,
     behrend_points,
     build_construction,
     grid_lines,
+    verify_construction_properties,
 )
-from matroid_joints.core import MatroidError, make_flat
+from matroid_joints.core import MatroidError, _reads_own_configuration, make_flat
 from matroid_joints.planar import Configuration, prune_lines, triple_points
 
 
@@ -748,8 +748,8 @@ def test_sweep_row_runs_the_gate_once(monkeypatch, eps):
     # the build's gate verdict is cached on its configuration, where the
     # prune's union rule reads it again
     calls = []
-    original = planar.find_triangles
-    monkeypatch.setattr(planar, "find_triangles", lambda *a, **k: calls.append(1) or original(*a, **k))
+    original = core.find_triangles
+    monkeypatch.setattr(core, "find_triangles", lambda *a, **k: calls.append(1) or original(*a, **k))
     rows = joints_sweep([200], eps)
     assert rows[0].get("error") is None and rows[0]["L"] > 0
     assert len(calls) == 1
@@ -803,6 +803,36 @@ def test_the_joint_rule_matches_the_oracle(base3_grid, small_triangle_free):
         fast = core.count_joints(m, index)
         assert fast == core.count_joints(wrapped, index) == sum(core.is_joint(m, x, index) for x in range(m.size))
         assert fast == len(triple_points(tfm.config))
+
+
+def test_a_bare_index_takes_the_rules_with_the_references_answers():
+    # the rows and columns of a 3 x 3 array: points 0-2 are its rows, 3-5
+    # its columns, and a line joins each row to each column, a triple
+    # system with no planar geometry and no triangle (rows and columns
+    # alternate around any cycle); the matroid reads the bare index, labels
+    # its points 0..5, and the joint rule, the union rule and the degree
+    # rule give the reference path's answers
+    index = core.LineIndex(6, [(r, 3 + c) for r in range(3) for c in range(3)])
+    tfm = core.TriangleFreeMatroid(index)
+    m = tfm.to_matroid()
+    wrapped = core.Matroid(m.labels, lambda s: tfm.is_independent(s))
+    assert m.labels == tuple(range(6)) and tfm.matroid_lines() is index
+    assert _reads_own_configuration(m, index) and not _reads_own_configuration(wrapped, index)
+    for lines in (index, list(index)):
+        assert core.count_joints(m, lines) == core.count_joints(wrapped, lines) == 6
+    report = core.check_axioms(m)
+    assert report.mode == "exhaustive" and report.ok
+    assert verify_construction_properties(tfm).ok
+    expected = {
+        Fraction(1, 2): {"joints_initial": 6, "E2_size": 6, "graph_edges": 18, "triangles": 6, "degenerate_triples": 6},
+        Fraction(1): {"planes_pruned": 4, "L_after_prune": 1, "joints_after_prune": 0},
+    }
+    for eps, values in expected.items():
+        fast = analyze(m, index, eps)
+        assert fast == analyze(wrapped, list(index), eps) == analyze(m, list(index), eps)
+        assert {k: getattr(fast, k) for k in values} == values
+    with pytest.raises(MatroidError, match="triangle"):
+        core.TriangleFreeMatroid(core.LineIndex(3, [(0, 1), (1, 2), (0, 2)]))
 
 
 def test_line_index_is_the_configurations_incidence(build200, base3_grid):

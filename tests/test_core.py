@@ -1,9 +1,11 @@
 """Matroid engine: rank, closure, flats, joints, and the checkers."""
 
+import ast
 import dataclasses
 import math
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -658,3 +660,15 @@ def test_closure_idempotent_on_random_planar_matroids(coords):
     assert cl == reference_closure(m, x)
     assert closure(m, cl) == cl
     assert rank(m, cl) == rank(m, x)
+
+
+def test_core_imports_no_sibling_module():
+    # core is the lowest layer: the triangle gate, the structural rules'
+    # key and the triangle-free matroid live in it, so no import in it, at
+    # module level or inside a function, reaches another package module
+    tree = ast.parse(Path(core.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and node.module.split(".")[0] != "matroid_joints", ast.dump(node)
+        elif isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "matroid_joints" for a in node.names), ast.dump(node)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matroid_joints import core, planar
+from matroid_joints import construct, core, planar
 from matroid_joints.behrend import has_3ap
 from matroid_joints.construct import behrend_points, grid_lines
 from matroid_joints.core import LineIndex, MatroidError
@@ -40,8 +40,8 @@ def test_line_canonicalization():
 
 def test_the_gate_runs_once_per_configuration(monkeypatch):
     calls = []
-    original = planar.find_triangles
-    monkeypatch.setattr(planar, "find_triangles", lambda *a, **k: calls.append(1) or original(*a, **k))
+    original = core.find_triangles
+    monkeypatch.setattr(core, "find_triangles", lambda *a, **k: calls.append(1) or original(*a, **k))
     cfg = one_triangle()
     assert not is_triangle_free(cfg) and not is_triangle_free(cfg) and not cfg.triangle_free
     assert len(calls) == 1
@@ -94,6 +94,16 @@ def test_triangle_exactly_two_incidence():
     for t in find_triangles(cfg):
         for li in t.lines:
             assert sum(1 for p in t.points if p in cfg.line_points[li]) == 2
+
+
+def test_the_gate_and_the_matroid_are_re_exported_not_wrapped():
+    # the gate and the oracle read only the incidence and live in core;
+    # planar and construct hand out the same objects, so patching or
+    # tracing one name reaches every caller
+    assert planar.find_triangles is core.find_triangles
+    assert planar.is_triangle_free is core.is_triangle_free
+    assert planar.Triangle is core.Triangle
+    assert construct.TriangleFreeMatroid is core.TriangleFreeMatroid
 
 
 def test_is_triangle_free():
@@ -326,7 +336,7 @@ def test_triangle_search_matches_definition(points, coefficients, joins):
 
 
 def mask_subtraction_gate(angle, n_lines, by_point):
-    """``planar._triangles_at`` without its tests, with its masks read off
+    """``core._triangles_at`` without its tests, with its masks read off
     the meeting map: every pair of lines through x masks off the lines
     through x and walks the rest of the lines meeting both."""
     meets = [0] * n_lines
@@ -388,7 +398,7 @@ def test_popcount_gate_equals_mask_subtraction(normals, t1, t2, extra, joins, wi
     for angle, by_point in ((cfg.meeting, list(enumerate(cfg.by_point))), (kept, at)):
         expected = list(mask_subtraction_gate(angle, len(cfg.lines), by_point))
         meets = core._meeting_masks(len(cfg.lines), (ls for _, ls in by_point))
-        assert list(planar._triangles_at(meets, lambda: angle, by_point)) == expected
+        assert list(core._triangles_at(meets, lambda: angle, by_point)) == expected
 
 
 @settings(max_examples=60, deadline=None)
