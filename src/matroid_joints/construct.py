@@ -3,18 +3,22 @@ simple matroid they induce.
 
 The pipeline: grid lines (horizontal, vertical, diagonal) over {1..N}^2,
 points filtered by coordinate sum lying in a 3-AP-free set, and only the
-lines with at least two surviving points kept.  The resulting
-configuration passes the exact triangle gate (``core.find_triangles``)
-and is read through ``core.TriangleFreeMatroid``, whose oracle reads only
-the incidence; this module re-exports it.
+lines with at least two surviving points kept.  Point (x, y) lies on row
+y, column x and diagonal x - y and on no other grid line, so the kept
+lines and their points are read off the coordinates in one pass
+(``GridFamily.configuration``); ``planar.prune_lines`` over all 4N + 1
+lines is the reference it equals.  The resulting configuration passes the
+exact triangle gate (``core.find_triangles``) and is read through
+``core.TriangleFreeMatroid``, whose oracle reads only the incidence; this
+module re-exports it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import core
 from .behrend import BehrendSet, behrend_set
@@ -28,6 +32,7 @@ from .planar import (
     is_triangle_free,
     triple_points,
     vertical,
+    _checked_points,
 )
 
 
@@ -55,18 +60,34 @@ class GridFamily:
         assert len(set(lines)) == len(self)
         return tuple(lines)
 
-    def populated_lines(self, points: Sequence[Point]) -> list[IntLine]:
-        """The lines holding two or more of ``points`` (points of the grid),
-        in the order of ``lines``: a point lies on one line of each
-        direction, read off its coordinates, so no other line is built."""
-        rows = Counter(y for _, y in points)
-        columns = Counter(x for x, _ in points)
-        diagonals = Counter(x - y for x, y in points)
-        return (
-            [horizontal(b) for b in sorted(rows) if rows[b] >= 2]
-            + [vertical(a) for a in sorted(columns) if columns[a] >= 2]
-            + [diagonal(c) for c in sorted(diagonals) if diagonals[c] >= 2]
-        )
+    def configuration(self, points: Iterable[Point]) -> Configuration:
+        """The configuration of ``points`` over the lines of this family
+        that hold two or more of them, in the order of ``lines``: equal to
+        ``planar.prune_lines(Configuration(points, self.lines))``, the
+        reference, with only the kept lines built and none looked up.  The
+        points pass ``Configuration``'s checks first (the same helper, the
+        same errors); a point off the grid counts only on the family's
+        lines through it.
+
+        Point (x, y) lies on row y, column x and diagonal x - y and on no
+        other grid line, so one pass files each point index under those
+        three; points are visited in index order, so each line's points
+        come out ascending."""
+        points = _checked_points(points)
+        rows, columns, diagonals = defaultdict(list), defaultdict(list), defaultdict(list)
+        for i, (x, y) in enumerate(points):
+            rows[y].append(i)
+            columns[x].append(i)
+            diagonals[x - y].append(i)
+        lines, line_points = [], []
+        n = self.N
+        for make, family, low in ((horizontal, rows, 1), (vertical, columns, 1), (diagonal, diagonals, -n)):
+            for c in sorted(family):
+                members = family[c]
+                if len(members) >= 2 and low <= c <= n:
+                    lines.append(make(c))
+                    line_points.append(tuple(members))
+        return Configuration(points, lines, line_points)
 
 
 def grid_lines(N: int) -> GridFamily:
@@ -107,8 +128,15 @@ class ConstructionBuild:
 def build_construction(N: int) -> ConstructionBuild:
     """Run the full pipeline and gate on triangle-freeness.
 
-    The gate is the exact triangle search of ``core.is_triangle_free``
-    at every N, whose verdict the configuration caches
+    The configuration is ``grid.configuration(points)``: the grid lines
+    holding two or more of the points, and each line's points, read off
+    the coordinates in one pass with no line looked up and only the kept
+    lines built.  It equals
+    ``planar.prune_lines(Configuration(points, grid.lines))``, the
+    reference.
+
+    The gate is the exact triangle search of ``core.is_triangle_free`` at
+    every N, whose verdict the configuration caches
     (``core.LineIndex.triangle_free``) for the matroid's constructor; a
     triangle at this point indicates a bug in the 3-AP-free set or the
     incidence code and raises ConstructionError.
@@ -118,8 +146,7 @@ def build_construction(N: int) -> ConstructionBuild:
     b = behrend_set(N)
     pts = behrend_points(N, b.members)
     grid = grid_lines(N)
-    # the grid lines that ``planar.prune_lines`` would keep, indexed once
-    config = Configuration(pts, grid.populated_lines(pts))
+    config = grid.configuration(pts)
     if not is_triangle_free(config):
         raise ConstructionError(f"triangle found in pruned configuration for N={N}")
     matroid = TriangleFreeMatroid(config)

@@ -160,7 +160,8 @@ class LineIndex(Sequence[Flat]):
     ``TriangleFreeMatroid`` labels its points 0..size-1.
 
     An index is trusted as it is: a hand-built one must give each line as
-    a strictly ascending tuple of indices into the ground set.  The
+    a strictly ascending tuple of indices into the ground set
+    (``TriangleFreeMatroid`` refuses a line whose ends fall outside).  The
     two-point check runs when ``meets`` is first read, and the triangle
     gate's verdict (``triangle_free``) is cached here, on the incidence it
     reads.
@@ -478,13 +479,19 @@ class TriangleFreeMatroid:
     The rules are a matroid's on a triangle-free incidence whose lines each
     hold two or more points, and a triangle can break the exchange axiom,
     so the constructor refuses one through the index's cached gate verdict
-    (``LineIndex.triangle_free``).  The lines are taken as they are (see
-    ``LineIndex``).
+    (``LineIndex.triangle_free``).  The lines are otherwise taken as they
+    are (see ``LineIndex``), but a line with a member outside the ground
+    set is refused before the gate reads it.
     """
 
     def __init__(self, config: LineIndex):
-        if any(len(pts) < 2 for pts in config.line_points):
-            raise MatroidError("every line must contain at least two points (prune first)")
+        # a line's members ascend, so its first and last bound them all
+        size = config.size
+        for i, pts in enumerate(config.line_points):
+            if len(pts) < 2:
+                raise MatroidError("every line must contain at least two points (prune first)")
+            if pts[0] < 0 or pts[-1] >= size:
+                raise MatroidError(f"line {i} {pts} has a point outside the ground set of size {size}")
         if not config.triangle_free:
             raise MatroidError("the configuration has a triangle: its oracle would not be a matroid")
         self.config = config

@@ -82,7 +82,8 @@ class Configuration(LineIndex):
         self, points: Iterable[Point], lines: Iterable[IntLine], line_points: Optional[Iterable[tuple]] = None
     ):
         """Raises MatroidError on a coordinate that is not an integer (bool
-        included; nothing is coerced), a line with A = B = 0, two lines
+        included; nothing is coerced) or a point given twice (both checked
+        by ``_checked_points``), a line with A = B = 0, two lines
         that share two points (``core._common_points``), or one line given
         twice, in any two forms that ``line`` puts in one canonical form.
 
@@ -92,21 +93,17 @@ class Configuration(LineIndex):
         the meeting map built here, to name two lines sharing two points.
 
         ``line_points``, when given, is each line's ascending point
-        indices, the incidence of a checked configuration's lines over
-        its points (``prune_lines`` passes the kept ones), and is taken
-        as it is: nothing is checked or looked up."""
+        indices, the incidence of checked points and distinct lines
+        (``prune_lines`` passes a configuration's kept lines,
+        ``construct.GridFamily.configuration`` the grid lines read off the
+        coordinates), and is taken as it is: nothing is checked or looked
+        up."""
         if line_points is not None:
             self.points, self.lines = tuple(points), tuple(lines)
             super().__init__(len(self.points), tuple(line_points))
             return
-        self.points: tuple[Point, ...] = tuple(points)
-        # a pair of ints passes one type check; anything else is read
-        # through ``_exact_int``, which raises on a coordinate that is no int
-        if not all(type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is int for p in self.points):
-            self.points = tuple((_exact_int(a), _exact_int(b)) for a, b in self.points)
+        self.points: tuple[Point, ...] = _checked_points(points)
         self.lines: tuple[IntLine, ...] = tuple(lines)
-        if len(set(self.points)) != len(self.points):
-            raise MatroidError("duplicate points in configuration")
         # a point lies on at most one line of each direction (A, B), so one
         # lookup of A*x + B*y per direction finds its lines; points are
         # visited in index order, so each line's points come out ascending;
@@ -155,6 +152,21 @@ class Configuration(LineIndex):
         if any(len(p) != 2 for p in points):
             raise MatroidError("dump point is not a coordinate pair")
         return cls(points, lines)
+
+
+def _checked_points(points: Iterable[Point]) -> tuple[Point, ...]:
+    """``points`` as a tuple of distinct integer pairs.  Raises MatroidError
+    on a coordinate that is not an integer (bool included; nothing is
+    coerced) or on a point given twice.  Every path that builds a
+    ``Configuration`` from coordinates runs these checks, here alone."""
+    points = tuple(points)
+    # a pair of ints passes one type check; anything else is read through
+    # ``_exact_int``, which raises on a coordinate that is no int
+    if not all(type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is int for p in points):
+        points = tuple((_exact_int(a), _exact_int(b)) for a, b in points)
+    if len(set(points)) != len(points):
+        raise MatroidError("duplicate points in configuration")
+    return points
 
 
 def _exact_int(value) -> int:

@@ -306,7 +306,7 @@ def test_configuration_index_matches_the_closures_on_random_grids(subject):
     # takes the union rule, which calls no oracle
     n, draws = subject
     pts = behrend_points(n, progression_free(draws))
-    cfg = Configuration(pts, grid_lines(n).populated_lines(pts))
+    cfg = grid_lines(n).configuration(pts)
     assume(planar.is_triangle_free(cfg))
     tfm = TriangleFreeMatroid(cfg)
     m, lines = tfm.to_matroid(), list(tfm.matroid_lines())
@@ -835,6 +835,15 @@ def test_a_bare_index_takes_the_rules_with_the_references_answers():
         core.TriangleFreeMatroid(core.LineIndex(3, [(0, 1), (1, 2), (0, 2)]))
 
 
+def test_a_bare_index_with_a_point_outside_its_ground_set_is_refused():
+    # a point past the end would index past by_point, and a negative one
+    # would be read as a point counted from the end (-1 as point 2), so
+    # the constructor names the line before the gate reads the incidence
+    for size, lines, named in ((2, [(0, 5)], r"line 0 \(0, 5\)"), (3, [(-1, 0), (0, 1)], r"line 0 \(-1, 0\)")):
+        with pytest.raises(MatroidError, match=rf"{named} has a point outside the ground set of size {size}"):
+            core.TriangleFreeMatroid(core.LineIndex(size, lines))
+
+
 def test_line_index_is_the_configurations_incidence(build200, base3_grid):
     # the matroid's lines are its configuration, an index equal to the one
     # core builds from the same lines as a plain list
@@ -896,7 +905,7 @@ def test_the_matroid_and_its_index_hold_no_copy_of_the_incidence():
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        cfg = Configuration(pts, grid_lines(400).populated_lines(pts))
+        cfg = grid_lines(400).configuration(pts)
         built = tracemalloc.get_traced_memory()[0]
         assert cfg.triangle_free
         gated = tracemalloc.get_traced_memory()[0]

@@ -2,6 +2,7 @@
 
 import copy
 import random
+import re
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -30,6 +31,7 @@ from matroid_joints.planar import (
     triple_points,
     vertical,
 )
+from test_analysis import window_points
 
 
 def test_grid_lines_counts():
@@ -49,9 +51,11 @@ def _assert_same_configuration(cfg, reference):
 
 
 def test_build_indexes_exactly_the_pruned_grid_lines():
-    # the populated lines, indexed once, are prune_lines over all 4N + 1
+    # the grid lines read off the coordinates in one pass are prune_lines
+    # over all 4N + 1, the reference, which the build never materialises
     for n in range(4, 301):
         build = build_construction(n)
+        assert "lines" not in build.grid.__dict__
         pts = behrend_points(n, build.behrend.members)
         reference = prune_lines(Configuration(pts, grid_lines(n).lines))
         _assert_same_configuration(build.config, reference)
@@ -63,7 +67,31 @@ def test_build_indexes_exactly_the_pruned_grid_lines():
     grid = grid_lines(n)
     reference = prune_lines(Configuration(pts, grid.lines))
     assert len(reference.lines) > 100
-    _assert_same_configuration(Configuration(pts, grid.populated_lines(pts)), reference)
+    _assert_same_configuration(grid.configuration(pts), reference)
+    # points off the grid count only on the family's lines through them:
+    # rows 1-3 and diagonal 0 are kept; columns 0 and 6 and diagonal 6 hold
+    # two or three of the points but are no grid lines of N = 5
+    pts = [(0, 3), (0, 4), (6, 1), (6, 2), (7, 1), (8, 2), (-3, 3), (9, 3), (1, 1), (2, 2)]
+    grid = grid_lines(5)
+    cfg = grid.configuration(pts)
+    assert cfg.lines == (horizontal(1), horizontal(2), horizontal(3), diagonal(0))
+    _assert_same_configuration(cfg, prune_lines(Configuration(pts, grid.lines)))
+    # the N = 400 window build: 17,824 points on 1,593 lines
+    pts = window_points(400, -571)
+    grid = grid_lines(400)
+    cfg = grid.configuration(pts)
+    assert (len(cfg.points), len(cfg.lines)) == (17824, 1593)
+    _assert_same_configuration(cfg, prune_lines(Configuration(pts, grid.lines)))
+
+
+def test_grid_configuration_refuses_what_the_generic_path_refuses():
+    # the points pass one set of checks on both paths, with one message
+    grid = grid_lines(5)
+    for pts in ([(1, 2), (True, 3)], [(1, 2), (2.0, 3)], [(1, 2), (3, 4), (1, 2)]):
+        with pytest.raises(MatroidError) as generic:
+            Configuration(pts, grid.lines)
+        with pytest.raises(MatroidError, match=f"^{re.escape(str(generic.value))}$"):
+            grid.configuration(pts)
 
 
 def test_behrend_points_example():
