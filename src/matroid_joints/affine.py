@@ -4,19 +4,21 @@ All rank decisions use exact arithmetic.  ``affine_matroid`` scales its
 points once, at build, onto one integer lattice (every coordinate times
 the lcm of all coordinate denominators); scaling is an affine bijection,
 so independence is unchanged and duplicates are found on the lattice.
-With duplicates rejected, a set of at most two points is independent,
-and the oracle answers it with no rank; every larger set costs one
-fraction-free (Bareiss) integer rank of difference rows.  The matroid
-also supplies ``span``: the primitive integer normals of an independent
-set's affine hull, from an exact null space, decide membership in its
-closure.  They depend only on the hull's direction space, and one slot
-keeps the last of them with their member table, from the normals'
-values to points, built in one pass over the coordinate columns.  A
-basis whose difference rows the slot's normals annihilate, and whose
-size less one plus their number is the dimension, has their direction
-space and is one lookup with no null space, so a parallel class (such
-as the grid's lines of one axis) computes one null space; new normals
-replace the slot's table.
+With duplicates rejected, the oracle answers by set size: at most two
+points are independent and more than dim + 1 dependent, with no rank;
+four points of Q^3 (the star of a joint) are independent iff one integer
+triple product of their difference rows is non-zero; any other set costs
+one fraction-free (Bareiss) integer rank of difference rows, the
+reference.  The matroid also supplies ``span``: the primitive integer
+normals of an independent set's affine hull, from an exact null space,
+decide membership in its closure.  They depend only on the hull's
+direction space, and one slot keeps the last of them with their member
+table, from the normals' values to points, built in one pass over the
+coordinate columns.  A basis whose size less one plus their number is
+the dimension, and whose points all lie in its first point's part of the
+table, has their direction space and is one lookup with no null space,
+so a parallel class (such as the grid's lines of one axis) computes one
+null space; new normals replace the slot's table.
 Floating point never touches an incidence decision.
 """
 
@@ -40,12 +42,18 @@ class RationalPoint:
         return len(self.coords)
 
 
-def point(*coords) -> RationalPoint:
-    """Raises MatroidError on a coordinate that is not an int (bool
-    excluded) or a Fraction; nothing is coerced."""
+def _require_exact(coords: Iterable) -> None:
+    """MatroidError on the first coordinate that is not an int (bool
+    excluded) or a Fraction."""
     for c in coords:
         if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
             raise MatroidError(f"coordinate {c!r} is not an int or a Fraction")
+
+
+def point(*coords) -> RationalPoint:
+    """Raises MatroidError on a coordinate that is not an int (bool
+    excluded) or a Fraction (``_require_exact``); nothing is coerced."""
+    _require_exact(coords)
     return RationalPoint(tuple(Fraction(c) for c in coords))
 
 
@@ -122,16 +130,42 @@ def _require_one_dimension(points: Sequence[RationalPoint]) -> None:
 
 
 def _to_lattice(points: Sequence[RationalPoint]) -> list[tuple[int, ...]]:
-    """The points times the lcm of all their coordinate denominators."""
-    scale = lcm(*(c.denominator for p in points for c in p.coords))
+    """The points times the lcm of all their coordinate denominators.
+
+    A ``RationalPoint`` built directly may hold any value, so the pass that
+    reads the denominators first reads the coordinates' types: anything
+    but an int or a Fraction is checked by ``_require_exact``, which
+    refuses a float, a str or a bool (an int that would read as 1 or 0).
+    """
+    coords = [c for p in points for c in p.coords]
+    if not set(map(type, coords)) <= {int, Fraction}:
+        _require_exact(coords)
+    scale = lcm(*(c.denominator for c in coords))
     return [tuple(c.numerator * (scale // c.denominator) for c in p.coords) for p in points]
 
 
+def _triple_product(u: Sequence[int], v: Sequence[int], w: Sequence[int]) -> int:
+    """u . (v x w), the determinant of the rows u, v, w of Z^3."""
+    (u0, u1, u2), (v0, v1, v2), (w0, w1, w2) = u, v, w
+    return u0 * (v1 * w2 - v2 * w1) - u1 * (v0 * w2 - v2 * w0) + u2 * (v0 * w1 - v1 * w0)
+
+
 def _lattice_independent(pts: Sequence[Sequence[int]]) -> bool:
-    """True iff the integer points are affinely independent."""
+    """True iff the integer points are affinely independent.
+
+    By set size: at most one point is independent; more than dim + 1 are
+    dependent, with no rank; four points of Z^3 are independent iff the
+    triple product of their difference rows is non-zero (one 3 x 3
+    determinant); any other set is ranked by ``integer_rank``, the
+    reference.
+    """
     if len(pts) <= 1:
         return True
     base, *rest = pts
+    if len(rest) > len(base):
+        return False
+    if len(rest) == 3 == len(base):
+        return _triple_product(*(list(map(sub, p, base)) for p in rest)) != 0
     return integer_rank([list(map(sub, p, base)) for p in rest]) == len(rest)
 
 
@@ -170,7 +204,9 @@ def affine_matroid(points: Sequence[RationalPoint]) -> Matroid:
     two points True with no rank: duplicates are rejected here, on the
     lattice (scaling is a bijection, so lattice points repeat iff the
     given points do), and two distinct points are affinely independent.
-    A larger set costs one integer rank (``_lattice_independent``).
+    A larger set is answered by ``_lattice_independent``: more than
+    dim + 1 points are dependent with no rank, four points of Q^3 cost one
+    triple product, and any other set one integer rank.
 
     ``span`` maps an independent B to the points of its affine hull.  Let
     b0 be B's first point and N the hull's primitive integer normals (the
@@ -188,9 +224,11 @@ def affine_matroid(points: Sequence[RationalPoint]) -> Matroid:
     vector is made primitive with its free entry positive.  So parallel
     hulls, such as the grid's lines along one axis, share their N, and a
     span reuses the slot's N with no null space when they are B's: when
-    they annihilate every difference row of B and |N| + |B| - 1 = dim.
-    B is independent, so its direction space has dimension |B| - 1 and
-    lies in N's orthogonal complement, of dimension dim - |N|; equal
+    |N| + |B| - 1 = dim and every point of B lies in b0's part of the
+    slot's table, a membership test on the part the span returns (n . b =
+    n . b0 iff n annihilates b - b0, so the test builds no difference
+    row).  B is independent, so its direction space has dimension |B| - 1
+    and lies in N's orthogonal complement, of dimension dim - |N|; equal
     dimensions make the two spaces one.  Otherwise the span computes its
     N, builds the table for it and replaces the slot's, so the matroid
     holds at most one table of E entries and grid3d(k) computes three null
@@ -202,6 +240,7 @@ def affine_matroid(points: Sequence[RationalPoint]) -> Matroid:
     if len(set(lattice)) != len(lattice):
         raise MatroidError("duplicate points")
     size = len(lattice)
+    dim = pts[0].dim if pts else 0
     columns = list(zip(*lattice))
     # (normals, member table) of the last span; always replaced whole,
     # so a table is never read under other normals
@@ -220,21 +259,20 @@ def affine_matroid(points: Sequence[RationalPoint]) -> Matroid:
         nonlocal slot
         if not basis:
             return frozenset()
+        normals, table = slot
+        if normals is not None and len(normals) + len(basis) - 1 == dim:
+            part = frozenset(table[tuple(_dot(n, lattice[min(basis)]) for n in normals)])
+            if basis <= part:
+                return part
         first, *rest = (lattice[i] for i in sorted(basis))
         diffs = [list(map(sub, p, first)) for p in rest]
-        normals, table = slot
-        if (
-            normals is None
-            or len(normals) + len(rest) != len(first)
-            or any(_dot(n, d) for n in normals for d in diffs)
-        ):
-            normals = tuple(_primitive(n) for n in integer_null_space(diffs, len(first)))
-            if not normals:  # a full-rank hull holds every point
-                return frozenset(range(size))
-            table = {}
-            for j, levels in enumerate(zip(*(_levels(n, columns) for n in normals))):
-                table.setdefault(levels, []).append(j)
-            slot = (normals, table)
+        normals = tuple(_primitive(n) for n in integer_null_space(diffs, dim))
+        if not normals:  # a full-rank hull holds every point
+            return frozenset(range(size))
+        table = {}
+        for j, levels in enumerate(zip(*(_levels(n, columns) for n in normals))):
+            table.setdefault(levels, []).append(j)
+        slot = (normals, table)
         return frozenset(table[tuple(_dot(n, first) for n in normals)])
 
     return Matroid(labels=pts, oracle=oracle, span=span)

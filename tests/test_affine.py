@@ -8,11 +8,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from matroid_joints import affine
 from matroid_joints.affine import (
+    RationalPoint,
     affine_independent,
     affine_matroid,
     descriptor_flats,
@@ -166,6 +167,18 @@ def test_oracle_answers_pairs_without_a_rank(monkeypatch):
     assert len(calls) == 1
 
 
+def test_oracle_answers_q3_stars_and_oversized_sets_without_a_rank(monkeypatch):
+    # four points of Q^3, independent or coplanar, cost one triple
+    # product; five are dependent by their count
+    calls = []
+    monkeypatch.setattr(affine, "integer_rank", lambda rows: calls.append(rows) or integer_rank(rows))
+    m = affine_matroid([point(0, 0, 0), point(1, 0, 0), point(0, 1, 0), point(0, 0, Fraction(1, 2)), point(1, 1, 0)])
+    assert m.oracle(frozenset({0, 1, 2, 3}))
+    assert not m.oracle(frozenset({0, 1, 2, 4}))
+    assert not m.oracle(frozenset(range(5)))
+    assert calls == []
+
+
 def test_affine_matroid_rejects_duplicates():
     with pytest.raises(MatroidError, match="duplicate"):
         affine_matroid([point(0, 0), point(0, 0)])
@@ -185,6 +198,19 @@ def test_point_rejects_coordinates_it_would_coerce():
         with pytest.raises(MatroidError, match="not an int or a Fraction"):
             point(0, bad)
     assert point(-2, Fraction(1, 3)).coords == (Fraction(-2), Fraction(1, 3))
+
+
+def test_directly_built_points_with_inexact_coordinates_are_refused():
+    # RationalPoint does not check its coordinates; the lattice pass does:
+    # a float or a str has no denominator, and a bool would read as 1 or 0
+    # (so that (True, False) repeated (1, 0))
+    for bad in (0.5, "1/3", True):
+        pts = [RationalPoint((bad, Fraction(0))), RationalPoint((Fraction(1), Fraction(0)))]
+        for build in (affine_matroid, affine_independent):
+            with pytest.raises(MatroidError, match=f"coordinate {bad!r} is not an int or a Fraction"):
+                build(pts)
+    # an int or a Fraction built directly is exact and accepted
+    assert affine_independent([RationalPoint((2, Fraction(1, 3))), RationalPoint((1, 0))])
 
 
 def test_grid3d_points_share_exact_coordinates():
@@ -244,6 +270,72 @@ def test_span_matches_oracle_closure(case):
     reference = dataclasses.replace(m, span=None)
     for s in subsets:
         assert closure(m, s) == closure(reference, s)
+
+
+BIG = 2**70
+
+
+@st.composite
+def lattice_kernel_sets(draw):
+    """1 to 6 distinct points of Q^2, Q^3 or Q^4 (Q^3 most often), with
+    small, negative, beyond 2^64 or fractional coordinates; the last point
+    is often moved onto the line through two earlier points or the plane
+    through three, so that a 4-set of Q^3 is collinear or coplanar."""
+    dim = draw(st.sampled_from([2, 3, 3, 3, 4]))
+    coord = st.one_of(
+        st.integers(-3, 3),
+        st.integers(-BIG, BIG),
+        st.fractions(min_value=-BIG, max_value=BIG, max_denominator=7),
+    )
+    coords = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=6, unique=True))
+    through = draw(st.sampled_from([0, 2, 3]))
+    if 0 < through < len(coords):
+        base = draw(st.permutations(coords[:-1]))[:through]
+        ts = draw(st.lists(st.fractions(-5, 5, max_denominator=3), min_size=through - 1, max_size=through - 1))
+        new = tuple(
+            base[0][c] + sum(t * (b[c] - base[0][c]) for t, b in zip(ts, base[1:])) for c in range(dim)
+        )
+        assume(new not in coords[:-1])
+        coords[-1] = new
+    return [point(*c) for c in coords]
+
+
+def stars_beyond_64_bits():
+    """Four points of Q^3 with coordinates past 2^64: a coplanar set, one
+    with three collinear points, and a set one unit off that plane."""
+    a, u, v = (BIG, -BIG, 3), (BIG + 1, 2, -BIG), (5, BIG - 7, BIG)
+    on = lambda s, t: point(*(x + s * p + t * q for x, p, q in zip(a, u, v)))
+    coplanar = [on(0, 0), on(1, 0), on(0, 1), on(Fraction(2, 3), -5)]
+    collinear = [on(0, 0), on(1, 0), on(-3, 0), on(0, 1)]
+    off = coplanar[:3] + [point(*(c + (i == 2) for i, c in enumerate(coplanar[3].coords)))]
+    return coplanar, collinear, off
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_kernel_sets())
+@example(stars_beyond_64_bits()[0])
+@example(stars_beyond_64_bits()[1])
+@example(stars_beyond_64_bits()[2])
+def test_oracle_matches_integer_rank_and_fraction_rank(case):
+    # the oracle answers by set size; its answer must be integer_rank's and
+    # the Fraction reference's.  Only sets of 3 to dim + 1 points other
+    # than the 4-sets of Q^3 reach integer_rank, once; affine_independent,
+    # which admits duplicates, ranks a pair too
+    pts = case
+    dim, n = pts[0].dim, len(pts)
+    ranked = n <= dim + 1 and (dim, n) != (3, 4)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(affine, "integer_rank", lambda rows: calls.append(rows) or integer_rank(rows))
+        answer = affine_matroid(pts).oracle(frozenset(range(n)))
+        assert len(calls) == (ranked and n >= 3)
+        assert affine_independent(pts) == answer
+        assert len(calls) == (ranked and n >= 3) + (ranked and n >= 2)
+    first, *rest = affine._to_lattice(pts)
+    diffs = [[a - b for a, b in zip(p, first)] for p in rest]
+    assert answer == (integer_rank(diffs) == len(diffs))
+    rational = [[a - b for a, b in zip(p.coords, pts[0].coords)] for p in pts[1:]]
+    assert answer == (fraction_rank(rational) == len(rational))
 
 
 def normal_supports(pts, subset):
@@ -396,6 +488,46 @@ def test_span_slot_serves_other_bases_of_one_direction(monkeypatch):
         s = frozenset(at[t] for t in b)
         assert closure(m, s) == closure(reference, s) == frozenset(i for t, i in at.items() if t[2] == z)
     assert passes == [27]
+
+
+@pytest.mark.parametrize(
+    "walk, parts, null_spaces",
+    [
+        # (i) one parallel class: lines along x, from pairs anywhere on them
+        ([[(1, 1, 1), (2, 1, 1)], [(1, 2, 3), (3, 2, 3)], [(2, 3, 2), (3, 3, 2)]], [(0, 1, 1), (0, 2, 3), (0, 3, 2)], 1),
+        # (ii) switching class: x, y, x again, then z twice
+        (
+            [[(1, 1, 1), (2, 1, 1)], [(1, 1, 1), (1, 3, 1)], [(2, 2, 2), (3, 2, 2)], [(3, 1, 1), (3, 1, 2)],
+             [(1, 2, 1), (1, 2, 3)]],
+            [(0, 1, 1), (1, 0, 1), (0, 2, 2), (3, 1, 0), (1, 2, 0)],
+            4,
+        ),
+        # (iii) a basis of the slot's count whose points lie in two of its
+        # parts: after the x-line through (1, 1, 1), the diagonal through it
+        # and (2, 2, 1); after the plane z = 1, the plane y = 1
+        ([[(1, 1, 1), (2, 1, 1)], [(1, 1, 1), (2, 2, 1)]], [(0, 1, 1), "diagonal"], 2),
+        ([[(1, 1, 1), (2, 1, 1), (1, 2, 1)], [(1, 1, 1), (2, 1, 1), (1, 1, 2)]], [(0, 0, 1), (0, 1, 0)], 2),
+    ],
+    ids=["one class", "switching class", "line in two parts", "plane in two parts"],
+)
+def test_span_reuses_normals_only_for_a_basis_in_one_part(monkeypatch, walk, parts, null_spaces):
+    # each closure equals the oracle-only reference's; a 0 in a part's
+    # pattern is a free coordinate
+    pts, _ = grid3d(3)
+    at = {tuple(int(c) for c in p.coords): i for i, p in enumerate(pts)}
+    m = affine_matroid(pts)
+    reference = dataclasses.replace(m, span=None)
+    calls = []
+    null_space = affine.integer_null_space
+    monkeypatch.setattr(affine, "integer_null_space", lambda rows, n: calls.append(rows) or null_space(rows, n))
+    for b, part in zip(walk, parts):
+        s = frozenset(at[t] for t in b)
+        if part == "diagonal":
+            expected = frozenset(at[t, t, 1] for t in (1, 2, 3))
+        else:
+            expected = frozenset(i for t, i in at.items() if all(c in (0, x) for c, x in zip(part, t)))
+        assert closure(m, s) == closure(reference, s) == expected
+    assert len(calls) == null_spaces
 
 
 def retained_bytes(m, subsets):
