@@ -302,15 +302,13 @@ def grid3d(k: int) -> tuple[tuple[RationalPoint, ...], list[tuple[int, ...]]]:
 
 
 def descriptor_flats(m: Matroid, lines: Iterable[Sequence[int]]) -> LineIndex:
-    """Matroid lines for the member-index tuples, as one ``LineIndex`` whose
-    flats are the closures of a point pair on each, so that the stages it
-    is handed to read it as it is.  A pair that does not close to rank 2
-    raises MatroidError.  The index is a read-only sequence of flats with
-    no equality and no ``+``: compare or join ``list(...)`` of it."""
+    """Matroid lines for the member-index tuples, as one ``LineIndex`` of
+    the closures of a point pair on each, so that the stages it is handed
+    to read it as it is.  A pair that does not close to rank 2 raises
+    MatroidError.  The index is a read-only sequence of flats with no
+    equality and no ``+``: compare or join ``list(...)`` of it."""
     flats = [make_flat(m, members[:2]) for members in lines]
     for i, f in enumerate(flats):
         if f.rank != 2:
             raise MatroidError(f"descriptor {i} closes to rank {f.rank}, not to a line")
-    index = LineIndex(m.size, [f.key() for f in flats])
-    index.flats = flats
-    return index
+    return LineIndex(m.size, [f.key() for f in flats])

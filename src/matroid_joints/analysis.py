@@ -24,6 +24,17 @@ from .core import Flat, Matroid, MatroidError, _reads_own_configuration, _triang
 from .construct import ConstructionError, build_construction
 
 
+def _epsilon(value) -> Fraction:
+    """epsilon as an exact positive rational.  An int or a ``Fraction`` is
+    read exactly; a bool, a float (0.3 is not 3/10), a str or any other
+    type, and any value <= 0, raise MatroidError: nothing is coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise MatroidError(f"epsilon must be an int or a Fraction, got {value!r}")
+    if value <= 0:
+        raise MatroidError("epsilon must be positive")
+    return Fraction(value)
+
+
 @dataclass
 class PruneStep:
     plane: tuple[int, ...]
@@ -35,11 +46,12 @@ def heavy_plane_prune(
 ) -> tuple[list[Flat], list[PruneStep]]:
     """Repeatedly remove all lines lying in a plane with >= 2/epsilon of them.
 
-    Returns the surviving lines' flats and the steps (``_prune_steps``).
+    Returns the surviving lines' flats, built for the survivors only, and
+    the steps (``_prune_steps``).
     """
     index = core._require_lines(m, lines)
     alive, trace = _prune_steps(m, index, epsilon)
-    return [f for f, a in zip(index.flats, alive) if a], trace
+    return [index[i] for i, a in enumerate(alive) if a], trace
 
 
 def _prune_steps(
@@ -69,10 +81,7 @@ def _prune_steps(
     lexicographically on the plane's member list; ``removed`` indexes the
     line list as it was before the step.
     """
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise MatroidError("epsilon must be positive")
-    threshold = math.ceil(2 / epsilon)  # an int count is >= 2/epsilon iff >= this
+    threshold = math.ceil(2 / _epsilon(epsilon))  # an int count is >= 2/epsilon iff >= this
     meets = index.meets
     # member lists are distinct, so an entry never compares past its key
     heap = [(-len(held), key, held) for held, key in _meeting_planes(m, index, threshold).items()]
@@ -114,10 +123,10 @@ def _meeting_planes(
     kept: lines only die, so it could never be pruned.
 
     The meeting pairs, the lines' ascending points and the lines through
-    each point come from the lines' ``core.LineIndex``: on the union rule
-    each pair is read where it meets, from the lines through each point,
-    and on the closure rule from the meeting map, which gives the point its
-    star needs.
+    each point come from the lines' ``core.LineIndex``: each pair is read
+    at the point where it meets, from the lines through each point
+    (``core._meeting_pairs``), in the order of the meeting map
+    (``core._common_points``), which is not built.
 
     When ``m``'s oracle is that of a ``TriangleFreeMatroid`` whose
     configuration is the index itself (the key
@@ -137,13 +146,15 @@ def _meeting_planes(
     a third line in it would hold one point of l_i - {x} and one of
     l_j - {x}, again a triangle.
 
-    Otherwise (any other matroid, or any other lines) a pair meeting
-    at x is checked by one oracle call on its star {x, a_i, a_j}, a_i the
-    smallest member of l_i other than x, read inline from its two smallest
-    members as in ``core.count_joints``: a dependent star means the
-    matroid is not simple or a line is not a rank-2 flat, and raises
-    MatroidError; an independent one is a basis of the pair's plane, which
-    is closed through ``core._closure_of``, the reference.  A closed plane
+    Otherwise (any other matroid, or any other lines) the meeting masks
+    (``index.meets``) first check that no two lines share two points, so
+    each pair is read once, and a pair meeting at x is checked by one
+    oracle call on its star {x, a_i, a_j}, a_i the smallest member of l_i
+    other than x, read inline from its two smallest members as in
+    ``core.count_joints``: a dependent star means the matroid is not
+    simple or a line is not a rank-2 flat, and raises MatroidError; an
+    independent one is a basis of the pair's plane, which is closed
+    through ``core._closure_of``, the reference.  A closed plane
     that does not hold both lines of its pair means a line is not a rank-2
     flat (the span of x and a point of each line holds both lines when
     they are), and raises MatroidError too.  A line lies in the plane when
@@ -158,13 +169,13 @@ def _meeting_planes(
             return {}
         return {
             (i, j): tuple(sorted({*line_points[i], *line_points[j]}))
-            for through in index.by_point
-            for i, j in combinations(through, 2)
+            for i, j, _ in core._meeting_pairs(index.by_point)
         }
     by_point = index.by_point
+    index.meets  # two lines sharing two points raise before any star is read
     closed: set[tuple[int, int]] = set()  # the held pairs of each plane of three or more lines
     planes: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for (i, j), x in index.meeting.items():
+    for i, j, x in core._meeting_pairs(by_point):
         li, lj = line_points[i], line_points[j]
         star = frozenset((x, li[1] if li[0] == x else li[0], lj[1] if lj[0] == x else lj[0]))
         if not m.oracle(star):
@@ -191,12 +202,9 @@ def degree_partition(
 
     E2 is taken by degree alone, with no rank test: a point of three
     coplanar lines is in E2 though it is no joint."""
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise MatroidError("epsilon must be positive")
+    heavy = math.ceil(4 / _epsilon(epsilon))  # an int degree is >= 4/epsilon iff >= this
     index = core._require_lines(m, lines)
     index.meets  # two lines sharing two points raise, as in the other stages
-    heavy = math.ceil(4 / epsilon)  # an int degree is >= 4/epsilon iff >= this
     degrees = {x: len(through) for x, through in enumerate(index.by_point)}
     e1 = {x for x, d in degrees.items() if d >= heavy}
     e2 = {x for x, d in degrees.items() if 3 <= d < heavy}
@@ -211,12 +219,14 @@ class IntersectionGraph:
 
 def intersection_graph(m: Matroid, lines: Sequence[Flat], e2: set[int]) -> IntersectionGraph:
     """Edge per line pair meeting in a point of e2, labeled by the witness:
-    the meeting map ``core._common_points`` filtered to e2, which raises
-    MatroidError on two lines that share two or more points."""
+    the meeting map ``core._common_points`` filtered to e2, in its order,
+    read pair by pair (``core._meeting_pairs``) once the meeting masks
+    (``index.meets``) have raised MatroidError on two lines that share two
+    or more points."""
     index = core._require_lines(m, lines)
-    return IntersectionGraph(
-        n=len(index), edges={pair: x for pair, x in index.meeting.items() if x in e2}
-    )
+    index.meets  # two lines sharing two points raise before any edge is read
+    edges = {(i, j): x for i, j, x in core._meeting_pairs(index.by_point) if x in e2}
+    return IntersectionGraph(n=len(index), edges=edges)
 
 
 @dataclass
@@ -290,8 +300,10 @@ def analyze(m: Matroid, lines: Sequence[Flat], epsilon: Fraction) -> AnalysisRep
     matroid's constructor has refused.  The kept lines are a subfamily of
     the configuration's, so this holds after a prune step too, where they
     are indexed afresh.  On any other input ``intersection_graph`` and
-    ``triangle_stats``, the reference, count them."""
-    epsilon = Fraction(epsilon)
+    ``triangle_stats``, the reference, count them.
+
+    epsilon is read once, exactly (``_epsilon``)."""
+    epsilon = _epsilon(epsilon)
     index = core._require_lines(m, lines)
     alive, trace = _prune_steps(m, index, epsilon)
     joints_initial = core.count_joints(m, index)
@@ -348,9 +360,10 @@ def joints_sweep(ns: Iterable[int], epsilon_report: Fraction) -> list[dict]:
     Per-N failures become rows with an "error" field; a failure other than
     MatroidError or ConstructionError, a bug rather than bad input, also
     writes its traceback to stderr.  Degenerate rows (no surviving lines) carry a
-    "warning" field and empty ratios.
+    "warning" field and empty ratios.  A bad epsilon (``_epsilon``) raises
+    MatroidError before any row is built.
     """
-    epsilon_report = Fraction(epsilon_report)
+    epsilon_report = _epsilon(epsilon_report)
     rows: list[dict] = []
     for n in ns:
         row: dict = {c: None for c in SWEEP_COLUMNS}

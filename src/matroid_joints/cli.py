@@ -33,13 +33,12 @@ def _emit(obj, out_path=None) -> None:
 
 
 def _parse_epsilon(text: str) -> Fraction:
+    """The --epsilon text as an exact rational ("0.3" is 3/10); the harness
+    refuses one that is not positive (``analysis._epsilon``)."""
     try:
-        eps = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise MatroidError(f"bad epsilon {text!r}: {exc}")
-    if eps <= 0:
-        raise MatroidError("epsilon must be positive")
-    return eps
 
 
 def cmd_behrend(args) -> int:

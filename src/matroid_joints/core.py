@@ -142,14 +142,16 @@ def flats_of_rank(m: Matroid, k: int, *, allow_large: bool = False) -> list[Flat
 
 class LineIndex(Sequence[Flat]):
     """A read-only sequence of lines over a ground set of ``size`` elements:
-    line i is the rank-2 flat ``self[i]`` (the cached ``flats``, built when
-    first read) and the ascending tuple of its members ``line_points[i]``,
-    whose first two are its two smallest.  The incidence is read from the
-    members at most once each: the point -> line index (``by_point``), the
-    meeting masks (``meets``: which lines each line meets) and the meeting
-    map (``meeting``, ``_common_points``: where two lines meet), each built
-    when first read.  A stage that asks only whether two lines meet reads
-    the masks, and the map is built only for a stage that asks where.
+    line i is the ascending tuple of its members ``line_points[i]``, whose
+    first two are its two smallest, and ``self[i]`` is its rank-2 flat,
+    built from those members each time it is read.  The index caches its
+    incidence and nothing else, each piece built when first read: the
+    point -> line index (``by_point``), the meeting masks (``meets``: which
+    lines each line meets) and the triangle gate's verdict
+    (``triangle_free``).  A stage that asks where two lines meet reads each
+    pair at its point (``_meeting_pairs``), after ``meets`` has checked that
+    no two lines share two points; the meeting map (``_common_points``)
+    is built only inside the gate, and only where a triangle has a vertex.
 
     Every function that takes a sequence of lines reads an index as it is
     and builds one (``_require_lines``) from any other, so a caller that
@@ -161,10 +163,7 @@ class LineIndex(Sequence[Flat]):
 
     An index is trusted as it is: a hand-built one must give each line as
     a strictly ascending tuple of indices into the ground set
-    (``TriangleFreeMatroid`` refuses a line whose ends fall outside).  The
-    two-point check runs when ``meets`` is first read, and the triangle
-    gate's verdict (``triangle_free``) is cached here, on the incidence it
-    reads.
+    (``TriangleFreeMatroid`` refuses a line whose ends fall outside).
     """
 
     def __init__(self, size: int, line_points: Sequence[tuple[int, ...]]):
@@ -175,7 +174,9 @@ class LineIndex(Sequence[Flat]):
         return len(self.line_points)
 
     def __getitem__(self, i):
-        return self.flats[i]
+        if isinstance(i, slice):
+            return [Flat(frozenset(pts), 2) for pts in self.line_points[i]]
+        return Flat(frozenset(self.line_points[i]), 2)
 
     @cached_property
     def by_point(self) -> tuple[tuple[int, ...], ...]:
@@ -199,18 +200,10 @@ class LineIndex(Sequence[Flat]):
         return meets
 
     @cached_property
-    def meeting(self) -> dict[tuple[int, int], int]:
-        return _common_points(self.by_point)
-
-    @cached_property
     def triangle_free(self) -> bool:
         """The exact gate's verdict, ``find_triangles(self, limit=1)``
         finding none, reached once however many stages ask."""
         return not find_triangles(self, limit=1)
-
-    @cached_property
-    def flats(self) -> list[Flat]:
-        return [Flat(frozenset(pts), 2) for pts in self.line_points]
 
 
 def _require_lines(m: Matroid, lines: Sequence[Flat]) -> LineIndex:
@@ -257,18 +250,24 @@ def _meeting_masks(n_lines: int, by_point: Iterable[Sequence[int]]) -> list[int]
     return meets
 
 
+def _meeting_pairs(by_point: Sequence[Sequence[int]]) -> Iterator[tuple[int, int, int]]:
+    """Each pair of lines i < j through a point x, as (i, j, x), point by
+    point in the order of the point -> line index: the meeting map's order,
+    each pair once when no two lines share two points."""
+    return ((i, j, x) for x, through in enumerate(by_point) for i, j in combinations(through, 2))
+
+
 def _common_points(by_point: Sequence[Sequence[int]]) -> dict[tuple[int, int], int]:
     """The meeting map: each pair of lines i < j that meet -> their point,
-    in the order of the point -> line index.  Lines of a simple matroid
-    meet at most once, so a pair met twice raises MatroidError naming the
-    least such pair and how many points it shares."""
+    in the order of ``_meeting_pairs``.  Lines of a simple matroid meet at
+    most once, so a pair met twice raises MatroidError naming the least
+    such pair and how many points it shares."""
     common: dict[tuple[int, int], int] = {}
-    for x, through in enumerate(by_point):
-        for pair in combinations(through, 2):
-            if common.setdefault(pair, x) != x:
-                shared = Counter(p for ls in by_point for p in combinations(ls, 2))
-                i, j = min(p for p, k in shared.items() if k > 1)
-                raise MatroidError(f"lines {i} and {j} share {shared[i, j]} points")
+    for i, j, x in _meeting_pairs(by_point):
+        if common.setdefault((i, j), x) != x:
+            shared = Counter(p for ls in by_point for p in combinations(ls, 2))
+            i, j = min(p for p, k in shared.items() if k > 1)
+            raise MatroidError(f"lines {i} and {j} share {shared[i, j]} points")
     return common
 
 
@@ -291,13 +290,15 @@ def find_triangles(index: LineIndex, limit: Optional[int] = None) -> list[Triang
     line incident to exactly two of the points.  ``limit`` (at least 1)
     caps the number of records returned.  The walk reads the lines'
     meeting masks (``index.meets``, which raise on two lines sharing two
-    points), and the meeting map only at a point where a triangle has a
-    vertex, so a triangle-free incidence builds none.
+    points), and builds the meeting map (``_common_points``) for this call
+    only at the first point where a triangle has a vertex, so a
+    triangle-free incidence builds none.
     """
     if limit is not None and limit < 1:
         raise MatroidError(f"limit must be at least 1, got {limit}")
     out: list[Triangle] = []
-    for found in _triangles_at(index.meets, lambda: index.meeting, enumerate(index.by_point)):
+    by_point = index.by_point
+    for found in _triangles_at(index.meets, lambda: _common_points(by_point), enumerate(by_point)):
         if found:
             out += sorted(found, key=lambda t: t.points)
             if limit is not None and len(out) >= limit:
@@ -315,7 +316,8 @@ def _triangles_at(
     it meets at the points of ``by_point``, its own bit included
     (``_meeting_masks`` of their line lists); ``angle()`` returns the
     map from each pair of lines a < b that meet there to their meeting
-    point, and is called only at a point that fails the test below.
+    point, and is called once, at the first point that fails the test
+    below.
 
     Disjoint outside-neighbourhoods: a line l3 not through x that meets
     two lines l1 < l2 through x closes a triangle, since it meets them at
@@ -330,6 +332,7 @@ def _triangles_at(
     whose common mask holds more than the d lines through x has such an
     l3, found once the lines through x are masked off.
     """
+    meeting = None
     for x, ls in by_point:
         found: list[Triangle] = []
         d = len(ls)
@@ -339,7 +342,8 @@ def _triangles_at(
             union |= mask
             total += mask.bit_count()
         if union.bit_count() - d != total - d * d:
-            meeting = angle()
+            if meeting is None:
+                meeting = angle()
             through = sum(1 << l for l in ls)
             for l1, l2 in combinations(ls, 2):
                 common = meets[l1] & meets[l2]
@@ -893,7 +897,7 @@ def check_incidence_properties(m: Matroid, rng_seed: int = 0, samples: int = 100
     # is the int i * len(lines) + j, which sorts in (i, j) order and holds
     # less memory than ``_common_points``' tuple and point on large builds
     r4 = CheckResult(PASS)
-    meeting = sorted({i * len(lines) + j for through in by_point for i, j in combinations(through, 2)})
+    meeting = sorted({i * len(lines) + j for i, j, _ in _meeting_pairs(by_point)})
     for k in sample_or_all(len(meeting)):
         i, j = divmod(meeting[k], len(lines))
         n_planes = len(set.intersection(*(planes_at[x] for x in line_sets[i] | line_sets[j])))

@@ -642,7 +642,9 @@ def test_the_degree_rule_builds_no_graph(monkeypatch, build200, eps):
 @pytest.mark.parametrize("eps, builds", [(Fraction(1, 2), 1), (Fraction(1), 2)], ids=["reused", "rebuilt"])
 def test_analyze_indexes_each_line_family_once(monkeypatch, matroid200, eps, builds):
     # one index for the lines, and one more for the survivors only when the
-    # prune takes a step (76 steps at epsilon 1 on this build)
+    # prune takes a step (76 steps at epsilon 1 on this build); no stage
+    # builds the meeting map, which the closure rule and the graph read
+    # pair by pair from by_point
     counted = {"_lines_by_point": [], "_common_points": []}
     for name, calls in counted.items():
         original = getattr(core, name)
@@ -651,7 +653,7 @@ def test_analyze_indexes_each_line_family_once(monkeypatch, matroid200, eps, bui
     report = analyze(m, lines, eps)
     assert (report.planes_pruned > 0) == (builds == 2)
     assert len(counted["_lines_by_point"]) == builds
-    assert len(counted["_common_points"]) == builds
+    assert len(counted["_common_points"]) == 0
 
 
 @pytest.mark.parametrize("stage", ["prune", "partition", "graph", "joints", "analyze"])
@@ -729,7 +731,7 @@ def test_the_dense_pipeline_builds_no_meeting_map(monkeypatch):
     assert planar.is_triangle_free(cfg)
     tfm = TriangleFreeMatroid(cfg)
     assert core.count_joints(tfm.to_matroid(), tfm.matroid_lines()) == len(triple_points(cfg)) > 0
-    assert calls == [] and "meeting" not in vars(cfg)
+    assert calls == []
 
 
 def test_analyze_on_the_builds_own_lines_builds_no_meeting_map_and_no_flats():
@@ -740,7 +742,118 @@ def test_analyze_on_the_builds_own_lines_builds_no_meeting_map_and_no_flats():
     report = analyze(tfm.to_matroid(), tfm.matroid_lines(), Fraction(1, 2))
     assert report.planes_pruned == 0 and report.L_after_prune == report.L_initial == 165
     assert "meets" in vars(build.config)
-    assert "flats" not in vars(build.config) and "meeting" not in vars(build.config)
+    assert set(vars(build.config)) <= INDEX_ATTRIBUTES
+
+
+# what an index holds: its lines (a configuration also its coordinates) and
+# the three pieces of incidence every stage reads, each cached when first read
+INDEX_ATTRIBUTES = {"size", "line_points", "points", "lines", "by_point", "meets", "triangle_free"}
+
+
+def test_an_index_caches_its_incidence_and_nothing_else():
+    # after the build, the gate, the joint count and analyze through the
+    # build's own oracle and through a wrapped one, at epsilon 1/2 and 1
+    # (which prunes), and after grid3d's prune and joint count, no index
+    # holds a meeting map, a flat or anything else beside its incidence
+    tfm = build_construction(200).matroid
+    bare = TriangleFreeMatroid(core.LineIndex(tfm.config.size, tfm.config.line_points))
+    subjects = []
+    for subject in (tfm, bare):
+        m, index = subject.to_matroid(), subject.matroid_lines()
+        wrapped = core.Matroid(m.labels, lambda s, subject=subject: subject.is_independent(s), subject.span)
+        for eps in (Fraction(1, 2), Fraction(1)):
+            assert analyze(m, index, eps) == analyze(wrapped, index, eps)
+        subjects.append(index)
+    m, index = grid3d_subject(3)
+    heavy_plane_prune(m, index, Fraction(1))
+    assert core.count_joints(m, index) == 27
+    subjects.append(index)
+    triangle = core.LineIndex(3, [(0, 1), (1, 2), (0, 2)])
+    assert len(core.find_triangles(triangle)) == 1 and not triangle.triangle_free
+    subjects.append(triangle)
+    for index in subjects:
+        assert set(vars(index)) <= INDEX_ATTRIBUTES, set(vars(index)) - INDEX_ATTRIBUTES
+    assert {"by_point", "meets", "triangle_free"} <= set(vars(tfm.config))
+
+
+@pytest.mark.parametrize(
+    "stage",
+    ["analyze-own", "analyze-wrapped", "intersection_graph", "heavy_plane_prune-grid3d", "build_construction"],
+)
+def test_no_stage_builds_the_meeting_map_on_a_triangle_free_input(monkeypatch, build200, stage):
+    # the closure rule and the intersection graph read each meeting pair at
+    # its point from by_point, and the gate builds the map only where a
+    # triangle has a vertex, so on a triangle-free input nothing calls
+    # core._common_points, the meeting map's reference
+    calls = []
+    original = core._common_points
+    monkeypatch.setattr(core, "_common_points", lambda by_point: calls.append(1) or original(by_point))
+    tfm = build200.matroid
+    lines = list(tfm.matroid_lines())
+    if stage == "analyze-own":
+        for eps in (Fraction(1, 2), Fraction(1)):
+            analyze(tfm.to_matroid(), tfm.matroid_lines(), eps)
+    elif stage == "analyze-wrapped":
+        for eps in (Fraction(1, 2), Fraction(1)):
+            analyze(wrapped_oracle(tfm), lines, eps)
+    elif stage == "intersection_graph":
+        e2 = degree_partition(tfm.to_matroid(), lines, Fraction(1, 2))[1]
+        g = intersection_graph(tfm.to_matroid(), lines, e2)
+        assert len(g.edges) == sum(math.comb(len(ls), 2) for x, ls in enumerate(tfm.config.by_point) if x in e2) > 0
+    elif stage == "heavy_plane_prune-grid3d":
+        m, index = grid3d_subject(3)
+        for eps in (Fraction(1, 2), Fraction(1)):
+            heavy_plane_prune(m, list(index), eps)
+    else:
+        assert build_construction(200).matroid.config.triangle_free
+    assert calls == []
+
+
+def test_the_intersection_graph_is_the_filtered_meeting_map(build200, base3_grid):
+    # the edges, in order, are the meeting map's pairs at points of e2
+    for tfm in (build200.matroid, TriangleFreeMatroid(prune_lines(base3_grid))):
+        m, index = wrapped_oracle(tfm), tfm.matroid_lines()
+        for eps in (Fraction(1, 2), Fraction(1, 4)):
+            e2 = degree_partition(m, index, eps)[1]
+            meeting = core._common_points(index.by_point)
+            expected = {pair: x for pair, x in meeting.items() if x in e2}
+            assert list(intersection_graph(m, index, e2).edges.items()) == list(expected.items())
+            assert list(intersection_graph(m, index, set(range(m.size))).edges.items()) == list(meeting.items())
+
+
+@pytest.mark.parametrize(
+    "epsilon", [True, False, 0.5, 0.3, "1/2", None, 0, -1, Fraction(-1, 2)], ids=repr
+)
+def test_epsilon_is_read_exactly_or_refused(build200, epsilon):
+    # a bool is no number here (True would run at 1), a float is refused
+    # rather than read as its binary value (0.3 would run at
+    # 5404319552844595/18014398509481984), and so is a str; every stage
+    # that takes epsilon refuses it, and the sweep before its first row
+    tfm = build200.matroid
+    m, lines = tfm.to_matroid(), tfm.matroid_lines()
+    stages = {
+        "analyze": lambda: analyze(m, lines, epsilon),
+        "heavy_plane_prune": lambda: heavy_plane_prune(m, lines, epsilon),
+        "degree_partition": lambda: degree_partition(m, lines, epsilon),
+        "joints_sweep": lambda: joints_sweep([5], epsilon),
+    }
+    message = "epsilon must be positive" if isinstance(epsilon, (int, Fraction)) and not isinstance(epsilon, bool) else (
+        "epsilon must be an int or a Fraction"
+    )
+    for name, stage in stages.items():
+        with pytest.raises(MatroidError, match=message):
+            stage()
+
+
+def test_an_int_epsilon_reads_as_its_fraction(build200):
+    tfm = build200.matroid
+    m, lines = tfm.to_matroid(), tfm.matroid_lines()
+    for eps in (1, 2):
+        report = analyze(m, lines, eps)
+        assert report == analyze(m, lines, Fraction(eps)) and type(report.epsilon) is Fraction
+        assert heavy_plane_prune(m, lines, eps) == heavy_plane_prune(m, lines, Fraction(eps))
+        assert degree_partition(m, lines, eps) == degree_partition(m, lines, Fraction(eps))
+    assert joints_sweep([200], 1) == joints_sweep([200], Fraction(1))
 
 
 @pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(1)])
@@ -775,7 +888,7 @@ def test_oracle_calls_on_build250_are_pinned(monkeypatch, path):
         monkeypatch.setattr(TriangleFreeMatroid, "is_independent", counted)
         m = tfm.to_matroid()
     index = tfm.matroid_lines()
-    assert (len(triple_points(tfm.config)), len(index.meeting)) == (98, 350)
+    assert (len(triple_points(tfm.config)), len(core._common_points(index.by_point))) == (98, 350)
     assert core.count_joints(m, index) == 98
     assert len(calls) == (98 if path == "counting-matroid" else 0) and all(len(s) == 4 for s in calls)
     calls.clear()
@@ -851,10 +964,11 @@ def test_line_index_is_the_configurations_incidence(build200, base3_grid):
         index = tfm.matroid_lines()
         built = core._require_lines(tfm.to_matroid(), list(tfm.matroid_lines()))
         assert index is tfm.config
-        assert index.size == built.size and index.flats == built.flats
+        assert index.size == built.size and list(index) == list(built)
         assert index.line_points == tuple(built.line_points)
         assert index.by_point == built.by_point
-        assert list(index.meeting.items()) == list(built.meeting.items())
+        meeting, built_meeting = (core._common_points(x.by_point) for x in (index, built))
+        assert list(meeting.items()) == list(built_meeting.items())
 
 
 def test_matroid_lines_are_the_configuration(monkeypatch, build200):
@@ -862,7 +976,7 @@ def test_matroid_lines_are_the_configuration(monkeypatch, build200):
     # flats; the build's gate has indexed its incidence, so the joint count
     # and the harness read it as it is and index nothing again
     tfm = build200.matroid
-    lines, flats = tfm.matroid_lines(), list(tfm.config.flats)
+    lines, flats = tfm.matroid_lines(), list(tfm.config)
     assert lines is tfm.config and tfm.config.triangle_free
     assert len(lines) == len(flats) == 165
     assert [lines[i] for i in range(len(lines))] == list(lines) == flats
@@ -932,7 +1046,7 @@ def test_the_union_rule_waits_for_the_gate(threshold):
         TriangleFreeMatroid(cfg)
     stand_in = SimpleNamespace(config=cfg)
     m = core.Matroid(cfg.points, lambda s: TriangleFreeMatroid.is_independent(stand_in, s))
-    lines, eps = list(cfg.flats), Fraction(2, threshold)
+    lines, eps = list(cfg), Fraction(2, threshold)
     planes = analysis._meeting_planes(m, lines, threshold)
     assert analysis._meeting_planes(m, cfg, threshold) == planes
     assert heavy_plane_prune(m, cfg, eps) == heavy_plane_prune(m, lines, eps)

@@ -3,6 +3,7 @@
 import copy
 import random
 import re
+from functools import lru_cache
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -47,7 +48,8 @@ def test_grid_lines_counts():
 def _assert_same_configuration(cfg, reference):
     for attr in ("points", "lines", "line_points", "by_point"):
         assert getattr(cfg, attr) == getattr(reference, attr), attr
-    assert list(cfg.meeting.items()) == list(reference.meeting.items())
+    meeting, reference_meeting = (core._common_points(x.by_point) for x in (cfg, reference))
+    assert list(meeting.items()) == list(reference_meeting.items())
 
 
 def test_build_indexes_exactly_the_pruned_grid_lines():
@@ -132,6 +134,13 @@ def test_tf_independence_rules(build5):
             tfm.is_independent(frozenset(subset))
 
 
+@lru_cache(maxsize=None)
+def meeting_map(index):
+    """The index's meeting map (``core._common_points``), built once per
+    index for the rules below, which read it subset by subset."""
+    return core._common_points(index.by_point)
+
+
 def cover_count_rule(tfm, subset):
     # reference: a 3-set is dependent iff some line covers all three points;
     # a 4-set iff some line covers three, or two lines meeting at a
@@ -146,7 +155,7 @@ def cover_count_rule(tfm, subset):
         return False
     twos = sorted(l for l, c in cover.items() if c == 2)
     return not any(
-        (la, lb) in tfm.config.meeting and subset <= {*tfm.config.line_points[la], *tfm.config.line_points[lb]}
+        (la, lb) in meeting_map(tfm.config) and subset <= {*tfm.config.line_points[la], *tfm.config.line_points[lb]}
         for la, lb in combinations(twos, 2)
     )
 
@@ -196,7 +205,7 @@ def spacious_angles(tfm):
     # meeting line pairs of at least three points each: any two points of
     # one leave two more on the other
     return [
-        pair for pair in sorted(tfm.config.meeting) if all(len(tfm.config.line_points[l]) >= 3 for l in pair)
+        pair for pair in sorted(meeting_map(tfm.config)) if all(len(tfm.config.line_points[l]) >= 3 for l in pair)
     ]
 
 
@@ -229,7 +238,7 @@ def test_angle_dependence(build5):
     tfm = build5.matroid
     # an angle: two lines meeting at a configuration point; four points
     # covered two-per-line are dependent even though no three are collinear
-    for (la, lb), vertex in sorted(tfm.config.meeting.items()):
+    for (la, lb), vertex in sorted(meeting_map(tfm.config).items()):
         pts_a = [p for p in tfm.config.line_points[la] if p != vertex]
         pts_b = [p for p in tfm.config.line_points[lb] if p != vertex]
         if len(pts_a) >= 2 and len(pts_b) >= 2:
@@ -316,7 +325,7 @@ def test_span_matches_oracle_closure_on_random_subsets(small_triangle_free, data
     # meet it) or anywhere: the basis then reaches the line and angle steps
     line_points = tfm.config.line_points
     la = data.draw(st.integers(0, len(line_points) - 1))
-    near = set(line_points[la]).union(*(line_points[lb] for pair in tfm.config.meeting
+    near = set(line_points[la]).union(*(line_points[lb] for pair in meeting_map(tfm.config)
                                         if la in pair for lb in pair))
     on_line = data.draw(st.lists(st.sampled_from(line_points[la]), max_size=2, unique=True))
     anywhere = st.integers(0, tfm.config.size - 1)
@@ -329,7 +338,7 @@ def test_span_matches_oracle_closure_on_angles(small_triangle_free):
     # every union of two meeting lines, and two points of one line with a
     # point of the other (off the vertex), whose closure needs the angle step
     for tfm in small_triangle_free:
-        for (la, lb), vertex in tfm.config.meeting.items():
+        for (la, lb), vertex in meeting_map(tfm.config).items():
             a, b = set(tfm.config.line_points[la]) - {vertex}, set(tfm.config.line_points[lb]) - {vertex}
             assert_span_matches_oracle(tfm, a | b | {vertex})
             for first, second in ((a, b), (b, a)):

@@ -154,8 +154,9 @@ def test_prune_lines_equals_configuration_of_kept_lines(case, request):
     kept = [l for l, pts in zip(cfg.lines, cfg.line_points) if len(pts) >= 2]
     pruned, reference = prune_lines(cfg), Configuration(cfg.points, kept)
     assert len(kept) < len(cfg.lines)
-    for attr in ("points", "lines", "line_points", "by_point", "meeting"):
+    for attr in ("points", "lines", "line_points", "by_point"):
         assert getattr(pruned, attr) == getattr(reference, attr)
+    assert core._common_points(pruned.by_point) == core._common_points(reference.by_point)
     assert pruned.to_json() == reference.to_json()
 
 
@@ -216,21 +217,23 @@ def test_non_integer_coordinates_rejected(bad):
 )
 def test_incidence_maps_are_built_when_read(points, lines):
     # no two directions canonicalise alike, so no two lines share two points
-    # and neither map is needed to build the configuration
+    # and neither the index nor the masks are needed to build the
+    # configuration
     cfg = Configuration(points, lines)
-    assert "by_point" not in vars(cfg) and "meeting" not in vars(cfg)
+    assert "by_point" not in vars(cfg) and "meets" not in vars(cfg)
     cfg.by_point
-    assert "by_point" in vars(cfg) and "meeting" not in vars(cfg)
-    cfg.meeting
-    assert "meeting" in vars(cfg)
+    assert "by_point" in vars(cfg) and "meets" not in vars(cfg)
+    cfg.meets
+    assert "meets" in vars(cfg)
 
 
-def test_meeting_map_is_built_when_two_directions_canonicalise_alike():
+def test_the_two_point_check_runs_when_two_directions_canonicalise_alike():
     # x = 1 and 2x = 4 are distinct lines of one canonical direction, so the
-    # map is built up front, where two lines sharing two points would raise
+    # meeting masks are built up front, where two lines sharing two points
+    # would raise
     cfg = Configuration([(1, 0), (2, 0)], [IntLine(1, 0, 1), IntLine(2, 0, 4), horizontal(0)])
-    assert "meeting" in vars(cfg)
-    assert cfg.meeting == {(0, 2): 0, (1, 2): 1}
+    assert "meets" in vars(cfg)
+    assert core._common_points(cfg.by_point) == {(0, 2): 0, (1, 2): 1}
 
 
 def test_triangle_free_triple_line_property(build200):
@@ -280,7 +283,7 @@ def test_incidence_matches_incident_scan(points, coefficients):
     assert cfg.by_point == tuple(
         tuple(li for li, l in enumerate(lines) if incident(l, p)) for p in points
     )
-    assert cfg.meeting == {
+    assert core._common_points(cfg.by_point) == {
         (a, b): pi
         for a, b in combinations(range(len(lines)), 2)
         for pi, p in enumerate(points)
@@ -393,9 +396,10 @@ def test_popcount_gate_equals_mask_subtraction(normals, t1, t2, extra, joins, wi
     # the whole meeting map, and the part of it at some witnesses, as
     # ``analysis.triangle_stats`` walks it, each with the masks of its
     # points' line lists
-    kept = {pair: x for pair, x in cfg.meeting.items() if x in witnesses or x == 0}
+    meeting = core._common_points(cfg.by_point)
+    kept = {pair: x for pair, x in meeting.items() if x in witnesses or x == 0}
     at = [(x, ls) for x, ls in enumerate(cfg.by_point) if x in witnesses or x == 0]
-    for angle, by_point in ((cfg.meeting, list(enumerate(cfg.by_point))), (kept, at)):
+    for angle, by_point in ((meeting, list(enumerate(cfg.by_point))), (kept, at)):
         expected = list(mask_subtraction_gate(angle, len(cfg.lines), by_point))
         meets = core._meeting_masks(len(cfg.lines), (ls for _, ls in by_point))
         assert list(core._triangles_at(meets, lambda: angle, by_point)) == expected
@@ -418,8 +422,9 @@ def test_triangle_search_matches_definition_on_filtered_grids(grid, prune):
 def assert_meets_are_the_meeting_keys(index):
     # bit j of line i's mask is set iff the two lines meet: i itself when
     # it has a point, another line when the pair is a key of the map
+    meeting = core._common_points(index.by_point)
     for i, mask in enumerate(index.meets):
-        expected = {j for j in range(len(index)) if j != i and (min(i, j), max(i, j)) in index.meeting}
+        expected = {j for j in range(len(index)) if j != i and (min(i, j), max(i, j)) in meeting}
         if index.line_points[i]:
             expected.add(i)
         assert {j for j in range(mask.bit_length()) if mask >> j & 1} == expected
@@ -465,14 +470,22 @@ def test_meets_raise_the_meeting_maps_error(line_points):
     assert str(raised.value) == str(expected.value)
 
 
-def test_the_gate_builds_no_meeting_map_on_a_triangle_free_input(base3_grid):
-    # the walk reads the masks; the map is built only where a triangle has
-    # a vertex, so a triangle-free input never builds it
+def test_the_gate_builds_no_meeting_map_on_a_triangle_free_input(monkeypatch, base3_grid):
+    # the walk reads the masks; the map (core._common_points) is built only
+    # where a triangle has a vertex, so a triangle-free input never builds
+    # it, and an input with triangles builds it once a call, at the first
+    # such point
+    calls = []
+    original = core._common_points
+    monkeypatch.setattr(core, "_common_points", lambda by_point: calls.append(1) or original(by_point))
     cfg = prune_lines(base3_grid)
     assert is_triangle_free(cfg) and not find_triangles(cfg)
-    assert "meets" in vars(cfg) and "meeting" not in vars(cfg)
+    assert "meets" in vars(cfg) and calls == []
     triangle = Configuration([(1, 1), (1, 2), (2, 2)], [vertical(1), horizontal(2), diagonal(0)])
-    assert not is_triangle_free(triangle) and "meeting" in vars(triangle)
+    assert not is_triangle_free(triangle) and calls == [1]
+    grid = Configuration([(x, y) for x in range(1, 6) for y in range(1, 6)], grid_lines(5).lines)
+    calls.clear()
+    assert len({t.points[0] for t in find_triangles(grid)}) > 1 and calls == [1]
 
 
 def test_unfiltered_grid_triangles_are_unchanged():
