@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import core
-from .core import Flat, Matroid, MatroidError, _reads_own_configuration, _triangles_at
+from .core import Flat, Matroid, MatroidError, _reads_own_configuration
 from .construct import ConstructionError, build_construction
 
 
@@ -60,11 +60,11 @@ def _prune_steps(
     """The prune's steps on the lines of ``index``, and for each line
     whether it survives them.
 
-    The lines are a simple matroid's: two lines sharing two points raise
-    MatroidError (``index.meets``) before any plane is closed, and on the
-    closure rule so does a meeting pair whose star is dependent or whose
-    plane does not hold both its lines (``_meeting_planes``); the union
-    rule's stars are independent by its lemma, and are not checked.
+    The lines are a simple matroid's: on the closure rule two lines
+    sharing two points raise MatroidError before any plane is closed, and
+    so does a meeting pair whose star is dependent or whose plane does not
+    hold both its lines (``_meeting_planes``); the union rule's stars are
+    independent by its lemma, and are not checked.
 
     Candidate planes are the planes cl(l_i | l_j) of the line pairs that
     meet at a point and hold at least 2/epsilon lines (``_meeting_planes``:
@@ -76,13 +76,12 @@ def _prune_steps(
     not change as lines go, and its live count only falls, so the steps
     come from a lazy heap of (-live count, member list, held lines): a
     popped plane is dropped when it holds too few live lines or no two of
-    them meet (``index.meets``), pushed back when its count is stale,
+    them meet (``index.meet``), pushed back when its count is stale,
     and taken otherwise.  The heaviest plane goes first, ties broken
     lexicographically on the plane's member list; ``removed`` indexes the
     line list as it was before the step.
     """
     threshold = math.ceil(2 / _epsilon(epsilon))  # an int count is >= 2/epsilon iff >= this
-    meets = index.meets
     # member lists are distinct, so an entry never compares past its key
     heap = [(-len(held), key, held) for held, key in _meeting_planes(m, index, threshold).items()]
     heapq.heapify(heap)
@@ -94,8 +93,7 @@ def _prune_steps(
         live = [i for i in held if alive[i]]
         if len(live) < threshold:
             continue
-        mask = sum(1 << i for i in live)
-        if not any(meets[i] & mask & ~(1 << i) for i in live):
+        if not any(index.meet(i, j) for i, j in combinations(live, 2)):
             continue
         if len(live) < -count:
             heapq.heappush(heap, (-len(live), key, held))
@@ -124,9 +122,7 @@ def _meeting_planes(
 
     The meeting pairs, the lines' ascending points and the lines through
     each point come from the lines' ``core.LineIndex``: each pair is read
-    at the point where it meets, from the lines through each point
-    (``core._meeting_pairs``), in the order of the meeting map
-    (``core._common_points``), which is not built.
+    at the point where it meets (``core._meeting_pairs``).
 
     When ``m``'s oracle is that of a ``TriangleFreeMatroid`` whose
     configuration is the index itself (the key
@@ -137,8 +133,8 @@ def _meeting_planes(
     Nothing is closed and the oracle is not called.  The lemma needs a
     triangle-free configuration whose lines each hold two or more points,
     which the ``TriangleFreeMatroid`` constructor guarantees, and that
-    share at most one (the gate's meeting masks raise otherwise), so each
-    pair is read once, at its one meeting point.  Then x, a_i and a_j
+    share at most one (the gate's two-point check raises otherwise), so
+    each pair is read once, at its one meeting point.  Then x, a_i and a_j
     (a_i a point of l_i other than x) are three distinct points on no
     common line, so the star {x, a_i, a_j} is independent; in its span a
     line through a_j that meets l_i off x closes a triangle with l_i and
@@ -146,16 +142,16 @@ def _meeting_planes(
     a third line in it would hold one point of l_i - {x} and one of
     l_j - {x}, again a triangle.
 
-    Otherwise (any other matroid, or any other lines) the meeting masks
-    (``index.meets``) first check that no two lines share two points, so
-    each pair is read once, and a pair meeting at x is checked by one
-    oracle call on its star {x, a_i, a_j}, a_i the smallest member of l_i
-    other than x, read inline from its two smallest members as in
+    Otherwise (any other matroid, or any other lines) the two-point check
+    (``index.check_two_points``) first refuses two lines that share two
+    points, so each pair is read once, and a pair meeting at x is checked
+    by one oracle call on its star {x, a_i, a_j}, a_i the smallest member
+    of l_i other than x, read inline from its two smallest members as in
     ``core.count_joints``: a dependent star means the matroid is not
     simple or a line is not a rank-2 flat, and raises MatroidError; an
     independent one is a basis of the pair's plane, which is closed
-    through ``core._closure_of``, the reference.  A closed plane
-    that does not hold both lines of its pair means a line is not a rank-2
+    through ``core._closure_of``, the reference.  A closed plane that
+    does not hold both lines of its pair means a line is not a rank-2
     flat (the span of x and a point of each line holds both lines when
     they are), and raises MatroidError too.  A line lies in the plane when
     it is found at its smallest point, a plane point, and the plane holds
@@ -172,7 +168,7 @@ def _meeting_planes(
             for i, j, _ in core._meeting_pairs(index.by_point)
         }
     by_point = index.by_point
-    index.meets  # two lines sharing two points raise before any star is read
+    index.check_two_points()
     closed: set[tuple[int, int]] = set()  # the held pairs of each plane of three or more lines
     planes: dict[tuple[int, ...], tuple[int, ...]] = {}
     for i, j, x in core._meeting_pairs(by_point):
@@ -204,7 +200,7 @@ def degree_partition(
     coplanar lines is in E2 though it is no joint."""
     heavy = math.ceil(4 / _epsilon(epsilon))  # an int degree is >= 4/epsilon iff >= this
     index = core._require_lines(m, lines)
-    index.meets  # two lines sharing two points raise, as in the other stages
+    index.check_two_points()
     degrees = {x: len(through) for x, through in enumerate(index.by_point)}
     e1 = {x for x, d in degrees.items() if d >= heavy}
     e2 = {x for x, d in degrees.items() if 3 <= d < heavy}
@@ -218,13 +214,12 @@ class IntersectionGraph:
 
 
 def intersection_graph(m: Matroid, lines: Sequence[Flat], e2: set[int]) -> IntersectionGraph:
-    """Edge per line pair meeting in a point of e2, labeled by the witness:
-    the meeting map ``core._common_points`` filtered to e2, in its order,
-    read pair by pair (``core._meeting_pairs``) once the meeting masks
-    (``index.meets``) have raised MatroidError on two lines that share two
-    or more points."""
+    """Edge per line pair meeting in a point of e2, labeled by the witness,
+    read pair by pair (``core._meeting_pairs``) once the two-point check
+    (``index.check_two_points``) has refused two lines that share two or
+    more points."""
     index = core._require_lines(m, lines)
-    index.meets  # two lines sharing two points raise before any edge is read
+    index.check_two_points()
     edges = {(i, j): x for i, j, x in core._meeting_pairs(index.by_point) if x in e2}
     return IntersectionGraph(n=len(index), edges=edges)
 
@@ -242,21 +237,23 @@ def triangle_stats(g: IntersectionGraph) -> TriangleStats:
 
     ``intersection_graph`` rejects two lines that share two points, so a
     triangle's three witnesses are all one point or three distinct ones.
-    The d lines of a witness's edges pairwise meet there and give C(d, 3)
-    degenerate triangles; the others come from ``core._triangles_at``
-    walking the witnesses' meeting masks (``core._meeting_masks`` of their
-    line lists), with the edges as its meeting map.  This is the
-    reference: ``analyze`` reads the same counts off the degrees on a
-    construction's own lines, whose gate has already found no triangle.
+    The graph is read as the incidence of the lines and their witnesses
+    (a ``core.LineIndex``, each line holding the witnesses of its edges):
+    the d lines through a witness pairwise meet there and give C(d, 3)
+    degenerate triangles, and the others are that incidence's triangles
+    (``core.find_triangles``).  This is the reference: ``analyze`` reads
+    the same counts off the degrees on a construction's own lines, whose
+    gate has already found no triangle.
     """
-    lines_at: dict[int, set[int]] = {}
-    for pair, w in g.edges.items():
-        lines_at.setdefault(w, set()).update(pair)
-    at = sorted((w, sorted(ls)) for w, ls in lines_at.items())
-    per_witness = {w: math.comb(len(ls), 3) for w, ls in at if len(ls) >= 3}
+    witnesses: list[set[int]] = [set() for _ in range(g.n)]
+    for (i, j), w in g.edges.items():
+        witnesses[i].add(w)
+        witnesses[j].add(w)
+    size = max(g.edges.values(), default=-1) + 1
+    index = core.LineIndex(size, [tuple(sorted(ws)) for ws in witnesses])
+    per_witness = {w: math.comb(len(ls), 3) for w, ls in enumerate(index.by_point) if len(ls) >= 3}
     degenerate = sum(per_witness.values())
-    meets = core._meeting_masks(g.n, (ls for _, ls in at))
-    crossing = sum(len(found) for found in _triangles_at(meets, lambda: g.edges, at))
+    crossing = len(core.find_triangles(index))
     return TriangleStats(total=degenerate + crossing, degenerate=degenerate, per_witness=per_witness)
 
 
@@ -292,9 +289,9 @@ def analyze(m: Matroid, lines: Sequence[Flat], epsilon: Fraction) -> AnalysisRep
     are read off the kept lines' degrees d_x, with no graph built and no
     triangle walked: ``graph_edges`` is the sum over x in E2 of C(d_x, 2),
     and ``triangles`` and ``degenerate_triples`` are both the sum over x in
-    E2 of C(d_x, 3).  Two kept lines share at most one point (the meeting
-    masks raise otherwise) and every pair of lines through x meets there, so
-    x witnesses exactly C(d_x, 2) edges and C(d_x, 3) degenerate triangles.
+    E2 of C(d_x, 3).  Two kept lines share at most one point (the
+    two-point check raises otherwise) and every pair of lines through x
+    meets there, so x witnesses exactly C(d_x, 2) edges and C(d_x, 3) degenerate triangles.
     A triangle that is not degenerate is three kept lines pairwise meeting
     at three distinct points, a triangle of the configuration, which the
     matroid's constructor has refused.  The kept lines are a subfamily of

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -143,15 +143,17 @@ def flats_of_rank(m: Matroid, k: int, *, allow_large: bool = False) -> list[Flat
 class LineIndex(Sequence[Flat]):
     """A read-only sequence of lines over a ground set of ``size`` elements:
     line i is the ascending tuple of its members ``line_points[i]``, whose
-    first two are its two smallest, and ``self[i]`` is its rank-2 flat,
-    built from those members each time it is read.  The index caches its
-    incidence and nothing else, each piece built when first read: the
-    point -> line index (``by_point``), the meeting masks (``meets``: which
-    lines each line meets) and the triangle gate's verdict
-    (``triangle_free``).  A stage that asks where two lines meet reads each
-    pair at its point (``_meeting_pairs``), after ``meets`` has checked that
-    no two lines share two points; the meeting map (``_common_points``)
-    is built only inside the gate, and only where a triangle has a vertex.
+    first two are its two smallest, and ``self[i]`` is its rank-2 flat.
+    The index caches its incidence and nothing else, each piece built when
+    first read: the point -> line index (``by_point``), the meeting masks
+    (``meets``) and the triangle gate's verdict (``triangle_free``).
+
+    The index answers every question of which lines meet, and nothing
+    outside it and its gate (``find_triangles``) reads the masks: ``meet``
+    asks whether two lines meet, ``check_two_points`` refuses two lines
+    that share two points, and ``find_triangles`` finds the triangles.  A
+    stage that asks where two lines meet reads each pair at its point
+    (``_meeting_pairs``) after the two-point check.
 
     Every function that takes a sequence of lines reads an index as it is
     and builds one (``_require_lines``) from any other, so a caller that
@@ -184,20 +186,37 @@ class LineIndex(Sequence[Flat]):
 
     @cached_property
     def meets(self) -> list[int]:
-        """For each line i, the bitmask of the lines that meet it
-        (``_meeting_masks``), bit i included when line i has a point.
+        """For each line i, the bitmask of the lines that meet it, bit i
+        included when line i has a point: every line through a point gets
+        the mask of all the lines through it.
 
         The two-point check: with d_x the number of lines through x, the
         masks hold exactly sum over x of d_x (d_x - 1) ordered pairs of
         distinct lines iff no two lines share two points, since a pair
         sharing k points is counted k times by the sum and once by the
-        masks.  So one sum checks that lines meet at most once, and when it
-        fails ``_common_points`` raises its MatroidError naming the pair."""
-        meets = _meeting_masks(len(self), self.by_point)
+        masks.  When it fails, ``_common_points`` raises its MatroidError
+        naming the pair."""
+        meets = [0] * len(self)
+        for through in self.by_point:
+            mask = 0
+            for l in through:
+                mask |= 1 << l
+            for l in through:
+                meets[l] |= mask
         met = sum(m.bit_count() for m in meets) - sum(1 for pts in self.line_points if pts)
         if met != sum(len(through) * (len(through) - 1) for through in self.by_point):
             _common_points(self.by_point)
         return meets
+
+    def check_two_points(self) -> None:
+        """Raise MatroidError when two lines share two points (the check
+        that building ``meets`` runs)."""
+        self.meets
+
+    def meet(self, a: int, b: int) -> bool:
+        """Whether lines a and b meet at a point; a line with a point meets
+        itself."""
+        return self.meets[a] >> b & 1 == 1
 
     @cached_property
     def triangle_free(self) -> bool:
@@ -233,21 +252,6 @@ def _lines_by_point(size: int, lines: Iterable[Iterable[int]]) -> list[list[int]
         for x in members:
             by_point[x].append(i)
     return by_point
-
-
-def _meeting_masks(n_lines: int, by_point: Iterable[Sequence[int]]) -> list[int]:
-    """For each of ``n_lines`` lines, the bitmask of the lines through the
-    points of ``by_point`` (each point's lines) that it passes through:
-    every line through a point gets the whole mask of that point, its own
-    bit included."""
-    meets = [0] * n_lines
-    for through in by_point:
-        mask = 0
-        for l in through:
-            mask |= 1 << l
-        for l in through:
-            meets[l] |= mask
-    return meets
 
 
 def _meeting_pairs(by_point: Sequence[Sequence[int]]) -> Iterator[tuple[int, int, int]]:
@@ -288,36 +292,8 @@ def find_triangles(index: LineIndex, limit: Optional[int] = None) -> list[Triang
 
     A triangle is three distinct points and three distinct lines with each
     line incident to exactly two of the points.  ``limit`` (at least 1)
-    caps the number of records returned.  The walk reads the lines'
-    meeting masks (``index.meets``, which raise on two lines sharing two
-    points), and builds the meeting map (``_common_points``) for this call
-    only at the first point where a triangle has a vertex, so a
-    triangle-free incidence builds none.
-    """
-    if limit is not None and limit < 1:
-        raise MatroidError(f"limit must be at least 1, got {limit}")
-    out: list[Triangle] = []
-    by_point = index.by_point
-    for found in _triangles_at(index.meets, lambda: _common_points(by_point), enumerate(by_point)):
-        if found:
-            out += sorted(found, key=lambda t: t.points)
-            if limit is not None and len(out) >= limit:
-                return out[:limit]
-    return out
-
-
-def _triangles_at(
-    meets: Sequence[int],
-    angle: Callable[[], Mapping[tuple[int, int], int]],
-    by_point: Iterable[tuple[int, Sequence[int]]],
-) -> Iterator[list[Triangle]]:
-    """For each point x with its ascending lines, the triangles whose
-    smallest vertex is x.  ``meets`` holds each line's bitmask of the lines
-    it meets at the points of ``by_point``, its own bit included
-    (``_meeting_masks`` of their line lists); ``angle()`` returns the
-    map from each pair of lines a < b that meet there to their meeting
-    point, and is called once, at the first point that fails the test
-    below.
+    caps the number of records returned.  Two lines sharing two points
+    raise MatroidError (``index.meets``).
 
     Disjoint outside-neighbourhoods: a line l3 not through x that meets
     two lines l1 < l2 through x closes a triangle, since it meets them at
@@ -330,36 +306,46 @@ def _triangles_at(
     the sum of popcount(mask) - d^2.  This costs O(d) mask operations at x,
     and only at a point that fails it are the pairs l1, l2 walked: a pair
     whose common mask holds more than the d lines through x has such an
-    l3, found once the lines through x are masked off.
+    l3, found once the lines through x are masked off.  The meeting map
+    (``_common_points``), which names the points p and q, is built at the
+    first such point, so a triangle-free incidence builds none.
     """
+    if limit is not None and limit < 1:
+        raise MatroidError(f"limit must be at least 1, got {limit}")
+    out: list[Triangle] = []
+    by_point, meets = index.by_point, index.meets
     meeting = None
-    for x, ls in by_point:
-        found: list[Triangle] = []
+    for x, ls in enumerate(by_point):
         d = len(ls)
         union = total = 0
         for l in ls:
             mask = meets[l]
             union |= mask
             total += mask.bit_count()
-        if union.bit_count() - d != total - d * d:
-            if meeting is None:
-                meeting = angle()
-            through = sum(1 << l for l in ls)
-            for l1, l2 in combinations(ls, 2):
-                common = meets[l1] & meets[l2]
-                if common.bit_count() <= d:
-                    continue
-                third = common & ~through
-                while third:
-                    l3 = third.bit_length() - 1
-                    third ^= 1 << l3
-                    p = meeting[min(l1, l3), max(l1, l3)]
-                    q = meeting[min(l2, l3), max(l2, l3)]
-                    if x < p < q:
-                        found.append(Triangle((x, p, q), (l1, l2, l3)))
-                    elif x < q < p:
-                        found.append(Triangle((x, q, p), (l2, l1, l3)))
-        yield found
+        if union.bit_count() - d == total - d * d:
+            continue
+        if meeting is None:
+            meeting = _common_points(by_point)
+        found: list[Triangle] = []
+        through = sum(1 << l for l in ls)
+        for l1, l2 in combinations(ls, 2):
+            common = meets[l1] & meets[l2]
+            if common.bit_count() <= d:
+                continue
+            third = common & ~through
+            while third:
+                l3 = third.bit_length() - 1
+                third ^= 1 << l3
+                p = meeting[min(l1, l3), max(l1, l3)]
+                q = meeting[min(l2, l3), max(l2, l3)]
+                if x < p < q:
+                    found.append(Triangle((x, p, q), (l1, l2, l3)))
+                elif x < q < p:
+                    found.append(Triangle((x, q, p), (l2, l1, l3)))
+        out += sorted(found, key=lambda t: t.points)
+        if limit is not None and len(out) >= limit:
+            return out[:limit]
+    return out
 
 
 def is_triangle_free(index: LineIndex) -> bool:
@@ -548,13 +534,12 @@ class TriangleFreeMatroid:
         for l in pc:
             if l in pd:
                 cd = l
-        # the two lines of a pair are distinct here, so a set bit of the
-        # meeting masks is another line that meets the first
-        meets = self.config.meets
+        # the two lines of a pair are distinct here (a line meets itself)
+        meet = self.config.meet
         return not (
-            (ab is not None and cd is not None and meets[ab] >> cd & 1)
-            or (ac is not None and bd is not None and meets[ac] >> bd & 1)
-            or (ad is not None and bc is not None and meets[ad] >> bc & 1)
+            (ab is not None and cd is not None and meet(ab, cd))
+            or (ac is not None and bd is not None and meet(ac, bd))
+            or (ad is not None and bc is not None and meet(ad, bc))
         )
 
     def span(self, basis: frozenset) -> frozenset:
@@ -565,14 +550,13 @@ class TriangleFreeMatroid:
         4-set), or e lies on a line through the third member that meets
         that line at a configuration point (an angle covering the 4-set).
         Two distinct lines share at most one point, so a pair lies on at
-        most one line, and the lines through the third member that meet it
-        are those set in its meeting mask (``meets``).
+        most one line.
         """
         cfg = self.config
         if len(basis) >= 4:
             return frozenset(range(cfg.size))
         out = set(basis)
-        line_points, by_point, meets = cfg.line_points, cfg.by_point, cfg.meets
+        line_points, by_point, meet = cfg.line_points, cfg.by_point, cfg.meet
         for p, q in combinations(basis, 2):
             la = _line_through(by_point[p], by_point[q])
             if la is None:
@@ -582,7 +566,7 @@ class TriangleFreeMatroid:
                 if r == p or r == q:
                     continue
                 for lb in by_point[r]:
-                    if meets[la] >> lb & 1:
+                    if meet(la, lb):
                         out.update(line_points[lb])
         return frozenset(out)
 

@@ -74,8 +74,8 @@ def intersect(l1: IntLine, l2: IntLine) -> Optional[Point]:
 class Configuration(LineIndex):
     """Immutable incidence structure over distinct points and lines: the
     ``core.LineIndex`` of the lines' point sets (``line_points``,
-    ``by_point``, ``meets``, the gate verdict ``triangle_free``; item i is
-    line i's rank-2 flat), with the ``points`` and the ``IntLine``s
+    ``by_point``, the gate verdict ``triangle_free``; item i is line i's
+    rank-2 flat), with the ``points`` and the ``IntLine``s
     (``lines``) it was read from."""
 
     def __init__(
@@ -84,14 +84,13 @@ class Configuration(LineIndex):
         """Raises MatroidError on a coordinate that is not an integer (bool
         included; nothing is coerced) or a point given twice (both checked
         by ``_checked_points``), a line with A = B = 0, two lines
-        that share two points (``core._common_points``), or one line given
+        that share two points (``check_two_points``), or one line given
         twice, in any two forms that ``line`` puts in one canonical form.
 
-        ``by_point`` and ``meets`` are built when first read.  Two distinct
-        lines of distinct canonical directions share at most one point, so
-        only when two given directions canonicalise alike are the meeting
-        masks built here, whose two-point check names two lines sharing
-        two points.
+        The incidence is built when first read.  Two distinct lines of
+        distinct canonical directions share at most one point, so only when
+        two given directions canonicalise alike is the two-point check run
+        here.
 
         ``line_points``, when given, is each line's ascending point
         indices, the incidence of checked points and distinct lines
@@ -123,10 +122,10 @@ class Configuration(LineIndex):
                     found[li].append(pi)
         super().__init__(len(self.points), tuple(map(tuple, found)))
         # a line given in two forms lies in two directions of one canonical
-        # direction; the meeting masks are built first, so a repeat that
-        # holds two points is named as two lines sharing them
+        # direction; the two-point check runs first, so a repeat that holds
+        # two points is named as two lines sharing them
         if len({line(a, b, 0) for a, b in by_direction}) < len(by_direction):
-            self.meets
+            self.check_two_points()
             if len({line(*l) for l in self.lines}) < len(self.lines):
                 raise MatroidError("duplicate lines in configuration")
 

@@ -597,7 +597,7 @@ def wrapped_oracle(tfm):
     """``tfm``'s matroid through an oracle that wraps its own, which does
     not take the structural rules' key; its span closes planes with no
     oracle call."""
-    return core.Matroid(tfm.config.points, lambda s: tfm.is_independent(s), tfm.span)
+    return core.Matroid(tfm.to_matroid().labels, lambda s: tfm.is_independent(s), tfm.span)
 
 
 @pytest.mark.parametrize("group", ["builds", "small", "window20", "window400"])
@@ -624,14 +624,31 @@ def test_the_degree_rule_matches_the_reference(group, small_triangle_free):
     assert pruned or group == "window20"
 
 
+def test_the_degree_rule_counts_points_of_degree_four_and_five():
+    # a bare triangle-free index with one point on four lines and one on
+    # five: point 0 gives C(4, 2) = 6 edges and C(4, 3) = 4 degenerate
+    # triangles, point 5 gives 10 and 10
+    tfm = TriangleFreeMatroid(
+        core.LineIndex(11, [(0, 1), (0, 2), (0, 3), (0, 4), (5, 6), (5, 7), (5, 8), (5, 9), (5, 10)])
+    )
+    m, index = tfm.to_matroid(), tfm.matroid_lines()
+    assert _reads_own_configuration(m, index)
+    for eps in (Fraction(1, 4), Fraction(1, 2), Fraction(1)):
+        assert analyze(m, index, eps) == reference_analyze(wrapped_oracle(tfm), list(index), eps), eps
+    report = analyze(m, index, Fraction(1, 2))
+    assert (report.E2_size, report.graph_edges) == (2, 16)
+    assert report.triangles == report.degenerate_triples == 14
+
+
 @pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(1)])
 def test_the_degree_rule_builds_no_graph(monkeypatch, build200, eps):
     # on the build's own lines analyze builds no intersection graph and
     # walks no triangle; through a wrapped oracle it does each once
-    calls = {"intersection_graph": [], "triangle_stats": [], "_triangles_at": []}
+    calls = {"intersection_graph": [], "triangle_stats": [], "find_triangles": []}
     for name, counted in calls.items():
-        original = getattr(analysis, name)
-        monkeypatch.setattr(analysis, name, lambda *a, _f=original, _c=counted: _c.append(1) or _f(*a))
+        owner = core if name == "find_triangles" else analysis
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _f=original, _c=counted: _c.append(1) or _f(*a))
     tfm = build200.matroid
     own = analyze(tfm.to_matroid(), tfm.matroid_lines(), eps)
     assert all(counted == [] for counted in calls.values())
@@ -642,18 +659,32 @@ def test_the_degree_rule_builds_no_graph(monkeypatch, build200, eps):
 @pytest.mark.parametrize("eps, builds", [(Fraction(1, 2), 1), (Fraction(1), 2)], ids=["reused", "rebuilt"])
 def test_analyze_indexes_each_line_family_once(monkeypatch, matroid200, eps, builds):
     # one index for the lines, and one more for the survivors only when the
-    # prune takes a step (76 steps at epsilon 1 on this build); no stage
-    # builds the meeting map, which the closure rule and the graph read
-    # pair by pair from by_point
-    counted = {"_lines_by_point": [], "_common_points": []}
-    for name, calls in counted.items():
-        original = getattr(core, name)
-        monkeypatch.setattr(core, name, lambda *a, _f=original, _c=calls: _c.append(1) or _f(*a))
+    # prune takes a step (76 steps at epsilon 1 on this build); off the
+    # structural rules' key (a plain list of lines), triangle_stats indexes
+    # the graph's witnesses once more; no stage builds the meeting map,
+    # which the closure rule and the graph read pair by pair from by_point
+    stage = ["lines"]
+    counted = {"lines": [], "witnesses": []}
+    meeting_maps = []
+    by_point, common_points, stats = core._lines_by_point, core._common_points, analysis.triangle_stats
+    monkeypatch.setattr(core, "_lines_by_point", lambda *a: counted[stage[-1]].append(1) or by_point(*a))
+    monkeypatch.setattr(core, "_common_points", lambda *a: meeting_maps.append(1) or common_points(*a))
+
+    def counted_stats(g):
+        stage.append("witnesses")
+        try:
+            return stats(g)
+        finally:
+            stage.pop()
+
+    monkeypatch.setattr(analysis, "triangle_stats", counted_stats)
     m, lines = matroid200
+    assert not _reads_own_configuration(m, lines)
     report = analyze(m, lines, eps)
     assert (report.planes_pruned > 0) == (builds == 2)
-    assert len(counted["_lines_by_point"]) == builds
-    assert len(counted["_common_points"]) == 0
+    assert len(counted["lines"]) == builds
+    assert len(counted["witnesses"]) == 1
+    assert meeting_maps == []
 
 
 @pytest.mark.parametrize("stage", ["prune", "partition", "graph", "joints", "analyze"])
@@ -955,6 +986,13 @@ def test_a_bare_index_with_a_point_outside_its_ground_set_is_refused():
     for size, lines, named in ((2, [(0, 5)], r"line 0 \(0, 5\)"), (3, [(-1, 0), (0, 1)], r"line 0 \(-1, 0\)")):
         with pytest.raises(MatroidError, match=rf"{named} has a point outside the ground set of size {size}"):
             core.TriangleFreeMatroid(core.LineIndex(size, lines))
+
+
+def test_a_line_ending_at_the_ground_sets_size_is_refused():
+    # point 3 is one past the last of a ground set of size 3: the bound is
+    # strict, and a looser one would let the gate index past by_point
+    with pytest.raises(MatroidError, match=r"line 1 \(1, 3\) has a point outside the ground set of size 3"):
+        core.TriangleFreeMatroid(core.LineIndex(3, [(0, 1), (1, 3)]))
 
 
 def test_line_index_is_the_configurations_incidence(build200, base3_grid):

@@ -339,9 +339,10 @@ def test_triangle_search_matches_definition(points, coefficients, joins):
 
 
 def mask_subtraction_gate(angle, n_lines, by_point):
-    """``core._triangles_at`` without its tests, with its masks read off
-    the meeting map: every pair of lines through x masks off the lines
-    through x and walks the rest of the lines meeting both."""
+    """``core.find_triangles``' walk without its tests, point by point,
+    with its masks read off the meeting map: every pair of lines through x
+    masks off the lines through x and walks the rest of the lines meeting
+    both."""
     meets = [0] * n_lines
     for a, b in angle:
         meets[a] |= 1 << b
@@ -393,16 +394,18 @@ def test_popcount_gate_equals_mask_subtraction(normals, t1, t2, extra, joins, wi
     cfg = Configuration(points, list(dict.fromkeys(lines)))
     assert len(cfg.by_point[0]) >= 4
     assert any(t.points[0] == 0 for t in find_triangles(cfg))
-    # the whole meeting map, and the part of it at some witnesses, as
-    # ``analysis.triangle_stats`` walks it, each with the masks of its
-    # points' line lists
+    # the whole meeting map, and the part of it at some witnesses, given as
+    # the index of each line's points among them, as
+    # ``analysis.triangle_stats`` walks it
     meeting = core._common_points(cfg.by_point)
-    kept = {pair: x for pair, x in meeting.items() if x in witnesses or x == 0}
-    at = [(x, ls) for x, ls in enumerate(cfg.by_point) if x in witnesses or x == 0]
-    for angle, by_point in ((meeting, list(enumerate(cfg.by_point))), (kept, at)):
-        expected = list(mask_subtraction_gate(angle, len(cfg.lines), by_point))
-        meets = core._meeting_masks(len(cfg.lines), (ls for _, ls in by_point))
-        assert list(core._triangles_at(meets, lambda: angle, by_point)) == expected
+    kept_points = witnesses | {0}
+    kept = {pair: x for pair, x in meeting.items() if x in kept_points}
+    at = [(x, ls) for x, ls in enumerate(cfg.by_point) if x in kept_points]
+    restricted = LineIndex(cfg.size, [tuple(x for x in pts if x in kept_points) for pts in cfg.line_points])
+    for index, angle, by_point in ((cfg, meeting, list(enumerate(cfg.by_point))), (restricted, kept, at)):
+        found = mask_subtraction_gate(angle, len(cfg.lines), by_point)
+        expected = [t for at_x in found for t in sorted(at_x, key=lambda t: t.points)]
+        assert find_triangles(index) == expected
 
 
 @settings(max_examples=60, deadline=None)
