@@ -8,7 +8,10 @@ y, column x and diagonal x - y and on no other grid line, so the kept
 lines and their points are read off the coordinates in one pass
 (``GridFamily.configuration``); ``planar.prune_lines`` over all 4N + 1
 lines is the reference it equals.  The resulting configuration passes the
-exact triangle gate (``core.find_triangles``) and is read through
+triangle gate, which it proves from its points' coordinate sums
+(``planar.Configuration.triangle_free``: on rows, columns and diagonals a
+triangle's corner sums form a 3-AP, and the sums lie in a 3-AP-free set),
+with the walk ``core.find_triangles`` as the reference; it is read through
 ``core.TriangleFreeMatroid``, whose oracle reads only the incidence; this
 module re-exports it.
 """
@@ -135,9 +138,12 @@ def build_construction(N: int) -> ConstructionBuild:
     ``planar.prune_lines(Configuration(points, grid.lines))``, the
     reference.
 
-    The gate is the exact triangle search of ``core.is_triangle_free`` at
-    every N, whose verdict the configuration caches
-    (``core.LineIndex.triangle_free``) for the matroid's constructor; a
+    The gate is ``core.is_triangle_free``, the verdict that the
+    configuration caches (``planar.Configuration.triangle_free``) for the
+    matroid's constructor.  The lines are rows, columns and diagonals and
+    the point sums lie in the 3-AP-free set, so the configuration proves it
+    from the sums, with no walk and no meeting mask; sums holding a 3-AP
+    fall back to the walk, ``core.find_triangles``, the reference.  A
     triangle at this point indicates a bug in the 3-AP-free set or the
     incidence code and raises ConstructionError.
     """

@@ -221,7 +221,9 @@ class LineIndex(Sequence[Flat]):
     @cached_property
     def triangle_free(self) -> bool:
         """The exact gate's verdict, ``find_triangles(self, limit=1)``
-        finding none, reached once however many stages ask."""
+        finding none, reached once however many stages ask.  This walk is
+        the reference: ``planar.Configuration`` proves the verdict from its
+        coordinates when its lemma holds, and falls back to this one."""
         return not find_triangles(self, limit=1)
 
 

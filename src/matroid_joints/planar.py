@@ -4,16 +4,20 @@ Points are integer pairs (a, b); lines are canonical primitive triples
 (A, B, C) representing { (x, y) : A*x + B*y = C }.  A Configuration is
 the ``core.LineIndex`` of its lines' point sets, checked against their
 coordinates, and answers triple point and pruning queries exactly.  The
-triangle gate reads only the incidence, so it lives on the index
-(``core.find_triangles``, ``core.LineIndex.triangle_free``); this module
-re-exports it.
+triangle gate's reference reads only the incidence, so it lives on the
+index (``core.find_triangles``, ``core.LineIndex.triangle_free``); this
+module re-exports it.  A configuration of rows, columns and diagonals
+x - y = c proves its own verdict from its points' coordinate sums
+(``Configuration.triangle_free``), with no walk.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd
 from typing import Iterable, NamedTuple, Optional
 
+from .behrend import has_3ap
 from .core import LineIndex, MatroidError, Triangle, find_triangles, is_triangle_free  # noqa: F401
 
 Point = tuple[int, int]
@@ -53,6 +57,10 @@ def diagonal(c: int) -> IntLine:
     return IntLine(1, -1, c)
 
 
+# the directions (A, B) of the rows, the columns and the diagonals x - y = c
+_GRID_DIRECTIONS = frozenset({(0, 1), (1, 0), (1, -1)})
+
+
 def incident(l: IntLine, p: Point) -> bool:
     return l.A * p[0] + l.B * p[1] == l.C
 
@@ -76,16 +84,20 @@ class Configuration(LineIndex):
     ``core.LineIndex`` of the lines' point sets (``line_points``,
     ``by_point``, the gate verdict ``triangle_free``; item i is line i's
     rank-2 flat), with the ``points`` and the ``IntLine``s
-    (``lines``) it was read from."""
+    (``lines``) it was read from.  Its coordinates answer the two checks
+    that the index answers from its meeting masks: the two-point check
+    (``check_two_points``) and, on the grid's directions, the gate
+    (``triangle_free``)."""
 
     def __init__(
         self, points: Iterable[Point], lines: Iterable[IntLine], line_points: Optional[Iterable[tuple]] = None
     ):
         """Raises MatroidError on a coordinate that is not an integer (bool
         included; nothing is coerced) or a point given twice (both checked
-        by ``_checked_points``), a line with A = B = 0, two lines
-        that share two points (``check_two_points``), or one line given
-        twice, in any two forms that ``line`` puts in one canonical form.
+        by ``_checked_points``), a line with A = B = 0, two lines that
+        share two points (``LineIndex.check_two_points``), or one line
+        given twice, in any two forms that ``line`` puts in one canonical
+        form.
 
         The incidence is built when first read.  Two distinct lines of
         distinct canonical directions share at most one point, so only when
@@ -122,12 +134,37 @@ class Configuration(LineIndex):
                     found[li].append(pi)
         super().__init__(len(self.points), tuple(map(tuple, found)))
         # a line given in two forms lies in two directions of one canonical
-        # direction; the two-point check runs first, so a repeat that holds
-        # two points is named as two lines sharing them
+        # direction; the index's two-point check runs first, so a repeat
+        # that holds two points is named as two lines sharing them
         if len({line(a, b, 0) for a, b in by_direction}) < len(by_direction):
-            self.check_two_points()
+            LineIndex.check_two_points(self)
             if len({line(*l) for l in self.lines}) < len(self.lines):
                 raise MatroidError("duplicate lines in configuration")
+
+    def check_two_points(self) -> None:
+        """Builds nothing: two distinct lines of the plane share at most one
+        point, and the constructor has refused a line given twice."""
+
+    @cached_property
+    def triangle_free(self) -> bool:
+        """The gate's verdict, proved when every line is a row, a column or
+        a diagonal x - y = c (``_GRID_DIRECTIONS``) and the coordinate sums
+        x + y of the points hold no 3-AP (``behrend.has_3ap``, O(|sums|^2));
+        otherwise the walk's (``core.LineIndex.triangle_free``), which is
+        the reference.
+
+        The lemma: two lines of one direction never meet, so a triangle
+        takes one row y = b, one column x = a and one diagonal x - y = c.
+        Its corners (a, b), (b + c, b) and (a, a - c) have sums s1 = a + b,
+        s2 = 2b + c and s3 = 2a - c, so s2 + s3 = 2 s1; and s2 = s3 would
+        give s1 = s2, and the row's two corners, of one sum, would be one
+        point.  So a triangle's corner sums form a 3-AP, which the sums of
+        all the points hold.  The proof reads only the points and the lines, and
+        rests on each listed member lying on its line (the constructor's
+        lookup, ``prune_lines`` and the grid build guarantee it)."""
+        if {(l.A, l.B) for l in self.lines} <= _GRID_DIRECTIONS and not has_3ap({x + y for x, y in self.points}):
+            return True
+        return super().triangle_free
 
     def to_json(self) -> dict:
         return {

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from matroid_joints import analysis, cli, core, planar
+from matroid_joints import analysis, cli, construct, core, planar
 from matroid_joints.affine import affine_matroid, descriptor_flats, grid3d, point
 from matroid_joints.analysis import (
     SWEEP_COLUMNS,
@@ -26,6 +26,7 @@ from matroid_joints.analysis import (
     triangle_stats,
     write_sweep_csv,
 )
+from matroid_joints.behrend import BehrendParams, BehrendSet
 from matroid_joints.construct import (
     ConstructionError,
     TriangleFreeMatroid,
@@ -752,7 +753,7 @@ def test_sweep_row_builds_its_meeting_map_once(monkeypatch):
 
 def test_the_dense_pipeline_builds_no_meeting_map(monkeypatch):
     # the dense benchmark's pipeline on a Salem-Spencer set at N = 60:
-    # the gate reads the meeting masks, and the joint rule reads by_point
+    # the gate is proved from the point sums, and the joint rule reads by_point
     calls = []
     original = core._common_points
     monkeypatch.setattr(core, "_common_points", lambda by_point: calls.append(1) or original(by_point))
@@ -765,14 +766,29 @@ def test_the_dense_pipeline_builds_no_meeting_map(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("n, t", [(400, -571), (1000, -1915)], ids=["window400", "window1000"])
+def test_the_proof_agrees_with_the_walk_on_window_builds(monkeypatch, n, t):
+    # the window build's sums, base-3 {0,1}-digit numbers shifted by t, hold
+    # no 3-AP: the gate is proved with no walk and no mask, and the walk,
+    # run directly, finds no triangle
+    walks = []
+    original = core.find_triangles
+    monkeypatch.setattr(core, "find_triangles", lambda *a, **k: walks.append(1) or original(*a, **k))
+    cfg = grid_lines(n).configuration(window_points(n, t))
+    assert cfg.triangle_free and walks == [] and "meets" not in vars(cfg)
+    assert not original(cfg, limit=1)
+
+
 def test_analyze_on_the_builds_own_lines_builds_no_meeting_map_and_no_flats():
     # a fresh build: no stage from the build to analyze at epsilon = 1/2
-    # asks where two lines meet, and with no prune step no survivor is a flat
+    # asks where two lines meet, and with no prune step no survivor is a
+    # flat; the gate is proved from the point sums and the configuration's
+    # two-point check builds nothing, so no meeting mask is built either
     build = build_construction(200)
     tfm = build.matroid
     report = analyze(tfm.to_matroid(), tfm.matroid_lines(), Fraction(1, 2))
     assert report.planes_pruned == 0 and report.L_after_prune == report.L_initial == 165
-    assert "meets" in vars(build.config)
+    assert "meets" not in vars(build.config)
     assert set(vars(build.config)) <= INDEX_ATTRIBUTES
 
 
@@ -890,13 +906,23 @@ def test_an_int_epsilon_reads_as_its_fraction(build200):
 @pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(1)])
 def test_sweep_row_runs_the_gate_once(monkeypatch, eps):
     # the build's gate verdict is cached on its configuration, where the
-    # prune's union rule reads it again
-    calls = []
-    original = core.find_triangles
-    monkeypatch.setattr(core, "find_triangles", lambda *a, **k: calls.append(1) or original(*a, **k))
+    # prune's union rule reads it again; a build's point sums hold no 3-AP,
+    # so the verdict is proved (one has_3ap) and the walk never runs
+    walks, proofs = [], []
+    original, has_3ap = core.find_triangles, planar.has_3ap
+    monkeypatch.setattr(core, "find_triangles", lambda *a, **k: walks.append(1) or original(*a, **k))
+    monkeypatch.setattr(planar, "has_3ap", lambda sums: proofs.append(1) or has_3ap(sums))
     rows = joints_sweep([200], eps)
     assert rows[0].get("error") is None and rows[0]["L"] > 0
-    assert len(calls) == 1
+    assert (len(proofs), len(walks)) == (1, 0)
+    # sums holding the 3-AP (2, 3, 4) are not proved: the walk runs once,
+    # finds a triangle ((1, 1), (2, 1), (2, 2) is one) and the row fails
+    proofs.clear()
+    bad = BehrendSet(members=(2, 3, 4), params=BehrendParams(N=200, n=1, s=1, k=0), via_fallback=True)
+    monkeypatch.setattr(construct, "behrend_set", lambda n: bad)
+    rows = joints_sweep([200], eps)
+    assert rows[0]["error"].startswith("ConstructionError: triangle found")
+    assert (len(proofs), len(walks)) == (1, 1)
 
 
 @pytest.mark.parametrize("path", ["counting-matroid", "own-oracle"])

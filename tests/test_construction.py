@@ -464,6 +464,19 @@ def test_triangle_gate_catches_bad_filter(monkeypatch, sums):
         construct.build_construction(n)
 
 
+@pytest.mark.parametrize("sums", [_small_bad_sums, _large_bad_sums], ids=["N5", "N250"])
+def test_a_filter_with_a_3ap_is_not_proved_and_the_walk_finds_its_triangles(monkeypatch, sums):
+    # the proof needs sums with no 3-AP, so these verdicts are the walk's
+    n, members = sums()
+    cfg = grid_lines(n).configuration(behrend_points(n, members))
+    assert has_3ap({x + y for x, y in cfg.points})
+    walks = []
+    original = core.find_triangles
+    monkeypatch.setattr(core, "find_triangles", lambda *a, **k: walks.append(1) or original(*a, **k))
+    assert not cfg.triangle_free and walks == [1]
+    assert original(cfg)
+
+
 def test_triangle_in_ground_set_breaks_axioms():
     # a configuration with a triangle admits no consistent matroid: the
     # exchange axiom fails on the triangle's vertices, so the constructor

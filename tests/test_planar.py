@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from matroid_joints import construct, core, planar
 from matroid_joints.behrend import has_3ap
-from matroid_joints.construct import behrend_points, grid_lines
+from matroid_joints.construct import TriangleFreeMatroid, behrend_points, build_construction, grid_lines
 from matroid_joints.core import LineIndex, MatroidError
 from matroid_joints.planar import (
     Configuration,
@@ -419,7 +419,7 @@ def test_triangle_search_matches_definition_on_filtered_grids(grid, prune):
     if prune:
         cfg = prune_lines(cfg)
     assert_search_matches_definition(cfg)
-    assert is_triangle_free(cfg) == (not has_3ap(sums))
+    assert is_triangle_free(cfg) == (not has_3ap(sums)) == (not find_triangles(cfg, limit=1))
 
 
 def assert_meets_are_the_meeting_keys(index):
@@ -496,3 +496,45 @@ def test_unfiltered_grid_triangles_are_unchanged():
     cfg = Configuration([(x, y) for x in range(1, 6) for y in range(1, 6)], grid_lines(5).lines)
     found = find_triangles(cfg)
     assert len(found) == 60 and found == brute_triangles(cfg)
+
+
+def count_walks(monkeypatch):
+    """The calls of the walk (``core.find_triangles``) from here on, and the
+    walk itself, uncounted."""
+    calls = []
+    original = core.find_triangles
+    monkeypatch.setattr(core, "find_triangles", lambda *a, **k: calls.append(1) or original(*a, **k))
+    return calls, original
+
+
+def test_the_proof_agrees_with_the_walk_on_every_build_up_to_300(monkeypatch):
+    # a build's lines are rows, columns and diagonals and its point sums lie
+    # in its 3-AP-free set, so each verdict is proved, with no walk and no
+    # mask, and the walk, run directly, finds no triangle
+    walks, walk = count_walks(monkeypatch)
+    for n in range(4, 301):
+        cfg = build_construction(n).config
+        assert cfg.triangle_free and "meets" not in vars(cfg), n
+        assert not walk(cfg, limit=1), n
+    assert walks == []
+
+
+def test_a_triangle_off_the_grids_directions_is_walked_not_proved(monkeypatch):
+    # the sums {0, 1} hold no 3-AP, but x + y = 1 is no grid direction, so
+    # the lemma does not hold and the walk finds the triangle
+    walks, _ = count_walks(monkeypatch)
+    cfg = Configuration([(0, 0), (1, 0), (0, 1)], [horizontal(0), vertical(0), line(1, 1, 1)])
+    assert not has_3ap({x + y for x, y in cfg.points})
+    with pytest.raises(MatroidError, match="triangle"):
+        TriangleFreeMatroid(cfg)
+    assert walks == [1]
+
+
+def test_a_configurations_two_point_check_builds_nothing(build200):
+    # two distinct lines of the plane share at most one point; the index's
+    # own check, the reference, builds the masks and passes
+    cfg = Configuration(build200.config.points, build200.config.lines)
+    cfg.check_two_points()
+    assert set(vars(cfg)) == {"size", "line_points", "points", "lines"}
+    LineIndex.check_two_points(cfg)
+    assert "meets" in vars(cfg)
