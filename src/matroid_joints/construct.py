@@ -36,6 +36,7 @@ from .planar import (
     triple_points,
     vertical,
     _checked_points,
+    _from_incidence,
 )
 
 
@@ -90,7 +91,7 @@ class GridFamily:
                 if len(members) >= 2 and low <= c <= n:
                     lines.append(make(c))
                     line_points.append(tuple(members))
-        return Configuration(points, lines, line_points)
+        return _from_incidence(points, lines, line_points)
 
 
 def grid_lines(N: int) -> GridFamily:

@@ -30,6 +30,16 @@ class MatroidError(ValueError):
     """Domain error: bad subset, non-line input, violated precondition."""
 
 
+def _count(name: str, value) -> None:
+    """Refuse a count argument that is not an int of at least 1: a bool
+    (True would count one), a float or a str (nothing is coerced) and a
+    value below 1 raise MatroidError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MatroidError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise MatroidError(f"{name} must be at least 1, got {value}")
+
+
 @dataclass(frozen=True)
 class Matroid:
     """Ground set plus independence oracle.
@@ -293,9 +303,9 @@ def find_triangles(index: LineIndex, limit: Optional[int] = None) -> list[Triang
     """Enumerate triangles in lexicographic order of their point triples.
 
     A triangle is three distinct points and three distinct lines with each
-    line incident to exactly two of the points.  ``limit`` (at least 1)
-    caps the number of records returned.  Two lines sharing two points
-    raise MatroidError (``index.meets``).
+    line incident to exactly two of the points.  ``limit`` (an int of at
+    least 1) caps the number of records returned.  Two lines sharing two
+    points raise MatroidError (``index.meets``).
 
     Disjoint outside-neighbourhoods: a line l3 not through x that meets
     two lines l1 < l2 through x closes a triangle, since it meets them at
@@ -312,8 +322,8 @@ def find_triangles(index: LineIndex, limit: Optional[int] = None) -> list[Triang
     (``_common_points``), which names the points p and q, is built at the
     first such point, so a triangle-free incidence builds none.
     """
-    if limit is not None and limit < 1:
-        raise MatroidError(f"limit must be at least 1, got {limit}")
+    if limit is not None:
+        _count("limit", limit)
     out: list[Triangle] = []
     by_point, meets = index.by_point, index.meets
     meeting = None
@@ -781,8 +791,7 @@ def check_submodularity(m: Matroid, pairs: int, rng_seed: int = 0) -> Submodular
     plus the two elements that follow it in that order, so that the four
     ranks differ and the inequality has something to test.
     """
-    if pairs < 1:
-        raise MatroidError(f"pairs must be at least 1, got {pairs}")
+    _count("pairs", pairs)
     rng = random.Random(rng_seed)
     report = SubmodularityReport(pairs_checked=pairs)
     for _ in range(pairs):
@@ -816,15 +825,15 @@ def check_incidence_properties(m: Matroid, rng_seed: int = 0, samples: int = 100
 
     Raises MatroidError (naming the violating subset) when the matroid is
     not simple.  Properties over pairs/triples are checked exhaustively
-    when their count is at most ``samples`` (at least 1), otherwise on a
-    seeded sample; the flats through a point come from ``_lines_by_point``.
+    when their count is at most ``samples`` (an int of at least 1),
+    otherwise on a seeded sample; the flats through a point come from
+    ``_lines_by_point``.
     A sampled pair or triple of points is read off ``combinations`` as its
     index comes up, at most the C(n, 3) steps that enumerating the planes
     has already taken in oracle calls, and a sampled meeting line pair is
     read from the sorted pair keys, so no whole list of them is built.
     """
-    if samples < 1:
-        raise MatroidError(f"samples must be at least 1, got {samples}")
+    _count("samples", samples)
     for e in range(m.size):
         if not m.oracle(frozenset({e})):
             raise MatroidError(f"matroid is not simple: singleton {{{e}}} is dependent")

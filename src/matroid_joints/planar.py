@@ -18,7 +18,7 @@ from math import gcd
 from typing import Iterable, NamedTuple, Optional
 
 from .behrend import has_3ap
-from .core import LineIndex, MatroidError, Triangle, find_triangles, is_triangle_free  # noqa: F401
+from .core import LineIndex, MatroidError, Triangle, _common_points, find_triangles, is_triangle_free  # noqa: F401
 
 Point = tuple[int, int]
 
@@ -89,31 +89,18 @@ class Configuration(LineIndex):
     (``check_two_points``) and, on the grid's directions, the gate
     (``triangle_free``)."""
 
-    def __init__(
-        self, points: Iterable[Point], lines: Iterable[IntLine], line_points: Optional[Iterable[tuple]] = None
-    ):
+    def __init__(self, points: Iterable[Point], lines: Iterable[IntLine]):
         """Raises MatroidError on a coordinate that is not an integer (bool
         included; nothing is coerced) or a point given twice (both checked
         by ``_checked_points``), a line with A = B = 0, two lines that
-        share two points (``LineIndex.check_two_points``), or one line
-        given twice, in any two forms that ``line`` puts in one canonical
-        form.
+        share two points (``core._common_points``), or one line given
+        twice, in any two forms that ``line`` puts in one canonical form.
 
-        The incidence is built when first read.  Two distinct lines of
-        distinct canonical directions share at most one point, so only when
-        two given directions canonicalise alike is the two-point check run
-        here.
-
-        ``line_points``, when given, is each line's ascending point
-        indices, the incidence of checked points and distinct lines
-        (``prune_lines`` passes a configuration's kept lines,
-        ``construct.GridFamily.configuration`` the grid lines read off the
-        coordinates), and is taken as it is: nothing is checked or looked
-        up."""
-        if line_points is not None:
-            self.points, self.lines = tuple(points), tuple(lines)
-            super().__init__(len(self.points), tuple(line_points))
-            return
+        The incidence is always read off the coordinates: each line's points
+        are looked up here.  Two distinct lines of distinct canonical
+        directions share at most one point, so only when two given
+        directions canonicalise alike is the two-point check run here, with
+        no meeting mask built."""
         self.points: tuple[Point, ...] = _checked_points(points)
         self.lines: tuple[IntLine, ...] = tuple(lines)
         # a point lies on at most one line of each direction (A, B), so one
@@ -134,10 +121,11 @@ class Configuration(LineIndex):
                     found[li].append(pi)
         super().__init__(len(self.points), tuple(map(tuple, found)))
         # a line given in two forms lies in two directions of one canonical
-        # direction; the index's two-point check runs first, so a repeat
-        # that holds two points is named as two lines sharing them
+        # direction; the two-point check runs first, on the meeting map's
+        # reference, so a repeat that holds two points is named as two lines
+        # sharing them
         if len({line(a, b, 0) for a, b in by_direction}) < len(by_direction):
-            LineIndex.check_two_points(self)
+            _common_points(self.by_point)
             if len({line(*l) for l in self.lines}) < len(self.lines):
                 raise MatroidError("duplicate lines in configuration")
 
@@ -161,7 +149,7 @@ class Configuration(LineIndex):
         point.  So a triangle's corner sums form a 3-AP, which the sums of
         all the points hold.  The proof reads only the points and the lines, and
         rests on each listed member lying on its line (the constructor's
-        lookup, ``prune_lines`` and the grid build guarantee it)."""
+        lookup and ``_from_incidence``'s two callers guarantee it)."""
         if {(l.A, l.B) for l in self.lines} <= _GRID_DIRECTIONS and not has_3ap({x + y for x, y in self.points}):
             return True
         return super().triangle_free
@@ -189,6 +177,21 @@ class Configuration(LineIndex):
         if any(len(p) != 2 for p in points):
             raise MatroidError("dump point is not a coordinate pair")
         return cls(points, lines)
+
+
+def _from_incidence(points: Iterable[Point], lines: Iterable[IntLine], line_points: Iterable[tuple]) -> Configuration:
+    """The configuration of ``points`` and ``lines`` with the incidence
+    ``line_points``, each line's ascending point indices, taken as it is:
+    nothing is checked or looked up.  Only an incidence read off the
+    coordinates of checked points and distinct lines may be given, since
+    the gate's proof (``Configuration.triangle_free``) rests on each listed
+    member lying on its line: ``prune_lines`` passes a configuration's kept
+    lines, ``construct.GridFamily.configuration`` the grid lines it files
+    each point under."""
+    cfg = Configuration.__new__(Configuration)
+    cfg.points, cfg.lines = tuple(points), tuple(lines)
+    LineIndex.__init__(cfg, len(cfg.points), tuple(line_points))
+    return cfg
 
 
 def _checked_points(points: Iterable[Point]) -> tuple[Point, ...]:
@@ -221,9 +224,10 @@ def triple_points(cfg: Configuration) -> list[int]:
 def prune_lines(cfg: Configuration) -> Configuration:
     """Keep only lines incident to at least two configuration points.
 
-    The result is ``Configuration(cfg.points, kept)``, built from the kept
-    lines' point lists: the points are already checked and each kept line's
-    points are already known, so neither is looked up again.
+    The result equals ``Configuration(cfg.points, kept)``, built from the
+    kept lines' point lists (``_from_incidence``): the points are already
+    checked and each kept line's points are already known, so neither is
+    looked up again.
     """
     kept = [li for li, pts in enumerate(cfg.line_points) if len(pts) >= 2]
-    return Configuration(cfg.points, (cfg.lines[li] for li in kept), (cfg.line_points[li] for li in kept))
+    return _from_incidence(cfg.points, (cfg.lines[li] for li in kept), (cfg.line_points[li] for li in kept))

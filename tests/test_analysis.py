@@ -37,6 +37,7 @@ from matroid_joints.construct import (
 )
 from matroid_joints.core import MatroidError, _reads_own_configuration, make_flat
 from matroid_joints.planar import Configuration, prune_lines, triple_points
+from scale_checks import window_points
 
 
 @pytest.fixture(scope="module")
@@ -229,14 +230,6 @@ def test_heavy_plane_prune_repushes_stale_planes(monkeypatch):
     assert (survivors, trace) == reference_prune(m, lines, Fraction(1, 2))
     assert trace[0].plane == tuple(range(16))
     assert pushes and all(-count < 8 for count, *_ in pushes)
-
-
-def window_points(n, t):
-    """The window build's points: the sums x + t in [2, 2n] of the x <= 6n
-    whose base-3 digits are all 0 or 1, over the n x n grid."""
-    powers = [3**k for k in range(20) if 3**k <= 6 * n]
-    xs = {sum(p for k, p in enumerate(powers) if bits >> k & 1) for bits in range(2 ** len(powers))}
-    return behrend_points(n, [x + t for x in xs if x <= 6 * n and 2 <= x + t <= 2 * n])
 
 
 @lru_cache(maxsize=None)

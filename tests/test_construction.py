@@ -32,7 +32,7 @@ from matroid_joints.planar import (
     triple_points,
     vertical,
 )
-from test_analysis import window_points
+from scale_checks import window_points
 
 
 def test_grid_lines_counts():

@@ -645,6 +645,19 @@ def test_submodularity_rejects_pairs_below_one(random_q3, pairs):
         check_submodularity(random_q3, pairs=pairs)
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.5, "3"])
+@pytest.mark.parametrize("count", ["limit", "pairs", "samples"])
+def test_a_count_argument_refuses_a_bool_or_a_non_integer(random_q3, count, bad):
+    # nothing is coerced: True would count one, and 2.5 would reach a slice
+    call = {
+        "limit": lambda v: core.find_triangles(core.LineIndex(3, [(0, 1), (0, 2), (1, 2)]), limit=v),
+        "pairs": lambda v: check_submodularity(random_q3, pairs=v),
+        "samples": lambda v: check_incidence_properties(random_q3, samples=v),
+    }[count]
+    with pytest.raises(MatroidError, match=f"{count} must be an int, got {bad!r}"):
+        call(bad)
+
+
 def test_incidence_rejects_non_simple():
     m = Matroid(labels=(0, 1, 2), oracle=lambda s: len(s) <= 1 or s == frozenset({0, 1}))
     with pytest.raises(MatroidError, match="not simple"):

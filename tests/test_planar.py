@@ -227,13 +227,31 @@ def test_incidence_maps_are_built_when_read(points, lines):
     assert "meets" in vars(cfg)
 
 
-def test_the_two_point_check_runs_when_two_directions_canonicalise_alike():
+def test_the_two_point_check_runs_when_two_directions_canonicalise_alike(monkeypatch):
     # x = 1 and 2x = 4 are distinct lines of one canonical direction, so the
-    # meeting masks are built up front, where two lines sharing two points
-    # would raise
+    # two-point check runs up front, where two lines sharing two points
+    # would raise; it runs once, on the meeting map's reference, and builds
+    # no meeting masks
+    calls = []
+    monkeypatch.setattr(planar, "_common_points", lambda bp: calls.append(bp) or core._common_points(bp))
     cfg = Configuration([(1, 0), (2, 0)], [IntLine(1, 0, 1), IntLine(2, 0, 4), horizontal(0)])
-    assert "meets" in vars(cfg)
+    assert calls == [cfg.by_point] and "meets" not in vars(cfg)
     assert core._common_points(cfg.by_point) == {(0, 2): 0, (1, 2): 1}
+
+
+def test_the_public_constructor_always_reads_the_incidence_off_the_coordinates():
+    # an incidence handed in beside the coordinates could list a point on a
+    # line that does not hold it, and the gate's proof from the point sums
+    # would certify the triangle it lists: here the diagonal x - y = 0 would
+    # be listed with (1, 0) and (0, 1), of which it holds neither
+    points, lines = [(0, 0), (1, 0), (0, 1)], [horizontal(0), vertical(0), diagonal(0)]
+    with pytest.raises(TypeError):
+        Configuration(points, lines, [(0, 1), (0, 2), (1, 2)])
+    cfg = Configuration(points, lines)
+    assert cfg.line_points == ((0, 1), (0, 2), (0,))
+    assert cfg.triangle_free and not find_triangles(cfg)
+    with pytest.raises(MatroidError, match="at least two points"):
+        TriangleFreeMatroid(cfg)
 
 
 def test_triangle_free_triple_line_property(build200):
