@@ -21,16 +21,12 @@ from .core import (
     closure,
     count_joints,
     flats_of_rank,
-    is_flat,
     is_joint,
     rank,
 )
 from .planar import (
     Configuration,
-    IntLine,
     find_triangles,
-    incident,
-    intersect,
     is_triangle_free,
     line,
     prune_lines,
@@ -42,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Configuration",
     "Flat",
-    "IntLine",
     "Matroid",
     "MatroidError",
     "TriangleFreeMatroid",
@@ -62,9 +57,6 @@ __all__ = [
     "grid3d",
     "grid_lines",
     "has_3ap",
-    "incident",
-    "intersect",
-    "is_flat",
     "is_joint",
     "is_triangle_free",
     "line",

@@ -30,7 +30,7 @@ from math import gcd, lcm
 from operator import mul, sub
 from typing import Iterable, Sequence
 
-from .core import LineIndex, Matroid, MatroidError, make_flat
+from .core import LineIndex, Matroid, MatroidError, _int, make_flat
 
 
 @dataclass(frozen=True)
@@ -284,6 +284,7 @@ def grid3d(k: int) -> tuple[tuple[RationalPoint, ...], list[tuple[int, ...]]]:
 
     Every grid point lies on exactly three of these lines, one per axis.
     """
+    _int("k", k)
     if k < 2:
         raise MatroidError("grid3d requires k >= 2")
     coords = range(1, k + 1)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from math import isqrt
 
-from .core import MatroidError
+from .core import MatroidError, _int
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,7 @@ def sphere_shells(n: int, s: int) -> dict[int, list[tuple[int, ...]]]:
 
 def behrend_params(N: int) -> BehrendParams:
     """Construction parameters for N: dimension, digit bound, best shell."""
+    _int("N", N)
     return _params_and_shells(N)[0]
 
 
@@ -125,6 +126,7 @@ def behrend_set(N: int) -> BehrendSet:
     Falls back to the brute-force optimum when the shell construction
     degenerates (n <= 1, which happens for N < 16).
     """
+    _int("N", N)
     if N < 1:
         raise MatroidError("behrend_set requires N >= 1")
     if N < 4:
@@ -169,6 +171,7 @@ def tuned_behrend_set(N: int) -> BehrendSet:
     is enumerated only if its largest shell could beat the best so far.
     Falls back like ``behrend_set`` when no shell fits (N < 3).
     """
+    _int("N", N)
     candidates = []
     n = 2
     while 3 ** (n - 1) <= N and 2 ** n <= SHELL_BUDGET:
@@ -207,6 +210,7 @@ def optimal_3ap_free(N: int) -> tuple[int, ...]:
     lexicographic order, so the first maximum it finds is the
     lexicographically smallest.
     """
+    _int("N", N)
     if N < 1 or N > 30:
         raise MatroidError("optimal_3ap_free supports 1 <= N <= 30")
     r3 = [0]

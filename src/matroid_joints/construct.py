@@ -25,10 +25,10 @@ from typing import Iterable
 
 from . import core
 from .behrend import BehrendSet, behrend_set
-from .core import CheckResult, Matroid, MatroidError, PASS, FAIL, TriangleFreeMatroid
+from .core import CheckResult, Matroid, MatroidError, PASS, FAIL, TriangleFreeMatroid, _int
 from .planar import (
     Configuration,
-    IntLine,
+    Line,
     Point,
     diagonal,
     horizontal,
@@ -55,7 +55,7 @@ class GridFamily:
         return 4 * self.N + 1
 
     @cached_property
-    def lines(self) -> tuple[IntLine, ...]:
+    def lines(self) -> tuple[Line, ...]:
         lines = (
             [horizontal(b) for b in range(1, self.N + 1)]
             + [vertical(a) for a in range(1, self.N + 1)]
@@ -96,6 +96,7 @@ class GridFamily:
 
 def grid_lines(N: int) -> GridFamily:
     """The grid family of N; its lines are built when first read."""
+    _int("N", N)
     if N < 1:
         raise MatroidError("grid_lines requires N >= 1")
     return GridFamily(N=N)
@@ -104,6 +105,7 @@ def grid_lines(N: int) -> GridFamily:
 def behrend_points(N: int, sums: Iterable[int]) -> list[Point]:
     """Grid points (a, b) with 1 <= a, b <= N and a + b in the given sums,
     ordered by a, then b: for each a, b = s - a over the sums s ascending."""
+    _int("N", N)
     sums = sorted(set(sums))
     return [(x, s - x) for x in range(1, N + 1) for s in sums if 1 <= s - x <= N]
 
@@ -148,6 +150,7 @@ def build_construction(N: int) -> ConstructionBuild:
     triangle at this point indicates a bug in the 3-AP-free set or the
     incidence code and raises ConstructionError.
     """
+    _int("N", N)
     if N < 4:
         raise MatroidError("build_construction requires N >= 4")
     b = behrend_set(N)

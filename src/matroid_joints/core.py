@@ -30,12 +30,17 @@ class MatroidError(ValueError):
     """Domain error: bad subset, non-line input, violated precondition."""
 
 
-def _count(name: str, value) -> None:
-    """Refuse a count argument that is not an int of at least 1: a bool
-    (True would count one), a float or a str (nothing is coerced) and a
-    value below 1 raise MatroidError."""
+def _int(name: str, value) -> None:
+    """Refuse a count or size argument that is not an int: a bool (True
+    would count one), a float or a str (nothing is coerced) raise
+    MatroidError.  Each caller keeps its own range check and message."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise MatroidError(f"{name} must be an int, got {value!r}")
+
+
+def _count(name: str, value) -> None:
+    """Refuse a count argument that is not an int (``_int``) of at least 1."""
+    _int(name, value)
     if value < 1:
         raise MatroidError(f"{name} must be at least 1, got {value}")
 
@@ -113,11 +118,6 @@ def closure(m: Matroid, subset: Iterable[int]) -> frozenset:
     return _closure_of(m, s, _basis(m, s))
 
 
-def is_flat(m: Matroid, subset: Iterable[int]) -> bool:
-    s = m._subset(subset)
-    return closure(m, s) == s
-
-
 def make_flat(m: Matroid, subset: Iterable[int]) -> Flat:
     """The flat spanned by ``subset``: its closure with the common rank,
     both from one greedy basis."""
@@ -134,6 +134,7 @@ def flats_of_rank(m: Matroid, k: int, *, allow_large: bool = False) -> list[Flat
     The enumeration cost grows as size**k, so k > 3 requires
     ``allow_large=True``.
     """
+    _int("k", k)
     if k < 1:
         raise MatroidError("k must be >= 1")
     if k > 3 and not allow_large:

@@ -1,12 +1,12 @@
 """Planar integer point-line configurations.
 
-Points are integer pairs (a, b); lines are canonical primitive triples
-(A, B, C) representing { (x, y) : A*x + B*y = C }.  A Configuration is
-the ``core.LineIndex`` of its lines' point sets, checked against their
-coordinates, and answers triple point and pruning queries exactly.  The
-triangle gate's reference reads only the incidence, so it lives on the
-index (``core.find_triangles``, ``core.LineIndex.triangle_free``); this
-module re-exports it.  A configuration of rows, columns and diagonals
+Points are integer pairs (a, b); lines are plain int triples (A, B, C),
+canonical and primitive (``line``), representing { (x, y) : A*x + B*y = C }.
+A Configuration is the ``core.LineIndex`` of its lines' point sets, checked
+against their coordinates, and answers triple point and pruning queries
+exactly.  The triangle gate's reference reads only the incidence, so it
+lives on the index (``core.find_triangles``, ``core.LineIndex.triangle_free``);
+this module re-exports it.  A configuration of rows, columns and diagonals
 x - y = c proves its own verdict from its points' coordinate sums
 (``Configuration.triangle_free``), with no walk.
 """
@@ -15,23 +15,16 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import gcd
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable
 
 from .behrend import has_3ap
 from .core import LineIndex, MatroidError, Triangle, _common_points, find_triangles, is_triangle_free  # noqa: F401
 
 Point = tuple[int, int]
+Line = tuple[int, int, int]  # (A, B, C): the line A*x + B*y = C
 
 
-class IntLine(NamedTuple):
-    """The line A*x + B*y = C: a tuple, so it hashes and orders as (A, B, C)."""
-
-    A: int
-    B: int
-    C: int
-
-
-def line(a: int, b: int, c: int) -> IntLine:
+def line(a: int, b: int, c: int) -> Line:
     """Canonical form: gcd(|A|,|B|,|C|) = 1, leading coefficient positive."""
     if a == 0 and b == 0:
         raise MatroidError("degenerate line: A = B = 0")
@@ -39,60 +32,43 @@ def line(a: int, b: int, c: int) -> IntLine:
     a, b, c = a // g, b // g, c // g
     if a < 0 or (a == 0 and b < 0):
         a, b, c = -a, -b, -c
-    return IntLine(a, b, c)
+    return (a, b, c)
 
 
 # The grid-line helpers are canonical by form (a coefficient of 1 leads, so
 # the gcd is 1 and the sign is right) and skip ``line``'s normalization.
-def horizontal(b: int) -> IntLine:
-    return IntLine(0, 1, b)
+def horizontal(b: int) -> Line:
+    return (0, 1, b)
 
 
-def vertical(a: int) -> IntLine:
-    return IntLine(1, 0, a)
+def vertical(a: int) -> Line:
+    return (1, 0, a)
 
 
-def diagonal(c: int) -> IntLine:
+def diagonal(c: int) -> Line:
     # x - y = c
-    return IntLine(1, -1, c)
+    return (1, -1, c)
 
 
 # the directions (A, B) of the rows, the columns and the diagonals x - y = c
 _GRID_DIRECTIONS = frozenset({(0, 1), (1, 0), (1, -1)})
 
 
-def incident(l: IntLine, p: Point) -> bool:
-    return l.A * p[0] + l.B * p[1] == l.C
-
-
-def intersect(l1: IntLine, l2: IntLine) -> Optional[Point]:
-    """The common integer point, or None when parallel or non-integral."""
-    if l1 == l2:
-        raise MatroidError("intersect requires two distinct lines")
-    det = l1.A * l2.B - l2.A * l1.B
-    if det == 0:
-        return None
-    xn = l1.C * l2.B - l2.C * l1.B
-    yn = l1.A * l2.C - l2.A * l1.C
-    if xn % det or yn % det:
-        return None
-    return (xn // det, yn // det)
-
-
 class Configuration(LineIndex):
     """Immutable incidence structure over distinct points and lines: the
     ``core.LineIndex`` of the lines' point sets (``line_points``,
     ``by_point``, the gate verdict ``triangle_free``; item i is line i's
-    rank-2 flat), with the ``points`` and the ``IntLine``s
+    rank-2 flat), with the ``points`` and the (A, B, C) triples
     (``lines``) it was read from.  Its coordinates answer the two checks
     that the index answers from its meeting masks: the two-point check
     (``check_two_points``) and, on the grid's directions, the gate
     (``triangle_free``)."""
 
-    def __init__(self, points: Iterable[Point], lines: Iterable[IntLine]):
+    def __init__(self, points: Iterable[Point], lines: Iterable[Line]):
         """Raises MatroidError on a coordinate that is not an integer (bool
         included; nothing is coerced) or a point given twice (both checked
-        by ``_checked_points``), a line with A = B = 0, two lines that
+        by ``_checked_points``), a line that is not a triple of integers
+        (``_checked_lines``), a line with A = B = 0, two lines that
         share two points (``core._common_points``), or one line given
         twice, in any two forms that ``line`` puts in one canonical form.
 
@@ -102,14 +78,14 @@ class Configuration(LineIndex):
         directions canonicalise alike is the two-point check run here, with
         no meeting mask built."""
         self.points: tuple[Point, ...] = _checked_points(points)
-        self.lines: tuple[IntLine, ...] = tuple(lines)
+        self.lines: tuple[Line, ...] = _checked_lines(lines)
         # a point lies on at most one line of each direction (A, B), so one
         # lookup of A*x + B*y per direction finds its lines; points are
         # visited in index order, so each line's points come out ascending;
         # a line given twice in one form is a repeated C within one direction
         by_direction: dict[tuple[int, int], dict[int, int]] = {}
-        for li, l in enumerate(self.lines):
-            if by_direction.setdefault((l.A, l.B), {}).setdefault(l.C, li) != li:
+        for li, (a, b, c) in enumerate(self.lines):
+            if by_direction.setdefault((a, b), {}).setdefault(c, li) != li:
                 raise MatroidError("duplicate lines in configuration")
         if (0, 0) in by_direction:
             raise MatroidError("degenerate line: A = B = 0")
@@ -150,14 +126,14 @@ class Configuration(LineIndex):
         all the points hold.  The proof reads only the points and the lines, and
         rests on each listed member lying on its line (the constructor's
         lookup and ``_from_incidence``'s two callers guarantee it)."""
-        if {(l.A, l.B) for l in self.lines} <= _GRID_DIRECTIONS and not has_3ap({x + y for x, y in self.points}):
+        if {(a, b) for a, b, _ in self.lines} <= _GRID_DIRECTIONS and not has_3ap({x + y for x, y in self.points}):
             return True
         return super().triangle_free
 
     def to_json(self) -> dict:
         return {
             "points": [[a, b] for a, b in self.points],
-            "lines": [{"A": l.A, "B": l.B, "C": l.C} for l in self.lines],
+            "lines": [{"A": a, "B": b, "C": c} for a, b, c in self.lines],
         }
 
     @classmethod
@@ -179,7 +155,7 @@ class Configuration(LineIndex):
         return cls(points, lines)
 
 
-def _from_incidence(points: Iterable[Point], lines: Iterable[IntLine], line_points: Iterable[tuple]) -> Configuration:
+def _from_incidence(points: Iterable[Point], lines: Iterable[Line], line_points: Iterable[tuple]) -> Configuration:
     """The configuration of ``points`` and ``lines`` with the incidence
     ``line_points``, each line's ascending point indices, taken as it is:
     nothing is checked or looked up.  Only an incidence read off the
@@ -207,6 +183,22 @@ def _checked_points(points: Iterable[Point]) -> tuple[Point, ...]:
     if len(set(points)) != len(points):
         raise MatroidError("duplicate points in configuration")
     return points
+
+
+def _checked_lines(lines: Iterable[Line]) -> tuple[Line, ...]:
+    """``lines`` as a tuple of (A, B, C) triples.  Raises MatroidError on a
+    line that is not three values or on a coefficient that is not an
+    integer (bool included; nothing is coerced).  ``_from_incidence``'s
+    callers build their own triples and skip it."""
+    lines = tuple(lines)
+    # a tuple of three ints passes one type check; anything else is rebuilt
+    # through ``_exact_int`` once it is known to hold three values
+    if not all(type(l) is tuple and len(l) == 3 and type(l[0]) is type(l[1]) is type(l[2]) is int for l in lines):
+        for l in lines:
+            if not isinstance(l, (tuple, list)) or len(l) != 3:
+                raise MatroidError(f"line {l!r} is not a triple (A, B, C)")
+        lines = tuple(tuple(map(_exact_int, l)) for l in lines)
+    return lines
 
 
 def _exact_int(value) -> int:

@@ -7,8 +7,10 @@ function body.  Run from the repository root:
     python tests/code_lines.py [DIR]
 
 It prints each module's count and the total for ``DIR`` (``src`` by
-default).  It uses the standard library alone, and pytest does not collect
-it (its name does not start with ``test_``).
+default), and exits 2 with a message naming ``DIR`` when it is not a
+directory (a mistyped path, or an option such as ``--help``).  It uses the
+standard library alone, and pytest does not collect it (its name does not
+start with ``test_``).
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ def code_lines(path: Path) -> int:
 
 def main(argv: list[str]) -> int:
     root = Path(argv[1] if len(argv) > 1 else "src")
+    if not root.is_dir():
+        print(f"usage: python tests/code_lines.py [DIR]\ncode_lines.py: {root} is not a directory", file=sys.stderr)
+        return 2
     total = 0
     for path in sorted(root.rglob("*.py")):
         n = code_lines(path)

@@ -30,6 +30,7 @@ from matroid_joints.behrend import (
 from matroid_joints.construct import build_construction
 from matroid_joints.planar import Configuration, find_triangles, triple_points
 from matroid_joints.construct import grid_lines
+from references import is_flat
 
 
 def _verdict(log, label, ok, detail=""):
@@ -102,7 +103,7 @@ def _flat_intersection_violations(m, samples, seed):
     for _ in range(samples):
         f1 = core.closure(m, (e for e in range(m.size) if rng.random() < 0.3))
         f2 = core.closure(m, (e for e in range(m.size) if rng.random() < 0.3))
-        if not core.is_flat(m, f1 & f2):
+        if not is_flat(m, f1 & f2):
             bad += 1
     return bad
 

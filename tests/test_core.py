@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -11,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matroid_joints import core
+from matroid_joints import behrend, core
 from matroid_joints.affine import affine_matroid, descriptor_flats, grid3d, point
-from matroid_joints.construct import TriangleFreeMatroid, behrend_points, grid_lines
+from matroid_joints.analysis import joints_sweep
+from matroid_joints.construct import TriangleFreeMatroid, behrend_points, build_construction, grid_lines
 from matroid_joints.core import (
     CheckResult,
     Flat,
@@ -26,13 +28,13 @@ from matroid_joints.core import (
     closure,
     count_joints,
     flats_of_rank,
-    is_flat,
     is_joint,
     joint_witness,
     make_flat,
     rank,
 )
 from matroid_joints.planar import Configuration, prune_lines
+from references import is_flat
 
 
 def free_matroid(n):
@@ -656,6 +658,39 @@ def test_a_count_argument_refuses_a_bool_or_a_non_integer(random_q3, count, bad)
     }[count]
     with pytest.raises(MatroidError, match=f"{count} must be an int, got {bad!r}"):
         call(bad)
+
+
+@pytest.mark.parametrize("bad", [True, 10.0, "10"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "behrend_set", "tuned_behrend_set", "optimal_3ap_free", "behrend_params", "grid_lines",
+        "behrend_points", "build_construction", "flats_of_rank", "grid3d",
+    ],
+)
+def test_a_size_argument_refuses_a_bool_or_a_non_integer(random_q3, entry, bad):
+    # as a count argument does: True would be size one, and 10.0 would fail
+    # deep inside (int.bit_length, range) or be carried into the result
+    call, name = {
+        "behrend_set": (behrend.behrend_set, "N"),
+        "tuned_behrend_set": (behrend.tuned_behrend_set, "N"),
+        "optimal_3ap_free": (behrend.optimal_3ap_free, "N"),
+        "behrend_params": (behrend.behrend_params, "N"),
+        "grid_lines": (grid_lines, "N"),
+        "behrend_points": (lambda v: behrend_points(v, [2]), "N"),
+        "build_construction": (build_construction, "N"),
+        "flats_of_rank": (lambda v: flats_of_rank(random_q3, v), "k"),
+        "grid3d": (grid3d, "k"),
+    }[entry]
+    with pytest.raises(MatroidError, match=f"{name} must be an int, got {bad!r}"):
+        call(bad)
+
+
+def test_a_sweep_row_with_a_non_integer_n_is_an_error_row(capsys):
+    # a MatroidError row, with no traceback, beside the rows that build
+    rows = joints_sweep([10.0, 10], Fraction(1, 2))
+    assert rows[0]["error"] == "MatroidError: N must be an int, got 10.0" and "error" not in rows[1]
+    assert capsys.readouterr().err == ""
 
 
 def test_incidence_rejects_non_simple():

@@ -12,19 +12,17 @@ from matroid_joints.construct import TriangleFreeMatroid, behrend_points, build_
 from matroid_joints.core import LineIndex, MatroidError
 from matroid_joints.planar import (
     Configuration,
-    IntLine,
     Triangle,
     diagonal,
     find_triangles,
     horizontal,
-    incident,
-    intersect,
     is_triangle_free,
     line,
     prune_lines,
     triple_points,
     vertical,
 )
+from references import incident, intersect
 
 
 def test_line_canonicalization():
@@ -35,7 +33,7 @@ def test_line_canonicalization():
         line(0, 0, 5)
     # nor uncanonicalised: 0*x + 0*y = 0 would hold every point
     with pytest.raises(MatroidError, match="degenerate"):
-        Configuration([(0, 0), (3, 4)], [horizontal(0), IntLine(0, 0, 0)])
+        Configuration([(0, 0), (3, 4)], [horizontal(0), (0, 0, 0)])
 
 
 def test_the_gate_runs_once_per_configuration(monkeypatch):
@@ -182,7 +180,7 @@ def test_duplicate_rejection():
         Configuration([], [horizontal(1), line(0, 2, 2)])
     # x = 1 twice, uncanonicalised: the two lines share (1, 0) and (1, 1)
     with pytest.raises(MatroidError, match="lines 0 and 1 share 2 points"):
-        Configuration([(1, 0), (1, 1)], [IntLine(1, 0, 1), IntLine(2, 0, 2)])
+        Configuration([(1, 0), (1, 1)], [(1, 0, 1), (2, 0, 2)])
 
 
 @pytest.mark.parametrize(
@@ -190,8 +188,8 @@ def test_duplicate_rejection():
     [
         # x + y = 2 in two forms through one point: (1, 1) would lie on
         # four lines, a triple point of three directions
-        ([(1, 1), (5, 5)], [IntLine(1, 1, 2), IntLine(2, 2, 4), IntLine(0, 1, 1), IntLine(1, 0, 1)]),
-        ([(0, 0)], [IntLine(0, 1, 3), IntLine(0, -2, -6)]),
+        ([(1, 1), (5, 5)], [(1, 1, 2), (2, 2, 4), (0, 1, 1), (1, 0, 1)]),
+        ([(0, 0)], [(0, 1, 3), (0, -2, -6)]),
     ],
     ids=["one-point", "no-point"],
 )
@@ -205,6 +203,32 @@ def test_non_integer_coordinates_rejected(bad):
     # neither truncated nor coerced: (1.9, 2) must not land on y = 2 as (1, 2)
     with pytest.raises(MatroidError):
         Configuration([(5, 2), bad], [horizontal(2)])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(0, True, 0), (1, 0, 2.0), (1, 0, "2"), (0, 1), (1, 0, 2, 3), 7, None],
+    ids=["bool", "float", "str", "pair", "four", "int", "none"],
+)
+def test_a_line_that_is_no_integer_triple_is_rejected(bad):
+    # checked as the points are: a bool is no coefficient (it would dump as
+    # JSON true, which ``from_json`` refuses), and a pair is no line
+    with pytest.raises(MatroidError, match="not an integer|not a triple"):
+        Configuration([(0, 0), (1, 0), (2, 0)], [horizontal(0), bad])
+
+
+def test_lines_are_plain_int_triples():
+    # a triple subclass or a list is rebuilt as a plain tuple
+    class Named(tuple):
+        pass
+
+    cfg = Configuration([(0, 0), (1, 0), (0, 1)], [Named((0, 1, 0)), [1, 0, 0], diagonal(0)])
+    assert cfg.lines == ((0, 1, 0), (1, 0, 0), (1, -1, 0))
+    assert cfg.line_points == ((0, 1), (0, 2), (0,))
+    grid = grid_lines(3)
+    made = [line(2, -4, 6), horizontal(1), vertical(1), diagonal(1), *grid.lines]
+    made += grid.configuration([(1, 1), (2, 2), (2, 1)]).lines + Configuration.from_json(cfg.to_json()).lines
+    assert all(type(l) is tuple and len(l) == 3 and all(type(v) is int for v in l) for l in cfg.lines + tuple(made))
 
 
 @pytest.mark.parametrize(
@@ -234,7 +258,7 @@ def test_the_two_point_check_runs_when_two_directions_canonicalise_alike(monkeyp
     # no meeting masks
     calls = []
     monkeypatch.setattr(planar, "_common_points", lambda bp: calls.append(bp) or core._common_points(bp))
-    cfg = Configuration([(1, 0), (2, 0)], [IntLine(1, 0, 1), IntLine(2, 0, 4), horizontal(0)])
+    cfg = Configuration([(1, 0), (2, 0)], [(1, 0, 1), (2, 0, 4), horizontal(0)])
     assert calls == [cfg.by_point] and "meets" not in vars(cfg)
     assert core._common_points(cfg.by_point) == {(0, 2): 0, (1, 2): 1}
 
